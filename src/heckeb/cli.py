@@ -30,6 +30,7 @@ from .rep import (
     BudgetExceeded,
     PermutationModule,
     SpecializedBackend,
+    UnclassifiedEigenvalue,
     barv_map,
     central_candidate_eigenvalues,
     eigenvalue_multiplicities,
@@ -46,6 +47,7 @@ from .exactlinalg import minimal_polynomial, poly_is_squarefree
 from .hecke import central_element, cylinder_identity_holds, jucys_murphy
 from .scalars import InvalidSpecialization, Specialization
 from .schur import (
+    COMMUTANT_MAX_DIM,
     PM_KINDS,
     check_budget,
     expected_pm_dimension,
@@ -155,13 +157,13 @@ def run_suite(suite, n, d, e, bk):
                 m = rho(jucys_murphy(d, i), n, bk)
                 try:
                     eigenvalue_multiplicities(m, jm_candidate_eigenvalues(i, s))
-                except Exception:
+                except UnclassifiedEigenvalue:
                     ok = False
                 ok = ok and poly_is_squarefree(minimal_polynomial(m), m.one)
             mc = rho(central_element(d), n, bk)
             try:
                 eigenvalue_multiplicities(mc, central_candidate_eigenvalues(d, s))
-            except Exception:
+            except UnclassifiedEigenvalue:
                 ok = False
             checks["spectra"] = ok
     if suite in ("rk-equations", "all"):
@@ -171,7 +173,7 @@ def run_suite(suite, n, d, e, bk):
         checks["rk_negative_control_fails"] = not control["all"]
         checks["k_matches_central_element"] = verify_k_against_center(n, d, bk)
     if suite in ("cylinder", "all"):
-        checks["cylinder_identity"] = cylinder_identity_holds(d, max(1, e))
+        checks["cylinder_identity"] = cylinder_identity_holds(d, e)
     if suite in ("permutation", "all"):
         if n % 2 == 0 or n < 3:
             if suite == "permutation":
@@ -195,8 +197,8 @@ def run_suite(suite, n, d, e, bk):
         checks["double_centralizer"] = rep["double_centralizer"]
         checks["coideal_commutation"] = not verify_coideal_commutation(n, d, bk)
     if suite in ("e-hecke", "all"):
-        check_budget(n, d * max(1, e), bk)
-        checks["e_hecke_consistency"] = verify_e_hecke(n, d, max(1, e), bk)
+        check_budget(n, d * e, bk)
+        checks["e_hecke_consistency"] = verify_e_hecke(n, d, e, bk)
     return checks
 
 
@@ -388,7 +390,7 @@ def cmd_centralizer(args, bk):
     orbit = schur_algebra_dimension_orbit(args.n, args.d, bk)
     results = {"orbit_method": orbit}
     ok = True
-    if args.n ** args.d <= 30:
+    if args.n ** args.d <= COMMUTANT_MAX_DIM:
         comm = schur_algebra_dimension_commutant(args.n, args.d, bk)
         results["commutant_method"] = comm
         ok = comm == orbit
@@ -405,15 +407,24 @@ def cmd_centralizer(args, bk):
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="heckeb", description=__doc__.splitlines()[1])
     p.add_argument("--version", action="version", version="heckeb %s" % __version__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, need_d=True):
-        sp.add_argument("--n", type=int, required=True, help="dimension of the base space")
+        sp.add_argument(
+            "--n", type=positive_int, required=True, help="dimension of the base space"
+        )
         if need_d:
-            sp.add_argument("--d", type=int, required=True, help="tensor degree")
+            sp.add_argument("--d", type=positive_int, required=True, help="tensor degree")
         sp.add_argument(
             "--backend",
             default="symbolic",
@@ -424,7 +435,7 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", choices=SUITES, required=True)
-    sp.add_argument("--e", type=int, default=1, help="cable width for block checks")
+    sp.add_argument("--e", type=positive_int, default=1, help="cable width for block checks")
     common(sp)
 
     sp = sub.add_parser("dims", help="signed power dimensions")

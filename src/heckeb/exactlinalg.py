@@ -81,9 +81,6 @@ class ExactMatrix:
             self.ncols, self.nrows, {(c, r): v for (r, c), v in self.entries.items()}, self.one
         )
 
-    def copy(self):
-        return ExactMatrix(self.nrows, self.ncols, dict(self.entries), self.one)
-
     def is_zero(self):
         return not self.entries
 
@@ -247,6 +244,10 @@ class ExactMatrix:
 
     def rank(self):
         return len(self._row_echelon()[0])
+
+    def nullity(self):
+        """dim of {x : A x = 0}, counted by rank without building a basis."""
+        return self.ncols - self.rank()
 
     def kernel_basis(self):
         """Basis of {x : A x = 0} as sparse column vectors."""
@@ -441,19 +442,6 @@ def poly_trim(p):
     return p
 
 
-def poly_add(p, r):
-    out = list(p) + [None] * 0
-    if len(r) > len(out):
-        out, r = list(r), p
-    for i, c in enumerate(r):
-        out[i] = out[i] + c
-    return poly_trim(out)
-
-
-def poly_scale(p, c):
-    return poly_trim([c * a for a in p])
-
-
 def poly_mul(p, r):
     if not p or not r:
         return []
@@ -524,14 +512,6 @@ def poly_is_squarefree(p, one):
         return True
     g = poly_gcd_monic(p, poly_derivative(p, one))
     return len(g) == 1
-
-
-def poly_eval_scalar(p, x, one):
-    zero = one - one
-    out = zero
-    for c in reversed(p):
-        out = out * x + c
-    return out
 
 
 def poly_eval_matrix(p, m):
@@ -619,35 +599,31 @@ def minimal_polynomial(m: ExactMatrix):
     return poly_monic(result)
 
 
-def commutant_dimension(gens):
-    """dim of {X : Xg = gX for all g}, via the stacked Sylvester kernel."""
-    sub = commutant_basis(gens)
-    return sub.dim
+def intertwiner_dimension(gens_u, gens_w):
+    """dim of {phi : phi g_u = g_w phi for all generator pairs}, by rank.
 
-
-def commutant_basis(gens):
-    """Basis of the joint commutant, as a Subspace of vec'd n x n matrices.
-
-    vec(X) uses row-major order: coordinate r * n + c holds X[r, c].
+    phi is a w x u matrix, vec'd row-major: coordinate i * u + c holds
+    phi[i, c].  This is the one place the Sylvester system is built.
     """
-    n = gens[0].nrows
-    one = gens[0].one
-    rows = {}
-    nrow = 0
+    u = gens_u[0].nrows
+    w = gens_w[0].nrows
+    one = gens_u[0].one
+    zero = one - one
     e = {}
-    for g in gens:
-        grows = g.rows()
-        gcols = g.transpose().rows()
-        # (Xg - gX)[i, j] = sum_c X[i,c] g[c,j] - sum_r g[i,r] X[r,j]
-        for i in range(n):
-            for j in range(n):
+    nrow = 0
+    for gu, gw in zip(gens_u, gens_w):
+        gu_cols = gu.transpose().rows()
+        gw_rows = gw.rows()
+        # (phi gu - gw phi)[i, j] = sum_c phi[i,c] gu[c,j] - sum_r gw[i,r] phi[r,j]
+        for i in range(w):
+            for j in range(u):
                 acc = {}
-                for c, v in gcols[j].items():
-                    k = i * n + c
-                    acc[k] = acc.get(k, one - one) + v
-                for r, v in grows[i].items():
-                    k = r * n + j
-                    acc[k] = acc.get(k, one - one) - v
+                for c, v in gu_cols[j].items():
+                    k = i * u + c
+                    acc[k] = acc.get(k, zero) + v
+                for r, v in gw_rows[i].items():
+                    k = r * u + j
+                    acc[k] = acc.get(k, zero) - v
                 wrote = False
                 for k, v in acc.items():
                     if v:
@@ -655,11 +631,15 @@ def commutant_basis(gens):
                         wrote = True
                 if wrote:
                     nrow += 1
-    sys = ExactMatrix(max(nrow, 1), n * n, e, one)
-    return sys.kernel()
+    return ExactMatrix(nrow, w * u, e, one).nullity()
 
 
-def matrix_algebra_dimension(gens, include_identity=True, max_dim=None):
+def commutant_dimension(gens):
+    """dim of {X : Xg = gX for all g}: the self-intertwiners of the gens."""
+    return intertwiner_dimension(gens, gens)
+
+
+def matrix_algebra_dimension(gens):
     """Dimension of the unital algebra generated by the given matrices.
 
     Spans are grown by multiplying current basis elements by generators until
@@ -673,10 +653,7 @@ def matrix_algebra_dimension(gens, include_identity=True, max_dim=None):
     def vec(m):
         return {r * n + c: v for (r, c), v in m.entries.items()}
 
-    start = list(gens)
-    if include_identity:
-        start.append(ExactMatrix.identity(n, one))
-    for m in start:
+    for m in list(gens) + [ExactMatrix.identity(n, one)]:
         if span.insert(vec(m)):
             frontier.append(m)
     while frontier:
@@ -686,7 +663,5 @@ def matrix_algebra_dimension(gens, include_identity=True, max_dim=None):
                 for prod in (m * g, g * m):
                     if span.insert(vec(prod)):
                         new.append(prod)
-                        if max_dim is not None and span.dim >= max_dim:
-                            return span.dim
         frontier = new
     return span.dim

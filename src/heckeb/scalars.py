@@ -416,12 +416,6 @@ class RationalFunction:
             self.num, self.den = _canonicalize(num, den)
         self._hash = None
 
-    # -- constructors
-
-    @staticmethod
-    def from_poly(p: LaurentPoly2) -> "RationalFunction":
-        return RationalFunction(p)
-
     # -- predicates
 
     def __bool__(self):
@@ -559,10 +553,6 @@ RF_ZERO = RationalFunction(0)
 RF_ONE = RationalFunction(1)
 RF_Q = RationalFunction(Q_POLY)
 RF_q = RationalFunction(q_POLY)
-
-
-def rf_monomial(c, a, b):
-    return RationalFunction(LaurentPoly2.monomial(c, a, b))
 
 
 def f_d(d: int) -> LaurentPoly2:

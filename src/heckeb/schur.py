@@ -31,6 +31,10 @@ from math import comb
 from .exactlinalg import (
     ExactMatrix,
     Subspace,
+    commutant_dimension,
+    hstack,
+    intertwiner_dimension,
+    matrix_algebra_dimension,
     minimal_polynomial,
     poly_derivative,
     poly_divmod,
@@ -81,12 +85,13 @@ PM_KINDS = ("s_plus", "s_minus", "wedge_plus", "wedge_minus")
 
 SYMBOLIC_BUDGET = 125
 SPECIALIZED_BUDGET = 400
+# largest n**d at which the Schur algebra dimension is also taken from the
+# full commutant; above it only the orbit route is cheap enough
+COMMUTANT_MAX_DIM = 30
 
 
-def check_budget(n, d, bk, budget=None):
-    cap = budget
-    if cap is None:
-        cap = SYMBOLIC_BUDGET if bk.is_symbolic else SPECIALIZED_BUDGET
+def check_budget(n, d, bk):
+    cap = SYMBOLIC_BUDGET if bk.is_symbolic else SPECIALIZED_BUDGET
     if n**d > cap:
         raise BudgetExceeded(
             "tensor space dimension %d exceeds the %s budget %d"
@@ -121,13 +126,9 @@ def pm_power_dimension(kind, n, d, bk=SYMBOLIC, flavour="quotient"):
     ops = _pm_relation_ops(kind, n, d, bk)
     N = n**d
     if flavour == "quotient":
-        span = Subspace(N, (), bk.one)
-        for op in ops:
-            for col in op.columns():
-                span.insert(col)
-        return N - span.dim
+        return N - hstack(ops).rank()
     if flavour == "kernel":
-        return pm_power_kernel(kind, n, d, bk).dim
+        return vstack(ops).nullity()
     raise ValueError("flavour must be 'quotient' or 'kernel'")
 
 
@@ -216,8 +217,6 @@ def signed_tensor_subspace(a, b, n, bk=SYMBOLIC) -> Subspace:
 def schur_algebra_dimension_commutant(n, d, bk=SYMBOLIC):
     """dim of the full centralizer of the Hecke action, by the Sylvester
     kernel over all generators at once."""
-    from .exactlinalg import commutant_dimension
-
     gens = [generator_matrix(n, d, i, bk) for i in range(d)]
     return commutant_dimension(gens)
 
@@ -244,18 +243,14 @@ def schur_algebra_dimension_orbit(n, d, bk=SYMBOLIC):
             for i in J:
                 shift = Qi if i == 0 else qi
                 mats.append(pm.generator(i) - ident.scale(shift))
-            total += vstack(mats).kernel().dim
+            total += vstack(mats).nullity()
     return total
 
 
-def schur_algebra_dimension(n, d, bk=SYMBOLIC, method="auto"):
-    if method == "auto":
-        method = "commutant" if n**d <= 30 else "orbit"
-    if method == "commutant":
+def schur_algebra_dimension(n, d, bk=SYMBOLIC):
+    if n**d <= COMMUTANT_MAX_DIM:
         return schur_algebra_dimension_commutant(n, d, bk)
-    if method == "orbit":
-        return schur_algebra_dimension_orbit(n, d, bk)
-    raise ValueError("method must be 'auto', 'commutant' or 'orbit'")
+    return schur_algebra_dimension_orbit(n, d, bk)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +283,7 @@ def schur_functor_diagram_subspace(shape, n, bk=SYMBOLIC) -> Subspace:
     return out.column_space()
 
 
-def schur_weyl_decompose(n, d, bk=SYMBOLIC, budget=None):
+def schur_weyl_decompose(n, d, bk=SYMBOLIC):
     """The full decomposition ledger of V_n^{(x) d}.
 
     Returns a dict with one row per bipartition of d carrying the computed
@@ -296,7 +291,7 @@ def schur_weyl_decompose(n, d, bk=SYMBOLIC, budget=None):
     the standard bitableaux count (dimM), together with the two global checks
     sum(dimL * dimM) = n^d and sum(dimL^2) = dim of the Schur algebra.
     """
-    check_budget(n, d, bk, budget)
+    check_budget(n, d, bk)
     rows = []
     for shape in bipartitions(d):
         dim_l = schur_functor_subspace(shape, n, bk).dim
@@ -342,34 +337,6 @@ def restrict_to_subspace(g: ExactMatrix, sub: Subspace) -> ExactMatrix:
     return ExactMatrix.from_columns(sub.dim, cols, g.one)
 
 
-def intertwiner_dimension(gens_u, gens_w, one):
-    """dim of {phi : phi g_u = g_w phi for all generator pairs}."""
-    u = gens_u[0].nrows
-    w = gens_w[0].nrows
-    e = {}
-    nrow = 0
-    for gu, gw in zip(gens_u, gens_w):
-        gu_cols = gu.transpose().rows()
-        gw_rows = gw.rows()
-        for i in range(w):
-            for j in range(u):
-                acc = {}
-                for c, v in gu_cols[j].items():
-                    k = i * u + c
-                    acc[k] = acc.get(k, one - one) + v
-                for r, v in gw_rows[i].items():
-                    k = r * u + j
-                    acc[k] = acc.get(k, one - one) - v
-                wrote = False
-                for k, v in acc.items():
-                    if v:
-                        e[(nrow, k)] = v
-                        wrote = True
-                if wrote:
-                    nrow += 1
-    return ExactMatrix(max(nrow, 1), w * u, e, one).kernel().dim
-
-
 def irreducibility_report(n, d, bk, shapes=None):
     """Pairwise intertwiner dimensions between Schur functor images under the
     centralizing coideal action: 1 on the diagonal and 0 off it certifies the
@@ -386,9 +353,7 @@ def irreducibility_report(n, d, bk, shapes=None):
     report = {}
     for s1 in shapes:
         for s2 in shapes:
-            report[(s1, s2)] = intertwiner_dimension(
-                restricted[s1], restricted[s2], bk.one
-            )
+            report[(s1, s2)] = intertwiner_dimension(restricted[s1], restricted[s2])
     return report
 
 
@@ -396,8 +361,6 @@ def verify_double_centralizer(n, d, bk):
     """Both centralizer dimensions of the dual pair on V_n^{(x) d}:
     the commutant of the Hecke action and the commutant of the coideal
     action, each computed from the generating matrices."""
-    from .exactlinalg import commutant_dimension, matrix_algebra_dimension
-
     hecke_gens = [generator_matrix(n, d, i, bk) for i in range(d)]
     coideal = list(coideal_generators(n, d, bk).values())
     schur_dim = commutant_dimension(hecke_gens)

@@ -73,9 +73,6 @@ class SignedPermutation:
                 img[-v - 1] = -i
         return SignedPermutation(img)
 
-    def is_identity(self):
-        return self.images == tuple(range(1, self.rank + 1))
-
     def act(self, a):
         """Left action on index tuples: position |w(i)| receives sign(w(i)) * a_i."""
         out = [0] * len(a)
@@ -108,12 +105,6 @@ class SignedPermutation:
     def length(self):
         l0, l1 = self.length_split()
         return l0 + l1
-
-    def has_right_descent(self, i):
-        """Whether l(w s_i) < l(w)."""
-        if i == 0:
-            return self.images[0] < 0
-        return self.images[i - 1] > self.images[i]
 
     def reduced_word(self):
         """A reduced word (i_1, ..., i_l) with w = s_{i_1} * ... * s_{i_l}."""

@@ -101,5 +101,21 @@ class TestErrors:
     def test_budget_exits_2(self, capsys):
         assert main(["dims", "--n", "7", "--d", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dims", "--n", "0", "--d", "2"],
+            ["dims", "--n", "2", "--d", "0"],
+            ["dims", "--n", "2", "--d", "-1"],
+            ["verify", "--suite", "rk-equations", "--n", "2", "--d", "2", "--e", "0"],
+            ["verify", "--suite", "cylinder", "--n", "2", "--d", "2", "--e", "-3"],
+        ],
+    )
+    def test_nonpositive_size_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_even_permutation_suite_exits_2(self, capsys):
         assert main(["verify", "--suite", "permutation", "--n", "4", "--d", "2"]) == 2

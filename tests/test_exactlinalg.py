@@ -13,6 +13,7 @@ from heckeb.exactlinalg import (
     Subspace,
     commutant_dimension,
     hstack,
+    intertwiner_dimension,
     matrix_algebra_dimension,
     minimal_polynomial,
     poly_divmod,
@@ -59,6 +60,7 @@ class TestExactMatrix:
     @settings(max_examples=30, deadline=None)
     def test_rank_matches_kernel(self, a):
         assert a.rank() + a.kernel().dim == a.ncols
+        assert a.nullity() == a.kernel().dim
 
     @given(matrices())
     @settings(max_examples=30, deadline=None)
@@ -183,6 +185,12 @@ class TestAlgebraDimensions:
     def test_commutant_of_generic_diagonal(self):
         d = dense([[1, 0, 0], [0, 2, 0], [0, 0, 5]])
         assert commutant_dimension([d]) == 3
+
+    def test_intertwiners_between_different_sizes(self):
+        # non-square Sylvester systems: phi is 3 x 2, then 1 x 2
+        d2 = dense([[1, 0], [0, 2]])
+        assert intertwiner_dimension([d2], [dense([[1, 0, 0], [0, 2, 0], [0, 0, 2]])]) == 3
+        assert intertwiner_dimension([d2], [dense([[5]])]) == 0
 
     def test_algebra_of_diagonal(self):
         d = dense([[1, 0], [0, 2]])
