@@ -28,23 +28,19 @@ from . import __version__
 from .rep import (
     SYMBOLIC,
     BudgetExceeded,
-    PermutationModule,
     SpecializedBackend,
     UnclassifiedEigenvalue,
-    barv_map,
     central_candidate_eigenvalues,
     eigenvalue_multiplicities,
-    generator_matrix,
-    index_shift_matrix,
     jm_candidate_eigenvalues,
     rho,
     verify_coideal_commutation,
     verify_k_against_center,
+    verify_permutation_intertwiners,
     verify_rho_relations,
     verify_rk_equations,
 )
-from .exactlinalg import minimal_polynomial, poly_is_squarefree
-from .hecke import central_element, cylinder_identity_holds, jucys_murphy
+from .hecke import central_element, cylinder_identity_holds, jucys_murphy, jucys_murphy_commute
 from .scalars import InvalidSpecialization, Specialization
 from .schur import (
     COMMUTANT_MAX_DIM,
@@ -60,11 +56,7 @@ from .schur import (
     verify_double_centralizer,
     verify_e_hecke,
 )
-from .weylcomb import (
-    semistandard_bitableaux_count,
-    shift_outward,
-    standard_bitableaux_count,
-)
+from .weylcomb import semistandard_bitableaux_count, standard_bitableaux_count
 
 SUITES = (
     "hecke-relations",
@@ -127,48 +119,48 @@ def fmt_shape(shape):
 # suites
 
 
+def jm_spectra(n, d, bk):
+    """{"K_1": mults, ..., "K_d": mults, "c_K": mults}: the eigenvalue
+    multiplicities in the minimal polynomials of the Jucys-Murphy elements and
+    of c_K on V_n^{(x) d}, at a specialized backend."""
+    s = bk.spec
+    out = {}
+    for i in range(1, d + 1):
+        m = rho(jucys_murphy(d, i), n, bk)
+        out["K_%d" % i] = eigenvalue_multiplicities(m, jm_candidate_eigenvalues(i, s))
+    mc = rho(central_element(d), n, bk)
+    out["c_K"] = eigenvalue_multiplicities(mc, central_candidate_eigenvalues(d, s))
+    return out
+
+
+def semisimple(mults):
+    """Whether one spectrum of jm_spectra is semisimple.  Its minimal
+    polynomial splits over the candidates, so it is squarefree exactly when
+    every multiplicity is 1."""
+    return all(k == 1 for k in mults.values())
+
+
 def run_suite(suite, n, d, e, bk):
     checks = {}
     if suite in ("hecke-relations", "all"):
         check_budget(n, d, bk)
         checks["rho_relations"] = verify_rho_relations(n, d, bk)
     if suite in ("jucys-murphy", "all"):
-        ks = [jucys_murphy(d, i) for i in range(1, d + 1)]
-        ok = True
-        for i in range(d):
-            for j in range(i + 1, d):
-                ok = ok and (ks[i] * ks[j] == ks[j] * ks[i])
-        ck = central_element(d)
-        from .hecke import HeckeElement
-
-        for i in range(d):
-            g = HeckeElement.generator(d, i)
-            ok = ok and (ck * g == g * ck)
-        checks["jucys_murphy_commute"] = ok
+        checks["jucys_murphy_commute"] = jucys_murphy_commute(d)
     if suite in ("spectra", "all"):
         if bk.is_symbolic:
             if suite == "spectra":
                 raise UsageError("spectra requires a specialized backend")
         else:
             check_budget(n, d, bk)
-            s = bk.spec
-            ok = True
-            for i in range(1, d + 1):
-                m = rho(jucys_murphy(d, i), n, bk)
-                try:
-                    eigenvalue_multiplicities(m, jm_candidate_eigenvalues(i, s))
-                except UnclassifiedEigenvalue:
-                    ok = False
-                ok = ok and poly_is_squarefree(minimal_polynomial(m), m.one)
-            mc = rho(central_element(d), n, bk)
             try:
-                eigenvalue_multiplicities(mc, central_candidate_eigenvalues(d, s))
+                checks["spectra"] = all(map(semisimple, jm_spectra(n, d, bk).values()))
             except UnclassifiedEigenvalue:
-                ok = False
-            checks["spectra"] = ok
+                checks["spectra"] = False
     if suite in ("rk-equations", "all"):
-        res = verify_rk_equations(n, e, bk)
-        checks["rk_equations"] = res["all"]
+        check_budget(n, d, bk)
+        check_budget(n, 2 * e, bk)
+        checks["rk_equations"] = verify_rk_equations(n, e, bk)["all"]
         control = verify_rk_equations(n, e, bk, sabotage_k=True)
         checks["rk_negative_control_fails"] = not control["all"]
         checks["k_matches_central_element"] = verify_k_against_center(n, d, bk)
@@ -179,18 +171,7 @@ def run_suite(suite, n, d, e, bk):
             if suite == "permutation":
                 raise UsageError("the permutation suite needs an odd n >= 3")
         else:
-            ok = True
-            pm = PermutationModule(n, (2,) * d, bk)
-            psi = index_shift_matrix(pm, lambda v: shift_outward(v, 2), n + 2)
-            for i in range(d):
-                ok = ok and psi * pm.generator(i) == generator_matrix(n + 2, d, i, bk) * psi
-            a = (0,) * d
-            phi = barv_map(a, n, bk)
-            pmz = PermutationModule(n, a, bk)
-            ok = ok and phi.rank() == pmz.dim
-            for i in range(d):
-                ok = ok and phi * pmz.generator(i) == generator_matrix(n + 1, d, i, bk) * phi
-            checks["permutation_intertwiners"] = ok
+            checks["permutation_intertwiners"] = verify_permutation_intertwiners(n, d, bk)
     if suite in ("double-centralizer", "all"):
         check_budget(n, d, bk)
         rep = verify_double_centralizer(n, d, bk)
@@ -354,31 +335,21 @@ def cmd_eigen(args, bk):
     if bk.is_symbolic:
         raise UsageError("eigen requires a specialized backend")
     check_budget(args.n, args.d, bk)
-    s = bk.spec
     text = []
     tsv = []
     data = {}
     ok = True
-    for i in range(1, args.d + 1):
-        m = rho(jucys_murphy(args.d, i), args.n, bk)
-        mults = eigenvalue_multiplicities(m, jm_candidate_eigenvalues(i, s))
-        sf = poly_is_squarefree(minimal_polynomial(m), m.one)
-        ok = ok and sf
+    for name, mults in jm_spectra(args.n, args.d, bk).items():
+        simple = semisimple(mults)
+        ok = ok and simple
         vals = sorted(mults)
-        data["K_%d" % i] = {str(v): mults[v] for v in vals}
+        data[name] = {str(v): mults[v] for v in vals}
         text.append(
-            "K_%d eigenvalues: %s%s"
-            % (i, ", ".join(str(v) for v in vals), "" if sf else " (NOT semisimple)")
+            "%s eigenvalues: %s%s"
+            % (name, ", ".join(str(v) for v in vals), "" if simple else " (NOT semisimple)")
         )
         for v in vals:
-            tsv.append(["K_%d" % i, str(v), mults[v]])
-    mc = rho(central_element(args.d), args.n, bk)
-    mults = eigenvalue_multiplicities(mc, central_candidate_eigenvalues(args.d, s))
-    vals = sorted(mults)
-    data["c_K"] = {str(v): mults[v] for v in vals}
-    text.append("c_K eigenvalues: %s" % ", ".join(str(v) for v in vals))
-    for v in vals:
-        tsv.append(["c_K", str(v), mults[v]])
+            tsv.append([name, str(v), mults[v]])
     results = {"spectra": data, "results_text": text, "results_tsv": tsv}
     return payload_base(
         "eigen", {"n": args.n, "d": args.d, "backend": args.backend}, results, ok

@@ -195,13 +195,10 @@ class ExactMatrix:
 
     # -- elimination
 
-    def _row_echelon(self, want_transform=False):
-        """Sparse row echelon; returns (pivot list [(row, col)], rows, transform)."""
+    def _row_echelon(self):
+        """Sparse row echelon; returns (pivot list [(row, col)], rows)."""
         rows = self.rows()
         live = [i for i in range(self.nrows) if rows[i]]
-        trans = None
-        if want_transform:
-            trans = [{i: self.one} for i in range(self.nrows)]
         pivots = []
         done = []
         while live:
@@ -214,8 +211,6 @@ class ExactMatrix:
             if not (pv == self.one):
                 inv = self.one / pv
                 rows[i] = row = {c: inv * v for c, v in row.items()}
-                if want_transform:
-                    trans[i] = {c: inv * v for c, v in trans[i].items()}
             for j in list(live) + done:
                 f = rows[j].get(pc)
                 if f:
@@ -227,20 +222,11 @@ class ExactMatrix:
                             rj[c] = w
                         else:
                             rj.pop(c, None)
-                    if want_transform:
-                        tj, ti = trans[j], trans[i]
-                        for c, v in ti.items():
-                            w = tj.get(c)
-                            w = -f * v if w is None else w - f * v
-                            if w:
-                                tj[c] = w
-                            else:
-                                tj.pop(c, None)
                     if j in live and not rj:
                         live.remove(j)
             pivots.append((i, pc))
             done.append(i)
-        return pivots, rows, trans
+        return pivots, rows
 
     def rank(self):
         return len(self._row_echelon()[0])
@@ -251,7 +237,7 @@ class ExactMatrix:
 
     def kernel_basis(self):
         """Basis of {x : A x = 0} as sparse column vectors."""
-        pivots, rows, _ = self._row_echelon()
+        pivots, rows = self._row_echelon()
         pivot_cols = {c: i for i, c in pivots}
         basis = []
         for c in range(self.ncols):
@@ -364,9 +350,6 @@ class Subspace:
     def basis(self):
         return [self.pivots[p] for p in sorted(self.pivots)]
 
-    def basis_matrix(self):
-        return ExactMatrix.from_columns(self.ambient, self.basis(), self.one)
-
     def contains(self, vec):
         return self.coordinates(vec) is not None
 
@@ -396,37 +379,6 @@ class Subspace:
             and self.ambient == other.ambient
             and self.pivots == other.pivots
         )
-
-    def __le__(self, other):
-        return all(other.contains(v) for v in self.basis())
-
-    def sum(self, other):
-        out = Subspace(self.ambient, self.basis(), self.one)
-        for v in other.basis():
-            out.insert(v)
-        return out
-
-    def intersect(self, other):
-        """Intersection via the kernel of the stacked basis matrix."""
-        a = self.basis()
-        b = other.basis()
-        if not a or not b:
-            return Subspace(self.ambient, (), self.one)
-        stacked = hstack([self.basis_matrix(), other.basis_matrix()])
-        out = Subspace(self.ambient, (), self.one)
-        for ker in stacked.kernel_basis():
-            vec = {}
-            for j, c in ker.items():
-                if j < len(a):
-                    for r, v in a[j].items():
-                        w = vec.get(r)
-                        w = c * v if w is None else w + c * v
-                        if w:
-                            vec[r] = w
-                        else:
-                            vec.pop(r, None)
-            out.insert(vec)
-        return out
 
     def __repr__(self):
         return "Subspace(dim %d of %d)" % (self.dim, self.ambient)

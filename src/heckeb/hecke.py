@@ -15,7 +15,7 @@ with c = Q for s_0 and c = q for the other generators.
 
 from __future__ import annotations
 
-from .scalars import RF_ONE, RF_Q, RF_ZERO, RF_q, RationalFunction
+from .scalars import RF_ONE, RF_Q, RF_q, RationalFunction
 from .weylcomb import (
     SignedPermutation,
     column_reading_element,
@@ -190,6 +190,15 @@ def central_element(d):
     for i in range(1, d + 1):
         out = out * jucys_murphy(d, i)
     return out
+
+
+def jucys_murphy_commute(d):
+    """The K_i commute pairwise, and c_K commutes with every T_i."""
+    ks = [jucys_murphy(d, i) for i in range(1, d + 1)]
+    ck = central_element(d)
+    gens = [HeckeElement.generator(d, i) for i in range(d)]
+    commute = all(a * b == b * a for k, a in enumerate(ks) for b in ks[k + 1 :])
+    return commute and all(ck * t == t * ck for t in gens)
 
 
 def u_plus(d, i):

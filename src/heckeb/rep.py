@@ -28,7 +28,6 @@ from fractions import Fraction
 
 from .exactlinalg import (
     ExactMatrix,
-    Subspace,
     minimal_polynomial,
     poly_divmod,
     poly_eval_matrix,
@@ -37,11 +36,10 @@ from .scalars import (
     RF_ONE,
     RF_Q,
     RF_q,
-    RationalFunction,
     Specialization,
     specialize,
 )
-from .weylcomb import index_set, orbit_with_minimal_reps
+from .weylcomb import index_set, orbit_with_minimal_reps, shift_outward
 
 
 class UnclassifiedEigenvalue(ArithmeticError):
@@ -178,14 +176,6 @@ def rho(elem, n, bk=SYMBOLIC):
     return out
 
 
-def rho_word(word, n, d, bk=SYMBOLIC):
-    """rho of the product T_{i_1} ... T_{i_l} given by a word."""
-    out = ExactMatrix.identity(n**d, bk.one)
-    for i in word:
-        out = generator_matrix(n, d, i, bk) * out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # inductive R- and K-matrices on tensor blocks
 
@@ -200,14 +190,6 @@ def embed_factors(mat, n, left, right):
     return out
 
 
-def r_matrix(n, bk=SYMBOLIC):
-    return generator_matrix(n, 2, 1, bk)
-
-
-def k_matrix(n, bk=SYMBOLIC):
-    return generator_matrix(n, 1, 0, bk)
-
-
 _RBLOCK = {}
 
 
@@ -219,7 +201,7 @@ def r_block(a, b, n, bk=SYMBOLIC):
     if key in _RBLOCK:
         return _RBLOCK[key]
     if a == 1 and b == 1:
-        out = r_matrix(n, bk)
+        out = generator_matrix(n, 2, 1, bk)
     elif a > 1:
         out = embed_factors(r_block(a - 1, b, n, bk), n, 0, 1) * embed_factors(
             r_block(1, b, n, bk), n, a - 1, 0
@@ -242,9 +224,9 @@ def k_block(d, n, bk=SYMBOLIC):
     if key in _KBLOCK:
         return _KBLOCK[key]
     if d == 1:
-        out = k_matrix(n, bk)
+        out = generator_matrix(n, 1, 0, bk)
     else:
-        kv = embed_factors(k_matrix(n, bk), n, 0, d - 1)
+        kv = embed_factors(generator_matrix(n, 1, 0, bk), n, 0, d - 1)
         kw = embed_factors(k_block(d - 1, n, bk), n, 0, 1)
         out = kv * r_block(d - 1, 1, n, bk) * kw * r_block(1, d - 1, n, bk)
     _KBLOCK[key] = out
@@ -273,7 +255,7 @@ def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):
     # quadratic relation of the base K
     Qv = bk.of(RF_Q)
     Qi = bk.of(RF_Q.inverse())
-    base = kb if e == 1 else (ExactMatrix.identity(n, one) if sabotage_k else k_matrix(n, bk))
+    base = ExactMatrix.identity(n, one) if sabotage_k else generator_matrix(n, 1, 0, bk)
     ident = ExactMatrix.identity(base.nrows, one)
     results["k_quadratic"] = ((base + ident.scale(Qv)) * (base - ident.scale(Qi))).is_zero()
     # consistency of the cabled K against the cylinder rule on e + e blocks:
@@ -391,6 +373,21 @@ def barv_map(a, n_odd, bk=SYMBOLIC):
             vec = gens[i].apply(vec)
         cols.append(vec)
     return ExactMatrix.from_columns(n_even**d, cols, bk.one)
+
+
+def verify_permutation_intertwiners(n_odd, d, bk=SYMBOLIC):
+    """The outward shift V(2, ..., 2) -> V_{n_odd + 2}^{(x) d} and the half
+    shift V(0, ..., 0) -> V_{n_odd + 1}^{(x) d} commute with every rho(T_i),
+    and the half shift is injective."""
+    pm = PermutationModule(n_odd, (2,) * d, bk)
+    psi = index_shift_matrix(pm, lambda v: shift_outward(v, 2), n_odd + 2)
+    pmz = PermutationModule(n_odd, (0,) * d, bk)
+    phi = barv_map((0,) * d, n_odd, bk)
+    return phi.rank() == pmz.dim and all(
+        psi * pm.generator(i) == generator_matrix(n_odd + 2, d, i, bk) * psi
+        and phi * pmz.generator(i) == generator_matrix(n_odd + 1, d, i, bk) * phi
+        for i in range(d)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .exactlinalg import (
     matrix_algebra_dimension,
     minimal_polynomial,
     poly_derivative,
-    poly_divmod,
     poly_eval_matrix,
     poly_gcd_monic,
     poly_mul,
@@ -65,16 +64,14 @@ from .rep import (
     r_block,
     rho,
     rho_basis,
-    rho_word,
 )
 from .scalars import RF_Q, RF_q, Specialization
 from .weylcomb import (
     bipartition_fits,
     bipartitions,
-    block_flip_word,
+    block_flip,
     block_transposition,
     dominant_tuples,
-    index_set,
     orbit_with_minimal_reps,
     semistandard_bitableaux_count,
     stabilizer_parabolic,
@@ -385,7 +382,7 @@ def e_hecke_generators(n, d, e, bk=SYMBOLIC):
     """Matrices of T_{w_0}, T_{w_1}, ..., T_{w_{d-1}} on V_n^{(x) de}: the
     cabled K on the first e strands and the e-block transpositions."""
     dd = d * e
-    gens = [rho_word(block_flip_word(e), n, dd, bk)]
+    gens = [rho_basis(n, dd, block_flip(e, d), bk)]
     for i in range(1, d):
         gens.append(rho_basis(n, dd, block_transposition(i, e, d), bk))
     return gens

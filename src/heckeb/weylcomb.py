@@ -17,7 +17,6 @@ odd doubled values for even n.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -442,13 +441,3 @@ def block_flip(e, d):
     for k in range(e):
         img[k] = -(k + 1)
     return SignedPermutation(img)
-
-
-def block_flip_word(e):
-    """The standard reduced word s_0 (s_1 s_0 s_1) ... of the first-e flip."""
-    word = []
-    for k in range(e):
-        word.extend(range(k, 0, -1))
-        word.append(0)
-        word.extend(range(1, k + 1))
-    return tuple(word)

@@ -5,32 +5,29 @@ line (visible with pytest -s or in captured output), and asserts it.  Checks
 that exceed the symbolic budget run at the default exact rational point.
 """
 
-import pytest
-
-from heckeb.exactlinalg import Subspace, minimal_polynomial, poly_is_squarefree
+from heckeb.cli import jm_spectra
+from heckeb.exactlinalg import minimal_polynomial, poly_is_squarefree
 from heckeb.hecke import (
     HeckeElement,
     central_element,
     cylinder_identity_holds,
-    jucys_murphy,
+    jucys_murphy_commute,
 )
 from heckeb.rep import (
     SYMBOLIC,
     PermutationModule,
     SpecializedBackend,
     barv_map,
-    central_candidate_eigenvalues,
-    eigenvalue_multiplicities,
     generator_matrix,
     index_shift_matrix,
-    jm_candidate_eigenvalues,
     k_block,
     rho,
     verify_k_against_center,
+    verify_permutation_intertwiners,
     verify_rho_relations,
     verify_rk_equations,
 )
-from heckeb.scalars import RF_ONE, RF_Q, RF_q, default_specialization
+from heckeb.scalars import RF_Q, RF_q, default_specialization
 from heckeb.schur import (
     PM_KINDS,
     SYMBOLIC_BUDGET,
@@ -91,16 +88,7 @@ def test_01_hecke_relations():
 
 
 def test_02_jucys_murphy_commute():
-    ok = True
-    for d in range(1, 5):
-        ks = [jucys_murphy(d, i) for i in range(1, d + 1)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                ok = ok and ks[i] * ks[j] == ks[j] * ks[i]
-        ck = central_element(d)
-        for i in range(d):
-            g = HeckeElement.generator(d, i)
-            ok = ok and ck * g == g * ck
+    ok = all(jucys_murphy_commute(d) for d in range(1, 5))
     report(2, "Jucys-Murphy commute, c_K central", ok)
 
 
@@ -108,14 +96,10 @@ def test_03_spectra_classified():
     ok = True
     for n in range(2, 6):
         for d in range(1, 4):
-            for i in range(1, d + 1):
-                m = rho(jucys_murphy(d, i), n, SPEC)
-                mults = eigenvalue_multiplicities(m, jm_candidate_eigenvalues(i, S))
-                ok = ok and bool(mults)
-                ok = ok and poly_is_squarefree(minimal_polynomial(m), m.one)
+            spectra = jm_spectra(n, d, SPEC)
+            ok = ok and all(mults and set(mults.values()) == {1} for mults in spectra.values())
+            # the gcd route: the minimal polynomial of c_K is squarefree
             mc = rho(central_element(d), n, SPEC)
-            cmults = eigenvalue_multiplicities(mc, central_candidate_eigenvalues(d, S))
-            ok = ok and bool(cmults)
             ok = ok and poly_is_squarefree(minimal_polynomial(mc), mc.one)
     report(3, "JM and central spectra at (2, 3)", ok)
 
@@ -206,6 +190,9 @@ def test_10_permutation_module_intertwiners():
         ok = ok and phi.rank() == pma.dim
         for i in range(pma.d):
             ok = ok and phi * pma.generator(i) == generator_matrix(4, pma.d, i, SYMBOLIC) * phi
+    # the CLI check at the odd sizes it accepts
+    for n, d in ((3, 1), (3, 2), (5, 2)):
+        ok = ok and verify_permutation_intertwiners(n, d, SYMBOLIC)
     report(10, "index shift and half shift intertwiners", ok)
 
 

@@ -53,10 +53,20 @@ class TestCommands:
         assert doc["pass"] is True
         assert doc["results"]["dims"]["wedge_minus_kernel"] == 0
 
-    def test_verify_suite(self, capsys):
-        code, out = run(capsys, ["verify", "--suite", "cylinder", "--n", "2", "--d", "2", "--e", "1"])
+    @pytest.mark.parametrize(
+        "argv,check",
+        [
+            (["--suite", "cylinder", "--n", "2", "--d", "2", "--e", "1"], "cylinder_identity"),
+            (["--suite", "jucys-murphy", "--n", "2", "--d", "3"], "jucys_murphy_commute"),
+            (["--suite", "permutation", "--n", "3", "--d", "2"], "permutation_intertwiners"),
+            (["--suite", "spectra", "--n", "2", "--d", "3", "--backend", "Q=2,q=3"], "spectra"),
+        ],
+        ids=["cylinder", "jucys-murphy", "permutation", "spectra"],
+    )
+    def test_verify_suite(self, capsys, argv, check):
+        code, out = run(capsys, ["verify", *argv])
         assert code == 0
-        assert "cylinder_identity: PASS" in out
+        assert "%s: PASS" % check in out
 
     def test_decompose_tsv(self, capsys):
         code, out = run(capsys, ["decompose", "--n", "3", "--d", "2", "--output", "tsv"])
@@ -98,8 +108,18 @@ class TestErrors:
     def test_symbolic_eigen_exits_2(self, capsys):
         assert main(["eigen", "--n", "2", "--d", "2"]) == 2
 
-    def test_budget_exits_2(self, capsys):
-        assert main(["dims", "--n", "7", "--d", "3"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dims", "--n", "7", "--d", "3"],
+            ["verify", "--suite", "rk-equations", "--n", "3", "--d", "7", "--e", "1"],
+            ["verify", "--suite", "rk-equations", "--n", "3", "--d", "3", "--e", "3"],
+        ],
+        ids=["dims", "rk-tensor", "rk-blocks"],
+    )
+    def test_budget_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "exceeds the symbolic budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

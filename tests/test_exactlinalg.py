@@ -118,14 +118,6 @@ class TestSubspace:
         assert s.contains({0: Fraction(5), 1: Fraction(-1)})
         assert not s.contains({2: ONE})
 
-    def test_sum_and_intersection(self):
-        a = Subspace(3, [{0: ONE}, {1: ONE}], ONE)
-        b = Subspace(3, [{1: ONE}, {2: ONE}], ONE)
-        assert a.sum(b).dim == 3
-        inter = a.intersect(b)
-        assert inter.dim == 1
-        assert inter.contains({1: ONE})
-
     def test_coordinates_reconstruct(self):
         s = Subspace(3, [{0: ONE, 1: ONE}, {2: Fraction(2)}], ONE)
         v = {0: Fraction(3), 1: Fraction(3), 2: Fraction(4)}

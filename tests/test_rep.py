@@ -1,8 +1,11 @@
 """Tensor space actions: R and K matrices, orbit modules, coideal operators."""
 
+from fractions import Fraction
+
 import pytest
 
-from heckeb.exactlinalg import minimal_polynomial, poly_is_squarefree
+from heckeb.cli import semisimple
+from heckeb.exactlinalg import ExactMatrix, minimal_polynomial, poly_is_squarefree
 from heckeb.hecke import HeckeElement, central_element, jucys_murphy, u_minus, u_plus
 from heckeb.rep import (
     SYMBOLIC,
@@ -146,6 +149,15 @@ class TestSpectra:
             mults = eigenvalue_multiplicities(m, jm_candidate_eigenvalues(i, self.s))
             assert mults
             assert poly_is_squarefree(minimal_polynomial(m), m.one)
+            assert semisimple(mults) == poly_is_squarefree(minimal_polynomial(m), m.one)
+
+    def test_jordan_block_not_semisimple(self):
+        two = Fraction(2)
+        m = ExactMatrix(2, 2, {(0, 0): two, (0, 1): Fraction(1), (1, 1): two})
+        mults = eigenvalue_multiplicities(m, {two: "double root"})
+        assert mults == {two: 2}
+        assert not poly_is_squarefree(minimal_polynomial(m), m.one)
+        assert not semisimple(mults)
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
     def test_central_eigenvalues_classified(self, n, d):

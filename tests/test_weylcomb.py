@@ -12,7 +12,6 @@ from heckeb.weylcomb import (
     bipartition_fits,
     bipartitions,
     block_flip,
-    block_flip_word,
     block_transposition,
     column_reading_element,
     composition_to_index,
@@ -181,5 +180,3 @@ class TestSpecialElements:
         w = block_flip(2, 2)
         assert w.images == (-1, -2, 3, 4)
         assert w.length() == 4
-        assert from_word(4, block_flip_word(2)) == w
-        assert len(block_flip_word(3)) == 9
