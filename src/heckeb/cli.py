@@ -140,10 +140,27 @@ def semisimple(mults):
     return all(k == 1 for k in mults.values())
 
 
+def suite_budgets(suite, n, d, e, bk):
+    """Check every budget of a suite before any of its checks runs: n^d, then
+    n^{2e} (R and K blocks), then n^{de} (cabled generators)."""
+
+    def runs(*names):
+        return suite == "all" or suite in names
+
+    if runs("hecke-relations", "rk-equations", "double-centralizer") or (
+        runs("spectra") and not bk.is_symbolic
+    ):
+        check_budget(n, d, bk)
+    if runs("rk-equations"):
+        check_budget(n, 2 * e, bk)
+    if runs("e-hecke"):
+        check_budget(n, d * e, bk)
+
+
 def run_suite(suite, n, d, e, bk):
+    suite_budgets(suite, n, d, e, bk)
     checks = {}
     if suite in ("hecke-relations", "all"):
-        check_budget(n, d, bk)
         checks["rho_relations"] = verify_rho_relations(n, d, bk)
     if suite in ("jucys-murphy", "all"):
         checks["jucys_murphy_commute"] = jucys_murphy_commute(d)
@@ -152,14 +169,11 @@ def run_suite(suite, n, d, e, bk):
             if suite == "spectra":
                 raise UsageError("spectra requires a specialized backend")
         else:
-            check_budget(n, d, bk)
             try:
                 checks["spectra"] = all(map(semisimple, jm_spectra(n, d, bk).values()))
             except UnclassifiedEigenvalue:
                 checks["spectra"] = False
     if suite in ("rk-equations", "all"):
-        check_budget(n, d, bk)
-        check_budget(n, 2 * e, bk)
         checks["rk_equations"] = verify_rk_equations(n, e, bk)["all"]
         control = verify_rk_equations(n, e, bk, sabotage_k=True)
         checks["rk_negative_control_fails"] = not control["all"]
@@ -173,12 +187,10 @@ def run_suite(suite, n, d, e, bk):
         else:
             checks["permutation_intertwiners"] = verify_permutation_intertwiners(n, d, bk)
     if suite in ("double-centralizer", "all"):
-        check_budget(n, d, bk)
         rep = verify_double_centralizer(n, d, bk)
         checks["double_centralizer"] = rep["double_centralizer"]
         checks["coideal_commutation"] = not verify_coideal_commutation(n, d, bk)
     if suite in ("e-hecke", "all"):
-        check_budget(n, d * e, bk)
         checks["e_hecke_consistency"] = verify_e_hecke(n, d, e, bk)
     return checks
 
@@ -338,8 +350,16 @@ def cmd_eigen(args, bk):
     text = []
     tsv = []
     data = {}
+    results = {}
     ok = True
-    for name, mults in jm_spectra(args.n, args.d, bk).items():
+    try:
+        spectra = jm_spectra(args.n, args.d, bk)
+    except UnclassifiedEigenvalue as exc:
+        spectra, ok = {}, False
+        results["unclassified"] = str(exc)
+        text.append("spectra: FAIL (unclassified eigenvalue: %s)" % exc)
+        tsv.append(["unclassified", str(exc)])
+    for name, mults in spectra.items():
         simple = semisimple(mults)
         ok = ok and simple
         vals = sorted(mults)
@@ -350,7 +370,7 @@ def cmd_eigen(args, bk):
         )
         for v in vals:
             tsv.append([name, str(v), mults[v]])
-    results = {"spectra": data, "results_text": text, "results_tsv": tsv}
+    results.update(spectra=data, results_text=text, results_tsv=tsv)
     return payload_base(
         "eigen", {"n": args.n, "d": args.d, "backend": args.backend}, results, ok
     ), ok
@@ -427,11 +447,32 @@ def build_parser():
     return p
 
 
+def run_degree(args):
+    """The largest tensor degree a run works in: max(d, d*e)."""
+    if args.command == "schur":
+        d = sum(map(sum, parse_shape(args.shape)))
+    else:
+        d = args.d
+    return max(d, d * getattr(args, "e", 1))
+
+
+def check_degree(bk, degree):
+    """The backend, with its point validated up to `degree` when parse_backend
+    checked it only to a lower one."""
+    if bk.is_symbolic or degree <= bk.spec.maxDegree:
+        return bk
+    try:
+        spec = Specialization(bk.spec.valueQ, bk.spec.valueq, maxDegree=degree)
+    except InvalidSpecialization as exc:
+        raise UsageError("invalid specialization: %s" % exc)
+    return SpecializedBackend(spec)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        bk = parse_backend(args.backend)
+        bk = check_degree(parse_backend(args.backend), run_degree(args))
         if args.command == "verify":
             payload, ok = cmd_verify(args, bk)
         elif args.command == "dims":

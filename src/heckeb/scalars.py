@@ -15,8 +15,13 @@ equality:
 - the joint integer content of the two is 1,
 - the lexicographically leading coefficient of the denominator is positive.
 
-Polynomial gcds run over ZZ[Q][q] by a content / primitive-part PRS, which
-keeps intermediate coefficients small enough for everything this package does.
+When the denominator is one term c Q^a q^b, the only factor it can share
+with the numerator is an integer, so the canonical pair comes from one pass
+over the numerator (its minimum exponents and its content), the integer
+gcd(content, |c|) signed like c, and the monomial split; no polynomial gcd
+runs.  Every other denominator takes the general route: polynomial gcds over
+ZZ[Q][q] by a content / primitive-part PRS, which keeps intermediate
+coefficients small enough for everything this package does.
 """
 
 from __future__ import annotations
@@ -300,16 +305,10 @@ class LaurentPoly2:
                 out[k] = v
             else:
                 out.pop(k, None)
-        r = LaurentPoly2.__new__(LaurentPoly2)
-        r.terms = out
-        r._hash = None
-        return r
+        return _lp(out)
 
     def __neg__(self):
-        r = LaurentPoly2.__new__(LaurentPoly2)
-        r.terms = {k: -c for k, c in self.terms.items()}
-        r._hash = None
-        return r
+        return _lp({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -324,10 +323,7 @@ class LaurentPoly2:
                     out[k] = v
                 else:
                     out.pop(k, None)
-        r = LaurentPoly2.__new__(LaurentPoly2)
-        r.terms = out
-        r._hash = None
-        return r
+        return _lp(out)
 
     def scale(self, c):
         if c == 0:
@@ -371,6 +367,14 @@ class LaurentPoly2:
 
     def __repr__(self):
         return "LaurentPoly2(%r)" % (self.terms,)
+
+
+def _lp(terms):
+    """A LaurentPoly2 on a dict that already holds no zero coefficient."""
+    r = LaurentPoly2.__new__(LaurentPoly2)
+    r.terms = terms
+    r._hash = None
+    return r
 
 
 LP_ZERO = LaurentPoly2()
@@ -527,6 +531,8 @@ def _coerce(x):
 def _canonicalize(num: LaurentPoly2, den: LaurentPoly2):
     if not num:
         return LP_ZERO, LP_ONE
+    if len(den.terms) == 1:
+        return _canonicalize_monomial_den(num, den)
     na, nb = num.min_exponents()
     da, db = den.min_exponents()
     num = num.shift(-na, -nb)
@@ -549,6 +555,33 @@ def _canonicalize(num: LaurentPoly2, den: LaurentPoly2):
     return num, den
 
 
+def _canonicalize_monomial_den(num: LaurentPoly2, den: LaurentPoly2):
+    """The canonical pair of num / (c Q^a q^b) for a nonzero num, with no
+    polynomial gcd (see the module docstring)."""
+    ((a, b), c), = den.terms.items()
+    terms = num.terms
+    na = nb = None
+    g = abs(c)
+    for (x, y), v in terms.items():
+        if na is None or x < na:
+            na = x
+        if nb is None or y < nb:
+            nb = y
+        if g != 1:
+            g = _igcd(g, v)
+    if c < 0:
+        g = -g
+    # num / den = (Q^na q^nb / Q^a q^b) * (num shifted to exponents >= 0) / c
+    sa, sb = max(-a, -na), max(-b, -nb)
+    if g == 1:
+        out = _lp({(x + sa, y + sb): v for (x, y), v in terms.items()})
+    else:
+        out = _lp({(x + sa, y + sb): v // g for (x, y), v in terms.items()})
+    if c == g and a <= na and b <= nb:
+        return out, LP_ONE
+    return out, _lp({(max(a - na, 0), max(b - nb, 0)): c // g})
+
+
 RF_ZERO = RationalFunction(0)
 RF_ONE = RationalFunction(1)
 RF_Q = RationalFunction(Q_POLY)
@@ -563,12 +596,70 @@ def f_d(d: int) -> LaurentPoly2:
     return out
 
 
+def _coprime_base(values):
+    """Pairwise coprime integers > 1 such that every value > 1 is a product of
+    their powers."""
+    base, work = [], [v for v in values if v > 1]
+    while work:
+        x = work.pop()
+        for k, b in enumerate(base):
+            g = _igcd(x, b)
+            if g > 1:
+                del base[k]
+                work.extend(v for v in (g, b // g, x // g) if v > 1)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _exponents(x, base):
+    """The exponents of the positive rational x over a coprime base."""
+    num, den = x.numerator, x.denominator
+    out = []
+    for p in base:
+        e = 0
+        while num % p == 0:
+            num //= p
+            e += 1
+        while den % p == 0:
+            den //= p
+            e -= 1
+        out.append(e)
+    return out
+
+
+def _first_unit_relation(vQ, vq, ibound, jbound):
+    """The lexicographically first (i, j) != (0, 0) with |i| <= ibound,
+    |j| <= jbound and Q^i q^j = +-1, or None; needs |Q|, |q| != 1.
+
+    Q^i q^j = +-1 means |Q|^i |q|^j = 1, a linear relation between the
+    exponent vectors of |Q| and |q| over a coprime base.  Both vectors are
+    nonzero, so the relations are the multiples of one primitive (i0, j0)
+    with i0 > 0, or there are none.
+    """
+    a, b = abs(vQ), abs(vq)
+    base = _coprime_base([a.numerator, a.denominator, b.numerator, b.denominator])
+    ea, eb = _exponents(a, base), _exponents(b, base)
+    k = next(k for k, v in enumerate(ea) if v)
+    if any(x * eb[k] != y * ea[k] for x, y in zip(ea, eb)):
+        return None
+    g = _igcd(ea[k], eb[k])
+    i0, j0 = eb[k] // g, -ea[k] // g
+    if i0 < 0:
+        i0, j0 = -i0, -j0
+    m = min(ibound // i0, jbound // abs(j0))
+    return (-m * i0, -m * j0) if m else None
+
+
 class Specialization:
     """An exact rational evaluation point (Q, q) valid up to degree maxDegree.
 
     Validity packs the genericity needed at desk scale: every f_i with
     i <= maxDegree is nonzero, Q^2 != 1 != q^2, and Q^i q^j avoids +-1 inside
-    the exponent box used by the higher signed powers.
+    the exponent box used by the higher signed powers.  The box is searched
+    through the multiplicative relations of |Q| and |q|, not cell by cell, so
+    the check stays cheap at any degree.
     """
 
     __slots__ = ("valueQ", "valueq", "maxDegree")
@@ -580,18 +671,17 @@ class Specialization:
             raise InvalidSpecialization("Q and q must be nonzero")
         if vq * vq == 1 or vQ * vQ == 1:
             raise InvalidSpecialization("Q^2 = 1 or q^2 = 1")
+        # f_i vanishes iff a factor does; f_i adds k = +-(i-1) to f_{i-1}
         for i in range(1, maxDegree + 1):
-            if f_d(i).evaluate(vQ, vq) == 0:
+            if any(vQ**-2 + vq ** (2 * k) == 0 for k in (i - 1, 1 - i)):
                 raise InvalidSpecialization("f_%d vanishes at (Q, q)" % i)
         ibound = 2 * maxDegree
         jbound = 4 * maxDegree * max(maxDegree - 1, 1)
-        for i in range(-ibound, ibound + 1):
-            for j in range(-jbound, jbound + 1):
-                v = vQ**i * vq**j
-                if v == -1 or (v == 1 and (i, j) != (0, 0)):
-                    raise InvalidSpecialization(
-                        "Q^%d q^%d = +-1 breaks eigenvalue separation" % (i, j)
-                    )
+        hit = _first_unit_relation(vQ, vq, ibound, jbound)
+        if hit:
+            raise InvalidSpecialization(
+                "Q^%d q^%d = +-1 breaks eigenvalue separation" % hit
+            )
         self.valueQ = vQ
         self.valueq = vq
         self.maxDegree = maxDegree

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from heckeb import cli
 from heckeb.cli import main, parse_backend, parse_shape, UsageError
+from heckeb.rep import UnclassifiedEigenvalue
 
 
 def run(capsys, argv):
@@ -60,8 +62,14 @@ class TestCommands:
             (["--suite", "jucys-murphy", "--n", "2", "--d", "3"], "jucys_murphy_commute"),
             (["--suite", "permutation", "--n", "3", "--d", "2"], "permutation_intertwiners"),
             (["--suite", "spectra", "--n", "2", "--d", "3", "--backend", "Q=2,q=3"], "spectra"),
+            # the point is validated up to d*e = 80: the check must stay cheap
+            (
+                ["--suite", "jucys-murphy", "--n", "2", "--d", "2", "--e", "40",
+                 "--backend", "Q=2,q=3"],
+                "jucys_murphy_commute",
+            ),
         ],
-        ids=["cylinder", "jucys-murphy", "permutation", "spectra"],
+        ids=["cylinder", "jucys-murphy", "permutation", "spectra", "point-degree-80"],
     )
     def test_verify_suite(self, capsys, argv, check):
         code, out = run(capsys, ["verify", *argv])
@@ -120,6 +128,32 @@ class TestErrors:
     def test_budget_exits_2(self, capsys, argv):
         assert main(argv) == 2
         assert "exceeds the symbolic budget" in capsys.readouterr().err
+
+    def test_budgets_checked_before_any_suite(self, capsys, monkeypatch):
+        def ran(*args):
+            raise AssertionError("a suite ran before its budget was checked")
+
+        monkeypatch.setattr(cli, "verify_rho_relations", ran)
+        argv = ["verify", "--suite", "all", "--n", "7", "--d", "3", "--e", "2"]
+        assert main(argv + ["--backend", "Q=2,q=3"]) == 2
+        assert "exceeds the specialized budget" in capsys.readouterr().err
+
+    def test_point_checked_to_run_degree(self, capsys):
+        # valid to degree 6, but Q^-13 q^-1 = 1 lies in the degree-7 box
+        assert main(["eigen", "--n", "2", "--d", "7", "--backend", "Q=2,q=1/8192"]) == 2
+        assert "invalid specialization" in capsys.readouterr().err
+
+    def test_unclassified_eigenvalue_is_a_fail(self, capsys, monkeypatch):
+        def unclassified(*args):
+            raise UnclassifiedEigenvalue("a factor outside the candidate set")
+
+        monkeypatch.setattr(cli, "jm_spectra", unclassified)
+        argv = ["eigen", "--n", "2", "--d", "2", "--backend", "Q=2,q=3", "--output", "json"]
+        code, out = run(capsys, argv)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["pass"] is False
+        assert "outside the candidate set" in doc["results"]["unclassified"]
 
     @pytest.mark.parametrize(
         "argv",

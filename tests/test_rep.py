@@ -73,6 +73,9 @@ class TestRKEquations:
 
     def test_negative_control(self):
         res = verify_rk_equations(3, 2, SYMBOLIC, sabotage_k=True)
+        # the sabotaged run checks only the relations that involve K
+        assert "yang_baxter" not in res
+        assert {"reflection", "k_quadratic", "k_consistency", "all"} <= set(res)
         assert not res["k_quadratic"]
         assert not res["k_consistency"]
         assert not res["all"]

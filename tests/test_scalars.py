@@ -42,6 +42,23 @@ def laurent_polys(draw):
 
 
 @st.composite
+def monomials(draw):
+    c = draw(coeffs.filter(bool)) * draw(st.sampled_from([1, 2, 3, 6]))
+    return LaurentPoly2.monomial(c, draw(exps), draw(exps))
+
+
+@st.composite
+def polys_two_terms(draw):
+    """A true polynomial with at least two terms."""
+    p = LaurentPoly2()
+    while len(p.terms) < 2:
+        p = p + LaurentPoly2.monomial(
+            draw(coeffs.filter(bool)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        )
+    return p
+
+
+@st.composite
 def rational_functions(draw):
     num = draw(laurent_polys())
     den = draw(laurent_polys().filter(bool))
@@ -127,6 +144,31 @@ class TestRationalFunction:
         assert specialize(x * y, s) == vx * vy
         assert specialize(x + y, s) == vx + vy
 
+    @given(laurent_polys(), monomials(), polys_two_terms())
+    @settings(max_examples=60, deadline=None)
+    def test_monomial_denominator_route(self, num, den, p):
+        # the right side has a denominator of two or more terms, so it takes
+        # the gcd route; canonical forms are unique, so the two must agree
+        fast = RationalFunction(num, den)
+        slow = RationalFunction(num * p, den * p)
+        assert fast.num == slow.num and fast.den == slow.den
+
+    @given(laurent_polys(), monomials(), polys_two_terms())
+    @settings(max_examples=30, deadline=None)
+    def test_canonical_form_against_sympy(self, num, den, p):
+        sympy = pytest.importorskip("sympy")
+        Q, q = sympy.symbols("Q q")
+
+        def expr(x):
+            return sum(c * Q**a * q**b for (a, b), c in x.terms.items())
+
+        for n, d in ((num, den), (num * p, den * p)):
+            x = RationalFunction(n, d)
+            assert sympy.cancel(expr(x.num) / expr(x.den) - expr(n) / expr(d)) == 0
+            assert all(a >= 0 and b >= 0 for a, b in [*x.num.terms, *x.den.terms])
+            assert sympy.gcd(expr(x.num), expr(x.den)) == 1
+            assert x.den.terms[x.den.leading_key()] > 0
+
     def test_power(self):
         assert RF_q**3 == RF_q * RF_q * RF_q
         assert RF_q**-2 == (RF_q * RF_q).inverse()
@@ -150,6 +192,33 @@ class TestSpecialization:
         # Q = q^2 makes K_2 eigenvalues collide: -Q q^-2 = -1 is excluded
         with pytest.raises(InvalidSpecialization):
             Specialization(9, 3)
+
+    bases = st.sampled_from([2, 3, 6, Fraction(2, 3), Fraction(3, 10)])
+
+    @given(
+        bases,
+        bases,
+        st.integers(-6, 6).filter(bool),
+        st.integers(-6, 6).filter(bool),
+        st.sampled_from([1, -1]),
+        st.integers(1, 2),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_unit_relations_match_the_box_scan(self, bQ, bq, s, t, sign, degree):
+        vQ, vq = Fraction(bQ) ** s, sign * Fraction(bq) ** t
+        if vQ * vQ == 1 or vq * vq == 1:
+            return
+        ibound, jbound = 2 * degree, 4 * degree * max(degree - 1, 1)
+        first = None
+        for i in range(-ibound, ibound + 1):
+            for j in range(-jbound, jbound + 1):
+                if (i, j) != (0, 0) and abs(vQ**i * vq**j) == 1:
+                    first = first or (i, j)
+        if first is None:
+            Specialization(vQ, vq, degree)
+        else:
+            with pytest.raises(InvalidSpecialization, match=r"Q\^%d q\^%d " % first):
+                Specialization(vQ, vq, degree)
 
     def test_pole_detection(self):
         s = default_specialization()
