@@ -75,14 +75,16 @@ class UsageError(Exception):
     pass
 
 
-def parse_backend(text):
+def parse_backend(text, degree=6):
+    """The backend named by text, with a specialization point checked to be
+    valid up to the given degree."""
     if text == "symbolic":
         return SYMBOLIC
     parts = dict(p.split("=", 1) for p in text.split(",") if "=" in p)
     if set(parts) != {"Q", "q"}:
         raise UsageError("backend must be 'symbolic' or 'Q=<rat>,q=<rat>'")
     try:
-        spec = Specialization(Fraction(parts["Q"]), Fraction(parts["q"]))
+        spec = Specialization(Fraction(parts["Q"]), Fraction(parts["q"]), degree)
     except (ValueError, ZeroDivisionError, InvalidSpecialization) as exc:
         raise UsageError("invalid specialization: %s" % exc)
     return SpecializedBackend(spec)
@@ -141,8 +143,8 @@ def semisimple(mults):
 
 
 def suite_budgets(suite, n, d, e, bk):
-    """Check every budget of a suite before any of its checks runs: n^d, then
-    n^{2e} (R and K blocks), then n^{de} (cabled generators)."""
+    """Check every budget of a suite: n^d, then n^{2e} (R and K blocks), then
+    n^{de} (cabled generators)."""
 
     def runs(*names):
         return suite == "all" or suite in names
@@ -158,7 +160,6 @@ def suite_budgets(suite, n, d, e, bk):
 
 
 def run_suite(suite, n, d, e, bk):
-    suite_budgets(suite, n, d, e, bk)
     checks = {}
     if suite in ("hecke-relations", "all"):
         checks["rho_relations"] = verify_rho_relations(n, d, bk)
@@ -254,7 +255,6 @@ def cmd_verify(args, bk):
 
 
 def cmd_dims(args, bk):
-    check_budget(args.n, args.d, bk)
     rows = []
     ok = True
     for kind in PM_KINDS:
@@ -315,8 +315,6 @@ def cmd_decompose(args, bk):
 
 def cmd_schur(args, bk):
     shape = parse_shape(args.shape)
-    d = sum(shape[0]) + sum(shape[1])
-    check_budget(args.n, d, bk)
     sub = schur_functor_subspace(shape, args.n, bk)
     dia = schur_functor_diagram_subspace(shape, args.n, bk)
     formula = semistandard_bitableaux_count(shape, args.n)
@@ -346,7 +344,6 @@ def cmd_schur(args, bk):
 def cmd_eigen(args, bk):
     if bk.is_symbolic:
         raise UsageError("eigen requires a specialized backend")
-    check_budget(args.n, args.d, bk)
     text = []
     tsv = []
     data = {}
@@ -377,7 +374,6 @@ def cmd_eigen(args, bk):
 
 
 def cmd_centralizer(args, bk):
-    check_budget(args.n, args.d, bk)
     orbit = schur_algebra_dimension_orbit(args.n, args.d, bk)
     results = {"orbit_method": orbit}
     ok = True
@@ -448,31 +444,32 @@ def build_parser():
 
 
 def run_degree(args):
-    """The largest tensor degree a run works in: max(d, d*e)."""
+    """The rank of the Hecke algebra a command works in: d, the size of the
+    bipartition for schur, and d*e for the cabled generators of e-hecke."""
     if args.command == "schur":
-        d = sum(map(sum, parse_shape(args.shape)))
-    else:
-        d = args.d
-    return max(d, d * getattr(args, "e", 1))
+        return sum(map(sum, parse_shape(args.shape)))
+    if args.command == "verify" and args.suite in ("e-hecke", "all"):
+        return args.d * args.e
+    return args.d
 
 
-def check_degree(bk, degree):
-    """The backend, with its point validated up to `degree` when parse_backend
-    checked it only to a lower one."""
-    if bk.is_symbolic or degree <= bk.spec.maxDegree:
-        return bk
-    try:
-        spec = Specialization(bk.spec.valueQ, bk.spec.valueq, maxDegree=degree)
-    except InvalidSpecialization as exc:
-        raise UsageError("invalid specialization: %s" % exc)
-    return SpecializedBackend(spec)
+def check_budgets(args, bk):
+    """Check every budget of a command before any of its work runs."""
+    if args.command == "verify":
+        suite_budgets(args.suite, args.n, args.d, args.e, bk)
+    elif args.command != "eigen" or not bk.is_symbolic:
+        check_budget(args.n, run_degree(args), bk)
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        bk = check_degree(parse_backend(args.backend), run_degree(args))
+        bk = parse_backend(args.backend)
+        check_budgets(args, bk)
+        degree = run_degree(args)
+        if degree > 6:  # parse_backend checked the point up to degree 6
+            bk = parse_backend(args.backend, degree)
         if args.command == "verify":
             payload, ok = cmd_verify(args, bk)
         elif args.command == "dims":

@@ -89,11 +89,17 @@ COMMUTANT_MAX_DIM = 30
 
 def check_budget(n, d, bk):
     cap = SYMBOLIC_BUDGET if bk.is_symbolic else SPECIALIZED_BUDGET
-    if n**d > cap:
-        raise BudgetExceeded(
-            "tensor space dimension %d exceeds the %s budget %d"
-            % (n**d, "symbolic" if bk.is_symbolic else "specialized", cap)
-        )
+    if n > 1 and d > 1000:
+        # far over any cap, and n**d is too long to build or print
+        dim = "%d^%d" % (n, d)
+    elif n**d > cap:
+        dim = "%d" % n**d
+    else:
+        return
+    raise BudgetExceeded(
+        "tensor space dimension %s exceeds the %s budget %d"
+        % (dim, "symbolic" if bk.is_symbolic else "specialized", cap)
+    )
 
 
 def _kind_signs(kind):

@@ -62,14 +62,14 @@ class TestCommands:
             (["--suite", "jucys-murphy", "--n", "2", "--d", "3"], "jucys_murphy_commute"),
             (["--suite", "permutation", "--n", "3", "--d", "2"], "permutation_intertwiners"),
             (["--suite", "spectra", "--n", "2", "--d", "3", "--backend", "Q=2,q=3"], "spectra"),
-            # the point is validated up to d*e = 80: the check must stay cheap
+            # the suite ignores e, so the point is checked to degree d only
             (
-                ["--suite", "jucys-murphy", "--n", "2", "--d", "2", "--e", "40",
-                 "--backend", "Q=2,q=3"],
-                "jucys_murphy_commute",
+                ["--suite", "hecke-relations", "--n", "2", "--d", "2", "--e", "7",
+                 "--backend", "Q=2,q=1/8192"],
+                "rho_relations",
             ),
         ],
-        ids=["cylinder", "jucys-murphy", "permutation", "spectra", "point-degree-80"],
+        ids=["cylinder", "jucys-murphy", "permutation", "spectra", "unused-e"],
     )
     def test_verify_suite(self, capsys, argv, check):
         code, out = run(capsys, ["verify", *argv])
@@ -138,9 +138,24 @@ class TestErrors:
         assert main(argv + ["--backend", "Q=2,q=3"]) == 2
         assert "exceeds the specialized budget" in capsys.readouterr().err
 
-    def test_point_checked_to_run_degree(self, capsys):
+    def test_budget_checked_before_the_point(self, capsys):
+        # over budget, and the point is invalid at degree d*e = 200000: the
+        # budget is reported, at once
+        argv = ["verify", "--suite", "e-hecke", "--n", "2", "--d", "2", "--e", "100000"]
+        assert main(argv + ["--backend", "Q=2,q=1/8192"]) == 2
+        assert "exceeds the specialized budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigen", "--n", "2", "--d", "7"],
+            ["verify", "--suite", "e-hecke", "--n", "1", "--d", "1", "--e", "7"],
+        ],
+        ids=["eigen", "e-hecke"],
+    )
+    def test_point_checked_to_run_degree(self, capsys, argv):
         # valid to degree 6, but Q^-13 q^-1 = 1 lies in the degree-7 box
-        assert main(["eigen", "--n", "2", "--d", "7", "--backend", "Q=2,q=1/8192"]) == 2
+        assert main(argv + ["--backend", "Q=2,q=1/8192"]) == 2
         assert "invalid specialization" in capsys.readouterr().err
 
     def test_unclassified_eigenvalue_is_a_fail(self, capsys, monkeypatch):
