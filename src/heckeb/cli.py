@@ -15,6 +15,12 @@ Subcommands:
 Backends: --backend symbolic (exact rational functions) or --backend
 "Q=<rat>,q=<rat>" (exact rational specialization).  Exit status is 0 when all
 requested checks pass, 1 when a check fails, 2 on usage or budget errors.
+
+Each verify suite and each other command is one row of a table (SUITES,
+COMMANDS) that states what it refuses, the tensor spaces it builds, the rank
+of the Hecke algebra it works in and what it runs.  main reads the rows in
+that order: refusals, every budget (tensor spaces, and the Hecke rank of the
+ledger), the point checked up to that rank, then the work.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .rep import (
@@ -46,6 +53,7 @@ from .schur import (
     COMMUTANT_MAX_DIM,
     PM_KINDS,
     check_budget,
+    check_rank,
     expected_pm_dimension,
     pm_power_dimension,
     schur_algebra_dimension_commutant,
@@ -57,19 +65,6 @@ from .schur import (
     verify_e_hecke,
 )
 from .weylcomb import semistandard_bitableaux_count, standard_bitableaux_count
-
-SUITES = (
-    "hecke-relations",
-    "jucys-murphy",
-    "spectra",
-    "rk-equations",
-    "cylinder",
-    "permutation",
-    "double-centralizer",
-    "e-hecke",
-    "all",
-)
-
 
 class UsageError(Exception):
     pass
@@ -142,58 +137,13 @@ def semisimple(mults):
     return all(k == 1 for k in mults.values())
 
 
-def suite_budgets(suite, n, d, e, bk):
-    """Check every budget of a suite: n^d, then n^{2e} (R and K blocks), then
-    n^{de} (cabled generators)."""
-
-    def runs(*names):
-        return suite == "all" or suite in names
-
-    if runs("hecke-relations", "rk-equations", "double-centralizer") or (
-        runs("spectra") and not bk.is_symbolic
-    ):
-        check_budget(n, d, bk)
-    if runs("rk-equations"):
-        check_budget(n, 2 * e, bk)
-    if runs("e-hecke"):
-        check_budget(n, d * e, bk)
-
-
-def run_suite(suite, n, d, e, bk):
-    checks = {}
-    if suite in ("hecke-relations", "all"):
-        checks["rho_relations"] = verify_rho_relations(n, d, bk)
-    if suite in ("jucys-murphy", "all"):
-        checks["jucys_murphy_commute"] = jucys_murphy_commute(d)
-    if suite in ("spectra", "all"):
-        if bk.is_symbolic:
-            if suite == "spectra":
-                raise UsageError("spectra requires a specialized backend")
-        else:
-            try:
-                checks["spectra"] = all(map(semisimple, jm_spectra(n, d, bk).values()))
-            except UnclassifiedEigenvalue:
-                checks["spectra"] = False
-    if suite in ("rk-equations", "all"):
-        checks["rk_equations"] = verify_rk_equations(n, e, bk)["all"]
-        control = verify_rk_equations(n, e, bk, sabotage_k=True)
-        checks["rk_negative_control_fails"] = not control["all"]
-        checks["k_matches_central_element"] = verify_k_against_center(n, d, bk)
-    if suite in ("cylinder", "all"):
-        checks["cylinder_identity"] = cylinder_identity_holds(d, e)
-    if suite in ("permutation", "all"):
-        if n % 2 == 0 or n < 3:
-            if suite == "permutation":
-                raise UsageError("the permutation suite needs an odd n >= 3")
-        else:
-            checks["permutation_intertwiners"] = verify_permutation_intertwiners(n, d, bk)
-    if suite in ("double-centralizer", "all"):
-        rep = verify_double_centralizer(n, d, bk)
-        checks["double_centralizer"] = rep["double_centralizer"]
-        checks["coideal_commutation"] = not verify_coideal_commutation(n, d, bk)
-    if suite in ("e-hecke", "all"):
-        checks["e_hecke_consistency"] = verify_e_hecke(n, d, e, bk)
-    return checks
+def all_semisimple(n, d, bk):
+    """Whether every spectrum of jm_spectra is semisimple; False when an
+    eigenvalue falls outside the candidates."""
+    try:
+        return all(map(semisimple, jm_spectra(n, d, bk).values()))
+    except UnclassifiedEigenvalue:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +188,10 @@ def payload_base(command, params, results, ok):
 # commands
 
 
-def cmd_verify(args, bk):
-    checks = run_suite(args.suite, args.n, args.d, args.e, bk)
+def cmd_verify(args, bk, rows):
+    checks = {}
+    for row in rows:
+        checks.update(row.run(args, bk))
     ok = all(checks.values())
     text = ["%s: %s" % (k, "PASS" if v else "FAIL") for k, v in sorted(checks.items())]
     text.append("overall: %s" % ("PASS" if ok else "FAIL"))
@@ -342,8 +294,6 @@ def cmd_schur(args, bk):
 
 
 def cmd_eigen(args, bk):
-    if bk.is_symbolic:
-        raise UsageError("eigen requires a specialized backend")
     text = []
     tsv = []
     data = {}
@@ -392,6 +342,100 @@ def cmd_centralizer(args, bk):
 
 
 # ---------------------------------------------------------------------------
+# the table: one row per verify suite and per other command
+
+
+class Row(NamedTuple):
+    """What a suite or command runs.  Its callables take the parsed arguments a
+    (and the backend bk) and reach the check functions through this module's
+    globals, so that rebinding those names (monkeypatch, a tracer) reaches the
+    table too."""
+
+    run: Callable  # (a, bk) -> {check: bool} for a suite, (payload, ok) for a command
+    spaces: Callable = lambda a: [(a.n, a.d)]  # (base, exponent) of each tensor space built
+    degree: Callable = lambda a: a.d  # rank of the Hecke algebra the point must be valid to
+    # why it cannot run at all: a usage error when named alone, a skip in 'all'
+    refusal: Callable = lambda a, bk: None
+    ledger: bool = False  # expands bipartition elements in rank `degree`, capped by check_rank
+
+
+def shape_size(a):
+    return sum(map(sum, parse_shape(a.shape)))
+
+
+def specialized_only(name):
+    return lambda a, bk: "%s requires a specialized backend" % name if bk.is_symbolic else None
+
+
+SUITES = {
+    "hecke-relations": Row(lambda a, bk: {"rho_relations": verify_rho_relations(a.n, a.d, bk)}),
+    "jucys-murphy": Row(
+        lambda a, bk: {"jucys_murphy_commute": jucys_murphy_commute(a.d)}, spaces=lambda a: []
+    ),
+    "spectra": Row(
+        lambda a, bk: {"spectra": all_semisimple(a.n, a.d, bk)}, refusal=specialized_only("spectra")
+    ),
+    "rk-equations": Row(
+        lambda a, bk: {
+            "rk_equations": verify_rk_equations(a.n, a.e, bk)["all"],
+            "rk_negative_control_fails": not verify_rk_equations(
+                a.n, a.e, bk, sabotage_k=True
+            )["all"],
+            "k_matches_central_element": verify_k_against_center(a.n, a.d, bk),
+        },
+        # V^{(x) d} for the central element, V^{(x) 2e} for the R and K blocks
+        spaces=lambda a: [(a.n, a.d), (a.n, 2 * a.e)],
+    ),
+    "cylinder": Row(
+        lambda a, bk: {"cylinder_identity": cylinder_identity_holds(a.d, a.e)}, spaces=lambda a: []
+    ),
+    "permutation": Row(
+        lambda a, bk: {"permutation_intertwiners": verify_permutation_intertwiners(a.n, a.d, bk)},
+        spaces=lambda a: [(a.n + 2, a.d)],
+        refusal=lambda a, bk: (
+            "the permutation suite needs an odd n >= 3" if a.n % 2 == 0 or a.n < 3 else None
+        ),
+    ),
+    "double-centralizer": Row(
+        lambda a, bk: {
+            "double_centralizer": verify_double_centralizer(a.n, a.d, bk)["double_centralizer"],
+            "coideal_commutation": not verify_coideal_commutation(a.n, a.d, bk),
+        },
+    ),
+    "e-hecke": Row(
+        lambda a, bk: {"e_hecke_consistency": verify_e_hecke(a.n, a.d, a.e, bk)},
+        spaces=lambda a: [(a.n, a.d * a.e)],
+        degree=lambda a: a.d * a.e,
+    ),
+}
+
+COMMANDS = {
+    "dims": Row(lambda a, bk: cmd_dims(a, bk)),
+    "decompose": Row(lambda a, bk: cmd_decompose(a, bk), ledger=True),
+    "schur": Row(
+        lambda a, bk: cmd_schur(a, bk),
+        spaces=lambda a: [(a.n, shape_size(a))],
+        degree=lambda a: shape_size(a),
+        ledger=True,
+    ),
+    "eigen": Row(lambda a, bk: cmd_eigen(a, bk), refusal=specialized_only("eigen")),
+    "centralizer": Row(lambda a, bk: cmd_centralizer(a, bk)),
+}
+
+
+def plan(args, bk):
+    """The rows a command runs: one, or for the 'all' suite every suite that
+    does not refuse."""
+    if args.command != "verify":
+        row = COMMANDS[args.command]
+    elif args.suite == "all":
+        return [row for row in SUITES.values() if not row.refusal(args, bk)]
+    else:
+        row = SUITES[args.suite]
+    reason = row.refusal(args, bk)
+    if reason:
+        raise UsageError(reason)
+    return [row]
 
 
 def positive_int(text):
@@ -421,7 +465,7 @@ def build_parser():
         sp.add_argument("--out", default=None, help="write output to a file")
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("--suite", choices=SUITES, required=True)
+    sp.add_argument("--suite", choices=(*SUITES, "all"), required=True)
     sp.add_argument("--e", type=positive_int, default=1, help="cable width for block checks")
     common(sp)
 
@@ -443,47 +487,24 @@ def build_parser():
     return p
 
 
-def run_degree(args):
-    """The rank of the Hecke algebra a command works in: d, the size of the
-    bipartition for schur, and d*e for the cabled generators of e-hecke."""
-    if args.command == "schur":
-        return sum(map(sum, parse_shape(args.shape)))
-    if args.command == "verify" and args.suite in ("e-hecke", "all"):
-        return args.d * args.e
-    return args.d
-
-
-def check_budgets(args, bk):
-    """Check every budget of a command before any of its work runs."""
-    if args.command == "verify":
-        suite_budgets(args.suite, args.n, args.d, args.e, bk)
-    elif args.command != "eigen" or not bk.is_symbolic:
-        check_budget(args.n, run_degree(args), bk)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         bk = parse_backend(args.backend)
-        check_budgets(args, bk)
-        degree = run_degree(args)
+        rows = plan(args, bk)
+        for row in rows:  # every budget before any work
+            for base, exponent in row.spaces(args):
+                check_budget(base, exponent, bk)
+            if row.ledger:
+                check_rank(row.degree(args))
+        degree = max(row.degree(args) for row in rows)
         if degree > 6:  # parse_backend checked the point up to degree 6
             bk = parse_backend(args.backend, degree)
         if args.command == "verify":
-            payload, ok = cmd_verify(args, bk)
-        elif args.command == "dims":
-            payload, ok = cmd_dims(args, bk)
-        elif args.command == "decompose":
-            payload, ok = cmd_decompose(args, bk)
-        elif args.command == "schur":
-            payload, ok = cmd_schur(args, bk)
-        elif args.command == "eigen":
-            payload, ok = cmd_eigen(args, bk)
-        elif args.command == "centralizer":
-            payload, ok = cmd_centralizer(args, bk)
-        else:  # pragma: no cover
-            raise UsageError("unknown command")
+            payload, ok = cmd_verify(args, bk, rows)
+        else:
+            payload, ok = rows[0].run(args, bk)
     except (UsageError, BudgetExceeded) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

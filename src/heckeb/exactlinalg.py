@@ -26,6 +26,18 @@ def _term_count(x):
     return f() if f is not None else 1
 
 
+def _sub_multiple(dst, f, src):
+    """dst -= f * src for sparse vectors {index: entry}, in place; entries
+    that cancel are dropped."""
+    for k, v in src.items():
+        w = dst.get(k)
+        w = -f * v if w is None else w - f * v
+        if w:
+            dst[k] = w
+        else:
+            dst.pop(k, None)
+
+
 class ExactMatrix:
     __slots__ = ("nrows", "ncols", "entries", "one")
 
@@ -214,15 +226,8 @@ class ExactMatrix:
             for j in list(live) + done:
                 f = rows[j].get(pc)
                 if f:
-                    rj = rows[j]
-                    for c, v in row.items():
-                        w = rj.get(c)
-                        w = -f * v if w is None else w - f * v
-                        if w:
-                            rj[c] = w
-                        else:
-                            rj.pop(c, None)
-                    if j in live and not rj:
+                    _sub_multiple(rows[j], f, row)
+                    if j in live and not rows[j]:
                         live.remove(j)
             pivots.append((i, pc))
             done.append(i)
@@ -313,15 +318,8 @@ class Subspace:
         # clear of the other pivot rows, so one pass per pivot suffices)
         for p in sorted(set(vec) & set(self.pivots)):
             f = vec.get(p)
-            if not f:
-                continue
-            for r, v in self.pivots[p].items():
-                w = vec.get(r)
-                w = -f * v if w is None else w - f * v
-                if w:
-                    vec[r] = w
-                else:
-                    vec.pop(r, None)
+            if f:
+                _sub_multiple(vec, f, self.pivots[p])
         if not vec:
             return False
         p = min(vec)
@@ -333,13 +331,7 @@ class Subspace:
         for bv in self.pivots.values():
             f = bv.get(p)
             if f:
-                for r, v in vec.items():
-                    w = bv.get(r)
-                    w = -f * v if w is None else w - f * v
-                    if w:
-                        bv[r] = w
-                    else:
-                        bv.pop(r, None)
+                _sub_multiple(bv, f, vec)
         self.pivots[p] = vec
         return True
 
@@ -362,13 +354,7 @@ class Subspace:
             c = vec.get(p)
             if c:
                 coords[idx] = c
-                for r, v in self.pivots[p].items():
-                    w = vec.get(r)
-                    w = -c * v if w is None else w - c * v
-                    if w:
-                        vec[r] = w
-                    else:
-                        vec.pop(r, None)
+                _sub_multiple(vec, c, self.pivots[p])
         if vec:
             return None
         return coords
@@ -511,20 +497,8 @@ def minimal_polynomial(m: ExactMatrix):
                 if base is None:
                     break
                 f = cur[p]
-                for r, v in base.items():
-                    w = cur.get(r)
-                    w = -f * v if w is None else w - f * v
-                    if w:
-                        cur[r] = w
-                    else:
-                        cur.pop(r, None)
-                for k, v in reps[p].items():
-                    w = coords.get(k)
-                    w = -f * v if w is None else w - f * v
-                    if w:
-                        coords[k] = w
-                    else:
-                        coords.pop(k, None)
+                _sub_multiple(cur, f, base)
+                _sub_multiple(coords, f, reps[p])
             if not cur:
                 # annihilator: sum coords[k] t^k = 0
                 deg = max(coords)

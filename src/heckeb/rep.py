@@ -23,6 +23,7 @@ an exact rational specialization point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -54,7 +55,18 @@ class BudgetExceeded(RuntimeError):
 # backends
 
 
-class SymbolicBackend:
+class _Backend:
+    """Backends compare and hash by key, so the caches below share entries
+    between backends at the same point."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Backend) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+class SymbolicBackend(_Backend):
     is_symbolic = True
     one = RF_ONE
     key = ("symbolic",)
@@ -66,7 +78,7 @@ class SymbolicBackend:
         return "SymbolicBackend()"
 
 
-class SpecializedBackend:
+class SpecializedBackend(_Backend):
     is_symbolic = False
 
     def __init__(self, spec: Specialization):
@@ -88,16 +100,15 @@ SYMBOLIC = SymbolicBackend()
 # tensor space bookkeeping
 
 
-_TUPLES = {}
+# The caches below are unbounded: a CLI run is one process at one point, and
+# no caller sweeps points inside a process.
 
 
+@functools.cache
 def tensor_tuples(n, d):
     """All index tuples of V_n^{(x) d} in lexicographic order, with lookup."""
-    key = (n, d)
-    if key not in _TUPLES:
-        tups = list(itertools.product(index_set(n), repeat=d))
-        _TUPLES[key] = (tups, {t: k for k, t in enumerate(tups)})
-    return _TUPLES[key]
+    tups = list(itertools.product(index_set(n), repeat=d))
+    return tups, {t: k for k, t in enumerate(tups)}
 
 
 def _coeffs(bk):
@@ -140,30 +151,19 @@ def action_matrix_on(tuples, index, i, bk):
     return ExactMatrix(m, m, e, one)
 
 
-_GEN_CACHE = {}
-
-
+@functools.cache
 def generator_matrix(n, d, i, bk):
     """rho(T_i) on V_n^{(x) d}."""
-    key = (n, d, i, bk.key)
-    if key not in _GEN_CACHE:
-        tups, index = tensor_tuples(n, d)
-        _GEN_CACHE[key] = action_matrix_on(tups, index, i, bk)
-    return _GEN_CACHE[key]
+    tups, index = tensor_tuples(n, d)
+    return action_matrix_on(tups, index, i, bk)
 
 
-_TW_CACHE = {}
-
-
+@functools.cache
 def rho_basis(n, d, w, bk):
     """rho(T_w); built along a reduced word, rightmost letter applied first."""
-    key = (n, d, w.images, bk.key)
-    if key in _TW_CACHE:
-        return _TW_CACHE[key]
     out = ExactMatrix.identity(n**d, bk.one)
     for i in w.reduced_word():
         out = generator_matrix(n, d, i, bk) * out
-    _TW_CACHE[key] = out
     return out
 
 
@@ -190,47 +190,31 @@ def embed_factors(mat, n, left, right):
     return out
 
 
-_RBLOCK = {}
-
-
+@functools.cache
 def r_block(a, b, n, bk=SYMBOLIC):
     """R_{V^{(x) a}, V^{(x) b}} on V_n^{(x)(a+b)}, built by the cabling rules
     R_{XY,Z} = (R_{X,Z} (x) 1)(1 (x) R_{Y,Z}) and
     R_{X,YZ} = (1 (x) R_{X,Z})(R_{X,Y} (x) 1)."""
-    key = (a, b, n, bk.key)
-    if key in _RBLOCK:
-        return _RBLOCK[key]
     if a == 1 and b == 1:
-        out = generator_matrix(n, 2, 1, bk)
-    elif a > 1:
-        out = embed_factors(r_block(a - 1, b, n, bk), n, 0, 1) * embed_factors(
+        return generator_matrix(n, 2, 1, bk)
+    if a > 1:
+        return embed_factors(r_block(a - 1, b, n, bk), n, 0, 1) * embed_factors(
             r_block(1, b, n, bk), n, a - 1, 0
         )
-    else:
-        out = embed_factors(r_block(a, b - 1, n, bk), n, 1, 0) * embed_factors(
-            r_block(a, 1, n, bk), n, 0, b - 1
-        )
-    _RBLOCK[key] = out
-    return out
+    return embed_factors(r_block(a, b - 1, n, bk), n, 1, 0) * embed_factors(
+        r_block(a, 1, n, bk), n, 0, b - 1
+    )
 
 
-_KBLOCK = {}
-
-
+@functools.cache
 def k_block(d, n, bk=SYMBOLIC):
     """K_{V^{(x) d}} by the cylinder rule
     K_{VW} = (K_V (x) 1) R_{W,V} (K_W (x) 1) R_{V,W} with V the first factor."""
-    key = (d, n, bk.key)
-    if key in _KBLOCK:
-        return _KBLOCK[key]
     if d == 1:
-        out = generator_matrix(n, 1, 0, bk)
-    else:
-        kv = embed_factors(generator_matrix(n, 1, 0, bk), n, 0, d - 1)
-        kw = embed_factors(k_block(d - 1, n, bk), n, 0, 1)
-        out = kv * r_block(d - 1, 1, n, bk) * kw * r_block(1, d - 1, n, bk)
-    _KBLOCK[key] = out
-    return out
+        return generator_matrix(n, 1, 0, bk)
+    kv = embed_factors(generator_matrix(n, 1, 0, bk), n, 0, d - 1)
+    kw = embed_factors(k_block(d - 1, n, bk), n, 0, 1)
+    return kv * r_block(d - 1, 1, n, bk) * kw * r_block(1, d - 1, n, bk)
 
 
 def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):

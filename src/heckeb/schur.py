@@ -82,6 +82,10 @@ PM_KINDS = ("s_plus", "s_minus", "wedge_plus", "wedge_minus")
 
 SYMBOLIC_BUDGET = 125
 SPECIALIZED_BUDGET = 400
+# largest rank of the Hecke algebra in which the ledger (decompose, schur)
+# expands bipartition elements: n^d does not bound that work, and at n = 1 it
+# bounds nothing
+LEDGER_MAX_RANK = 4
 # largest n**d at which the Schur algebra dimension is also taken from the
 # full commutant; above it only the orbit route is cheap enough
 COMMUTANT_MAX_DIM = 30
@@ -100,6 +104,13 @@ def check_budget(n, d, bk):
         "tensor space dimension %s exceeds the %s budget %d"
         % (dim, "symbolic" if bk.is_symbolic else "specialized", cap)
     )
+
+
+def check_rank(d):
+    if d > LEDGER_MAX_RANK:
+        raise BudgetExceeded(
+            "Hecke rank %d exceeds the ledger budget %d" % (d, LEDGER_MAX_RANK)
+        )
 
 
 def _kind_signs(kind):

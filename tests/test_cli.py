@@ -62,6 +62,9 @@ class TestCommands:
             (["--suite", "jucys-murphy", "--n", "2", "--d", "3"], "jucys_murphy_commute"),
             (["--suite", "permutation", "--n", "3", "--d", "2"], "permutation_intertwiners"),
             (["--suite", "spectra", "--n", "2", "--d", "3", "--backend", "Q=2,q=3"], "spectra"),
+            (["--suite", "rk-equations", "--n", "2", "--d", "1", "--e", "1"], "rk_equations"),
+            (["--suite", "double-centralizer", "--n", "2", "--d", "2"], "double_centralizer"),
+            (["--suite", "e-hecke", "--n", "2", "--d", "2", "--e", "1"], "e_hecke_consistency"),
             # the suite ignores e, so the point is checked to degree d only
             (
                 ["--suite", "hecke-relations", "--n", "2", "--d", "2", "--e", "7",
@@ -69,7 +72,16 @@ class TestCommands:
                 "rho_relations",
             ),
         ],
-        ids=["cylinder", "jucys-murphy", "permutation", "spectra", "unused-e"],
+        ids=[
+            "cylinder",
+            "jucys-murphy",
+            "permutation",
+            "spectra",
+            "rk-equations",
+            "double-centralizer",
+            "e-hecke",
+            "unused-e",
+        ],
     )
     def test_verify_suite(self, capsys, argv, check):
         code, out = run(capsys, ["verify", *argv])
@@ -122,19 +134,56 @@ class TestErrors:
             ["dims", "--n", "7", "--d", "3"],
             ["verify", "--suite", "rk-equations", "--n", "3", "--d", "7", "--e", "1"],
             ["verify", "--suite", "rk-equations", "--n", "3", "--d", "3", "--e", "3"],
+            # V_{n+2}^{(x) d} = V_101^{(x) 4}
+            ["verify", "--suite", "permutation", "--n", "99", "--d", "4"],
         ],
-        ids=["dims", "rk-tensor", "rk-blocks"],
+        ids=["dims", "rk-tensor", "rk-blocks", "permutation"],
     )
     def test_budget_exits_2(self, capsys, argv):
         assert main(argv) == 2
         assert "exceeds the symbolic budget" in capsys.readouterr().err
 
-    def test_budgets_checked_before_any_suite(self, capsys, monkeypatch):
-        def ran(*args):
-            raise AssertionError("a suite ran before its budget was checked")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # n^d = 1 bounds nothing at n = 1
+            ["decompose", "--n", "1", "--d", "12"],
+            ["decompose", "--n", "2", "--d", "5", "--backend", "Q=2,q=3"],
+            ["schur", "--shape", "3,2|1", "--n", "1"],
+        ],
+        ids=["decompose-n1", "decompose-n2", "schur"],
+    )
+    def test_ledger_rank_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "exceeds the ledger budget 4" in capsys.readouterr().err
 
-        monkeypatch.setattr(cli, "verify_rho_relations", ran)
-        argv = ["verify", "--suite", "all", "--n", "7", "--d", "3", "--e", "2"]
+    @pytest.mark.parametrize(
+        "check",
+        [
+            "verify_rho_relations",
+            "jm_spectra",
+            "verify_rk_equations",
+            "verify_permutation_intertwiners",
+            "verify_double_centralizer",
+            "verify_e_hecke",
+        ],
+        ids=[
+            "hecke-relations",
+            "spectra",
+            "rk-equations",
+            "permutation",
+            "double-centralizer",
+            "e-hecke",
+        ],
+    )
+    def test_budgets_checked_before_any_suite(self, capsys, monkeypatch, check):
+        def ran(*args, **kwargs):
+            raise AssertionError("%s ran before every budget was checked" % check)
+
+        monkeypatch.setattr(cli, check, ran)
+        # every budget holds except that of e-hecke (3^6 > 400), which is
+        # checked last
+        argv = ["verify", "--suite", "all", "--n", "3", "--d", "3", "--e", "2"]
         assert main(argv + ["--backend", "Q=2,q=3"]) == 2
         assert "exceeds the specialized budget" in capsys.readouterr().err
 
