@@ -19,8 +19,8 @@ requested checks pass, 1 when a check fails, 2 on usage or budget errors.
 Each verify suite and each other command is one row of a table (SUITES,
 COMMANDS) that states what it refuses, the tensor spaces it builds, the rank
 of the Hecke algebra it works in and what it runs.  main reads the rows in
-that order: refusals, every budget (tensor spaces, and the Hecke rank of the
-ledger), the point checked up to that rank, then the work.
+that order: refusals, every budget (tensor spaces and Hecke ranks), the point
+checked up to that rank, then the work.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .rep import (
 from .hecke import central_element, cylinder_identity_holds, jucys_murphy, jucys_murphy_commute
 from .scalars import InvalidSpecialization, Specialization
 from .schur import (
+    ALGEBRA_MAX_RANK,
     COMMUTANT_MAX_DIM,
     PM_KINDS,
     check_budget,
@@ -356,7 +357,9 @@ class Row(NamedTuple):
     degree: Callable = lambda a: a.d  # rank of the Hecke algebra the point must be valid to
     # why it cannot run at all: a usage error when named alone, a skip in 'all'
     refusal: Callable = lambda a, bk: None
-    ledger: bool = False  # expands bipartition elements in rank `degree`, capped by check_rank
+    # check_rank arguments (Hecke rank[, cap, budget]) for the elements it multiplies
+    # out, rank 0 for none; the ledger's (decompose, schur) are the factors of e'
+    rank: Callable = lambda a: (0,)
 
 
 def shape_size(a):
@@ -370,7 +373,9 @@ def specialized_only(name):
 SUITES = {
     "hecke-relations": Row(lambda a, bk: {"rho_relations": verify_rho_relations(a.n, a.d, bk)}),
     "jucys-murphy": Row(
-        lambda a, bk: {"jucys_murphy_commute": jucys_murphy_commute(a.d)}, spaces=lambda a: []
+        lambda a, bk: {"jucys_murphy_commute": jucys_murphy_commute(a.d)},
+        spaces=lambda a: [],
+        rank=lambda a: (a.d, ALGEBRA_MAX_RANK, "Hecke algebra"),
     ),
     "spectra": Row(
         lambda a, bk: {"spectra": all_semisimple(a.n, a.d, bk)}, refusal=specialized_only("spectra")
@@ -387,7 +392,9 @@ SUITES = {
         spaces=lambda a: [(a.n, a.d), (a.n, 2 * a.e)],
     ),
     "cylinder": Row(
-        lambda a, bk: {"cylinder_identity": cylinder_identity_holds(a.d, a.e)}, spaces=lambda a: []
+        lambda a, bk: {"cylinder_identity": cylinder_identity_holds(a.d, a.e)},
+        spaces=lambda a: [],
+        rank=lambda a: (a.d + a.e, ALGEBRA_MAX_RANK, "Hecke algebra"),
     ),
     "permutation": Row(
         lambda a, bk: {"permutation_intertwiners": verify_permutation_intertwiners(a.n, a.d, bk)},
@@ -411,12 +418,12 @@ SUITES = {
 
 COMMANDS = {
     "dims": Row(lambda a, bk: cmd_dims(a, bk)),
-    "decompose": Row(lambda a, bk: cmd_decompose(a, bk), ledger=True),
+    "decompose": Row(lambda a, bk: cmd_decompose(a, bk), rank=lambda a: (a.d,)),
     "schur": Row(
         lambda a, bk: cmd_schur(a, bk),
         spaces=lambda a: [(a.n, shape_size(a))],
         degree=lambda a: shape_size(a),
-        ledger=True,
+        rank=lambda a: (shape_size(a),),
     ),
     "eigen": Row(lambda a, bk: cmd_eigen(a, bk), refusal=specialized_only("eigen")),
     "centralizer": Row(lambda a, bk: cmd_centralizer(a, bk)),
@@ -496,8 +503,7 @@ def main(argv=None):
         for row in rows:  # every budget before any work
             for base, exponent in row.spaces(args):
                 check_budget(base, exponent, bk)
-            if row.ledger:
-                check_rank(row.degree(args))
+            check_rank(*row.rank(args))
         degree = max(row.degree(args) for row in rows)
         if degree > 6:  # parse_backend checked the point up to degree 6
             bk = parse_backend(args.backend, degree)

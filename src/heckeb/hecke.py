@@ -15,6 +15,8 @@ with c = Q for s_0 and c = q for the other generators.
 
 from __future__ import annotations
 
+from math import prod
+
 from .scalars import RF_ONE, RF_Q, RF_q, RationalFunction
 from .weylcomb import (
     SignedPermutation,
@@ -120,16 +122,6 @@ class HeckeElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        out = HeckeElement.one(self.d)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- serialization
 
     def to_lines(self):
@@ -201,21 +193,19 @@ def jucys_murphy_commute(d):
     return commute and all(ck * t == t * ck for t in gens)
 
 
+def _jm_shifts(d, i, c):
+    """The factors K_j + c for j = 1..i."""
+    return [jucys_murphy(d, j) + HeckeElement.one(d).scale(c) for j in range(1, i + 1)]
+
+
 def u_plus(d, i):
     """prod_{j=1}^{i} (K_j + Q)."""
-    out = HeckeElement.one(d)
-    for j in range(1, i + 1):
-        out = out * (jucys_murphy(d, j) + HeckeElement.one(d).scale(RF_Q))
-    return out
+    return prod(_jm_shifts(d, i, RF_Q), start=HeckeElement.one(d))
 
 
 def u_minus(d, i):
     """prod_{j=1}^{i} (K_j - 1/Q)."""
-    out = HeckeElement.one(d)
-    qinv = RF_Q.inverse()
-    for j in range(1, i + 1):
-        out = out * (jucys_murphy(d, j) - HeckeElement.one(d).scale(qinv))
-    return out
+    return prod(_jm_shifts(d, i, -RF_Q.inverse()), start=HeckeElement.one(d))
 
 
 def shuffle_t(a, b, d=None):
@@ -278,13 +268,16 @@ def antisymmetrizer(lam, offset, d):
     )
 
 
+def _young_factors(lam, offset, d):
+    """x_lam, T_{c(lam)} and y_{lam'}, embedded at the given strand offset."""
+    c = HeckeElement.basis(d, _embed(column_reading_element(lam), offset, d))
+    return [symmetrizer(lam, offset, d), c, antisymmetrizer(conjugate(lam), offset, d)]
+
+
 def young_idempotent(lam, offset, d):
     """The quasi-idempotent x_lam T_{c(lam)} y_{lam'} attached to a partition,
     embedded at the given strand offset."""
-    x = symmetrizer(lam, offset, d)
-    y = antisymmetrizer(conjugate(lam), offset, d)
-    c = HeckeElement.basis(d, _embed(column_reading_element(lam), offset, d))
-    return x * c * y
+    return prod(_young_factors(lam, offset, d), start=HeckeElement.one(d))
 
 
 def embed_in_rank(elem, d_big):
@@ -309,12 +302,24 @@ def cylinder_identity_holds(d, e):
     return ckn == lhs and ckn == rot
 
 
-def bipartition_element(shape):
-    """e'_{lam,mu} = T_{a,b} u_b^- T_{b,a} u_a^+ e_lam e_mu in rank a + b."""
+def bipartition_factors(shape):
+    """The factors of e'_{lam,mu}, left to right: T_{a,b}, K_j - 1/Q (j <= b),
+    T_{b,a}, K_j + Q (j <= a), then x, T_c, y for lam and for mu."""
     lam, mu = shape
     a, b = sum(lam), sum(mu)
     d = a + b
-    out = shuffle_t(a, b, d) * u_minus(d, b) * shuffle_t(b, a, d) * u_plus(d, a)
-    out = out * young_idempotent(lam, 0, d)
-    out = out * young_idempotent(mu, a, d)
+    return [
+        shuffle_t(a, b, d), *_jm_shifts(d, b, -RF_Q.inverse()),
+        shuffle_t(b, a, d), *_jm_shifts(d, a, RF_Q),
+        *_young_factors(lam, 0, d), *_young_factors(mu, a, d),
+    ]
+
+
+def bipartition_element(shape):
+    """e'_{lam,mu} = T_{a,b} u_b^- T_{b,a} u_a^+ e_lam e_mu in rank a + b: the
+    product of bipartition_factors, taken from the right so that the left
+    operand, whose reduced words a product walks, is always a short factor."""
+    out = HeckeElement.one(sum(map(sum, shape)))
+    for f in reversed(bipartition_factors(shape)):
+        out = f * out
     return out

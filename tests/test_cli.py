@@ -88,6 +88,11 @@ class TestCommands:
         assert code == 0
         assert "%s: PASS" % check in out
 
+    def test_decompose_at_the_rank_cap(self, capsys):
+        code, out = run(capsys, ["decompose", "--n", "2", "--d", "4", "--output", "json"])
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     def test_decompose_tsv(self, capsys):
         code, out = run(capsys, ["decompose", "--n", "3", "--d", "2", "--output", "tsv"])
         assert code == 0
@@ -129,19 +134,37 @@ class TestErrors:
         assert main(["eigen", "--n", "2", "--d", "2"]) == 2
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["dims", "--n", "7", "--d", "3"],
-            ["verify", "--suite", "rk-equations", "--n", "3", "--d", "7", "--e", "1"],
-            ["verify", "--suite", "rk-equations", "--n", "3", "--d", "3", "--e", "3"],
+            (["dims", "--n", "7", "--d", "3"], "exceeds the symbolic budget"),
+            (
+                ["verify", "--suite", "rk-equations", "--n", "3", "--d", "7", "--e", "1"],
+                "exceeds the symbolic budget",
+            ),
+            (
+                ["verify", "--suite", "rk-equations", "--n", "3", "--d", "3", "--e", "3"],
+                "exceeds the symbolic budget",
+            ),
             # V_{n+2}^{(x) d} = V_101^{(x) 4}
-            ["verify", "--suite", "permutation", "--n", "99", "--d", "4"],
+            (
+                ["verify", "--suite", "permutation", "--n", "99", "--d", "4"],
+                "exceeds the symbolic budget",
+            ),
+            # no tensor space bounds these: the Hecke rank d, and d + e
+            (
+                ["verify", "--suite", "jucys-murphy", "--n", "1", "--d", "30"],
+                "Hecke rank 30 exceeds the Hecke algebra budget",
+            ),
+            (
+                ["verify", "--suite", "cylinder", "--n", "1", "--d", "20", "--e", "20"],
+                "Hecke rank 40 exceeds the Hecke algebra budget",
+            ),
         ],
-        ids=["dims", "rk-tensor", "rk-blocks", "permutation"],
+        ids=["dims", "rk-tensor", "rk-blocks", "permutation", "jucys-murphy", "cylinder"],
     )
-    def test_budget_exits_2(self, capsys, argv):
+    def test_budget_exits_2(self, capsys, argv, message):
         assert main(argv) == 2
-        assert "exceeds the symbolic budget" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

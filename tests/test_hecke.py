@@ -10,6 +10,7 @@ from heckeb.hecke import (
     HeckeElement,
     antisymmetrizer,
     bipartition_element,
+    bipartition_factors,
     central_element,
     cylinder_identity_holds,
     embed_in_rank,
@@ -21,7 +22,7 @@ from heckeb.hecke import (
     young_idempotent,
 )
 from heckeb.scalars import RF_ONE, RF_Q, RF_q
-from heckeb.weylcomb import SignedPermutation, all_elements, from_word
+from heckeb.weylcomb import SignedPermutation, all_elements, bipartitions, from_word
 
 
 def gen(d, i):
@@ -153,3 +154,16 @@ class TestIdentities:
     def test_bipartition_element_nonzero(self):
         assert bipartition_element(((1,), (1,)))
         assert bipartition_element(((2,), (1,)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bipartition_element_is_product_of_factors(self, d):
+        for shape in bipartitions(d):
+            lam, mu = shape
+            a, b = sum(lam), sum(mu)
+            prod = HeckeElement.one(d)
+            for f in bipartition_factors(shape):
+                prod = prod * f
+            assert bipartition_element(shape) == prod
+            # T_{a,b} u_b^- T_{b,a} u_a^+ e_lam e_mu, multiplied out piece by piece
+            pieces = shuffle_t(a, b) * u_minus(d, b) * shuffle_t(b, a) * u_plus(d, a)
+            assert prod == pieces * young_idempotent(lam, 0, d) * young_idempotent(mu, a, d)

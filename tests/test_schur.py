@@ -4,7 +4,7 @@ import pytest
 
 from heckeb.exactlinalg import Subspace
 from heckeb.rep import SYMBOLIC, BudgetExceeded, SpecializedBackend
-from heckeb.scalars import default_specialization
+from heckeb.scalars import Specialization, default_specialization
 from heckeb.schur import (
     PM_KINDS,
     check_budget,
@@ -20,6 +20,7 @@ from heckeb.schur import (
     schur_algebra_dimension_commutant,
     schur_algebra_dimension_orbit,
     schur_functor_diagram_subspace,
+    schur_functor_dimension,
     schur_functor_subspace,
     schur_weyl_decompose,
     signed_tensor_subspace,
@@ -27,7 +28,7 @@ from heckeb.schur import (
     verify_double_centralizer,
     verify_e_hecke,
 )
-from heckeb.weylcomb import semistandard_bitableaux_count
+from heckeb.weylcomb import bipartitions, semistandard_bitableaux_count
 
 SPEC = SpecializedBackend(default_specialization())
 
@@ -84,12 +85,27 @@ class TestSchurFunctor:
         sub = schur_functor_subspace(shape, n, SYMBOLIC)
         assert sub.dim == semistandard_bitableaux_count(shape, n)
 
-    @pytest.mark.parametrize("shape", [((1,), (1,)), ((2,), ()), ((), (1, 1))])
+    @pytest.mark.parametrize(
+        "shape", [((1,), (1,)), ((2,), ()), ((), (1, 1)), ((2, 1), ()), ((1,), (2,))]
+    )
     def test_diagram_route_agrees(self, shape):
         n = 3
         assert schur_functor_diagram_subspace(shape, n, SYMBOLIC) == schur_functor_subspace(
             shape, n, SYMBOLIC
         )
+
+    @pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (5, 2), (3, 3)])
+    def test_factored_rank_matches_element_route(self, n, d):
+        for shape in bipartitions(d):
+            dim = schur_functor_subspace(shape, n, SYMBOLIC).dim
+            assert schur_functor_dimension(shape, n, SYMBOLIC) == dim
+
+    @pytest.mark.parametrize("Q,q", [(2, 3), (3, 2), (5, 3), (3, 7)])
+    def test_factored_rank_matches_element_route_specialized(self, Q, q):
+        bk = SpecializedBackend(Specialization(Q, q))
+        for shape in bipartitions(3):
+            dim = schur_functor_subspace(shape, 4, bk).dim
+            assert schur_functor_dimension(shape, 4, bk) == dim
 
 
 class TestSchurAlgebra:
