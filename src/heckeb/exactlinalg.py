@@ -10,11 +10,23 @@ Subspaces are kept in reduced column echelon form, which is a canonical
 representative: two subspaces are equal iff their stored bases are equal.
 Elimination is plain sparse Gaussian elimination with a sparsity-aware pivot
 choice; the canonicalizing scalar arithmetic keeps expression swell in check.
+A rank only eliminates forward; kernels and subspaces are fully reduced.
+
+Over Fractions, `intertwiner_dimension` and `matrix_algebra_dimension` take a
+certified modular route instead (Wang 1981; Monagan 2004).  The rank is
+computed mod 61-bit primes that divide no denominator, which gives a lower
+bound, and a kernel basis mod p is lifted by CRT and rational reconstruction
+and checked exactly over Q, which makes the bound exact.  The algebra closure
+runs mod p, and the span of the words it finds is then certified closed over
+Q.  When no certificate is found, the elimination over Fractions runs: a rank
+mod p is never reported on its own.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 
 class ShapeMismatch(ValueError):
@@ -163,18 +175,6 @@ class ExactMatrix:
             return out
         return self.scale(other)
 
-    def __pow__(self, n):
-        if self.nrows != self.ncols:
-            raise ShapeMismatch("power of a non-square matrix")
-        out = ExactMatrix.identity(self.nrows, self.one)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def apply(self, vec):
         """Apply to a sparse column vector {row: entry}."""
         out = {}
@@ -207,8 +207,11 @@ class ExactMatrix:
 
     # -- elimination
 
-    def _row_echelon(self):
-        """Sparse row echelon; returns (pivot list [(row, col)], rows)."""
+    def _row_echelon(self, full=True):
+        """Sparse row echelon; returns (pivot list [(row, col)], rows).
+
+        With full=False the pivot column is cleared from the rows still live
+        only, not from the pivot rows already done: enough for a rank."""
         rows = self.rows()
         live = [i for i in range(self.nrows) if rows[i]]
         pivots = []
@@ -223,7 +226,7 @@ class ExactMatrix:
             if not (pv == self.one):
                 inv = self.one / pv
                 rows[i] = row = {c: inv * v for c, v in row.items()}
-            for j in list(live) + done:
+            for j in list(live) + done if full else list(live):
                 f = rows[j].get(pc)
                 if f:
                     _sub_multiple(rows[j], f, row)
@@ -234,7 +237,7 @@ class ExactMatrix:
         return pivots, rows
 
     def rank(self):
-        return len(self._row_echelon()[0])
+        return len(self._row_echelon(full=False)[0])
 
     def nullity(self):
         """dim of {x : A x = 0}, counted by rank without building a basis."""
@@ -525,12 +528,207 @@ def minimal_polynomial(m: ExactMatrix):
     return poly_monic(result)
 
 
-def intertwiner_dimension(gens_u, gens_w):
-    """dim of {phi : phi g_u = g_w phi for all generator pairs}, by rank.
+# ---------------------------------------------------------------------------
+# certified modular rank over Q
 
-    phi is a w x u matrix, vec'd row-major: coordinate i * u + c holds
-    phi[i, c].  This is the one place the Sylvester system is built.
+# 2^61 - 1 and the next primes below it, fixed here so that no prime is
+# searched for at import.
+_PRIMES = (
+    2305843009213693951,
+    2305843009213693921,
+    2305843009213693907,
+    2305843009213693723,
+    2305843009213693693,
+    2305843009213693669,
+    2305843009213693613,
+    2305843009213693561,
+)
+
+
+def _eliminate_mod(rows, ncols, p):
+    """Forward elimination mod p of sparse rows {col: nonzero residue}, in place.
+
+    Returns the pivots [(col, row)] in the order chosen, each row scaled to a
+    unit pivot; a pivot row holds no earlier pivot column.  The pivot is the
+    sparsest live row, and in it the column shared by the fewest live rows.
     """
+    col_rows = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c in row:
+            col_rows[c].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    done = set()
+    pivots = []
+    while heap:
+        size, i = heapq.heappop(heap)
+        row = rows[i]
+        if i in done or size != len(row) or not row:
+            continue  # a stale heap entry, or a row eliminated to zero
+        done.add(i)
+        pc = min(row, key=lambda c: (len(col_rows[c]), c))
+        inv = pow(row[pc], -1, p)
+        if inv != 1:
+            rows[i] = row = {c: v * inv % p for c, v in row.items()}
+        for c in row:
+            col_rows[c].discard(i)
+        for j in list(col_rows[pc]):
+            dst = rows[j]
+            f = dst[pc]
+            for c, v in row.items():
+                w = dst.get(c)
+                if w is None:
+                    dst[c] = -f * v % p
+                    col_rows[c].add(j)
+                else:
+                    w = (w - f * v) % p
+                    if w:
+                        dst[c] = w
+                    else:
+                        del dst[c]
+                        col_rows[c].discard(j)
+            heapq.heappush(heap, (len(dst), j))
+        pivots.append((pc, row))
+    return pivots
+
+
+def _kernel_mod(pivots, ncols, p):
+    """Reduced kernel basis mod p from the pivots of `_eliminate_mod`, as
+    {free col: vector}: each vector is 1 at its own free column and 0 at the
+    other free columns, so the vectors are independent."""
+    reduced = {}
+    for pc, row in reversed(pivots):
+        # clear the later pivot columns, whose rows are already reduced
+        for c in [c for c in row if c != pc and c in reduced]:
+            _sub_multiple_mod(row, row[c], reduced[c], p)
+        reduced[pc] = row
+    kernel = {f: {f: 1} for f in range(ncols) if f not in reduced}
+    for pc, row in reduced.items():
+        for c, v in row.items():
+            if c != pc:
+                kernel[c][pc] = -v % p
+    return kernel
+
+
+def _sub_multiple_mod(dst, f, src, p):
+    """dst -= f * src mod p for sparse vectors of residues, in place."""
+    for k, v in src.items():
+        w = (dst.get(k, 0) - f * v) % p
+        if w:
+            dst[k] = w
+        else:
+            dst.pop(k, None)
+
+
+def _rational(u, m, bound):
+    """(a, b) with a = b u mod m, |a| <= bound and 0 < b <= bound, or None:
+    Wang's rational reconstruction."""
+    if u <= bound:
+        return u, 1
+    if m - u <= bound:
+        return u - m, 1
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift(vec, m):
+    """An integer multiple of the rational vector congruent to vec mod m, or
+    None when some entry has no reconstruction."""
+    bound = isqrt(m >> 1)
+    pairs = {}
+    for c, u in vec.items():
+        ab = _rational(u, m, bound)
+        if ab is None:
+            return None
+        pairs[c] = ab
+    den = lcm(*(b for _, b in pairs.values()))
+    return {c: a * (den // b) for c, (a, b) in pairs.items() if a}
+
+
+def _annihilates(int_cols, x):
+    """A x == 0, for A given by its integer columns [(row, entry)]."""
+    acc = {}
+    for c, xc in x.items():
+        for i, a in int_cols[c]:
+            acc[i] = acc.get(i, 0) + a * xc
+    return not any(acc.values())
+
+
+def _certified_rank(rows, ncols):
+    """Rank over Q of sparse rows {col: Fraction or int}, or None.
+
+    Works on whichever of the matrix and its transpose has fewer columns.  A
+    prime that divides no denominator gives rank_p <= rank_Q, so rank_p equal
+    to the number of columns is exact.  Otherwise the reduced kernel basis
+    mod p is lifted by CRT over the primes so far and rational
+    reconstruction, and each lifted vector is checked to lie in the kernel
+    over Q, in integer arithmetic: ncols - rank_p independent kernel vectors
+    make rank_p exact.  None when no prime of `_PRIMES` gives a certificate;
+    a rank mod p is never returned on its own.
+    """
+    if len(rows) < ncols:
+        cols = [{} for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                cols[c][i] = v
+        rows, ncols = cols, len(rows)
+    dens = {v.denominator for row in rows for v in row.values()}
+    int_cols = None
+    lifting = None  # (rank, modulus, kernel residues) over the primes so far
+    for p in _PRIMES:
+        if any(d % p == 0 for d in dens):
+            continue
+        inv = {d: pow(d, -1, p) for d in dens}
+        red = [{c: r for c, v in row.items() if (r := v.numerator * inv[v.denominator] % p)} for row in rows]
+        pivots = _eliminate_mod(red, ncols, p)
+        rank = len(pivots)
+        if rank == ncols:
+            return rank
+        kernel = _kernel_mod(pivots, ncols, p)
+        if lifting is None or rank > lifting[0]:
+            lifting = (rank, p, kernel)
+        elif rank < lifting[0] or kernel.keys() != lifting[2].keys():
+            continue  # p lost rank, or chose other pivots: no CRT with it
+        else:
+            m, old = lifting[1], lifting[2]
+            minv = pow(m, -1, p)
+            for f, vec in kernel.items():
+                acc = old[f]
+                for c in acc.keys() | vec.keys():
+                    a = acc.get(c, 0)
+                    acc[c] = a + m * ((vec.get(c, 0) - a) * minv % p)
+            lifting = (rank, m * p, old)
+        lifted = []
+        for vec in lifting[2].values():
+            x = _lift(vec, lifting[1])
+            if x is None:
+                break
+            lifted.append(x)
+        else:
+            if int_cols is None:
+                int_cols = [[] for _ in range(ncols)]
+                for i, row in enumerate(rows):
+                    den = lcm(*(v.denominator for v in row.values()))
+                    for c, v in row.items():
+                        int_cols[c].append((i, v.numerator * (den // v.denominator)))
+            if all(_annihilates(int_cols, x) for x in lifted):
+                return rank
+    return None
+
+
+# ---------------------------------------------------------------------------
+# dimensions of intertwiner spaces and matrix algebras
+
+
+def _sylvester(gens_u, gens_w):
+    """The system phi g_u = g_w phi over all generator pairs, for a w x u
+    phi vec'd row-major: coordinate i * u + c holds phi[i, c]."""
     u = gens_u[0].nrows
     w = gens_w[0].nrows
     one = gens_u[0].one
@@ -557,7 +755,19 @@ def intertwiner_dimension(gens_u, gens_w):
                         wrote = True
                 if wrote:
                     nrow += 1
-    return ExactMatrix(nrow, w * u, e, one).nullity()
+    return ExactMatrix(nrow, w * u, e, one)
+
+
+def intertwiner_dimension(gens_u, gens_w):
+    """dim of {phi : phi g_u = g_w phi for all generator pairs}, by rank.
+
+    `_sylvester` is the one place the system is built.  Over Fractions the
+    rank is `_certified_rank`; elimination runs only when that finds no
+    certificate, and for every other field.
+    """
+    m = _sylvester(gens_u, gens_w)
+    rank = _certified_rank(m.rows(), m.ncols) if isinstance(m.one, Fraction) else None
+    return m.ncols - (m.rank() if rank is None else rank)
 
 
 def commutant_dimension(gens):
@@ -568,26 +778,127 @@ def commutant_dimension(gens):
 def matrix_algebra_dimension(gens):
     """Dimension of the unital algebra generated by the given matrices.
 
-    Spans are grown by multiplying current basis elements by generators until
-    closure.  Matrices are vec'd row-major into a Subspace.
+    A span that holds I and is closed under right multiplication by every
+    generator holds every word, so it is the algebra.  Over Fractions the
+    closure runs mod p and is certified over Q
+    (`_certified_algebra_dimension`); otherwise, or when the certificate
+    fails, `_closure_dimension` runs it over the entry field.
     """
+    if isinstance(gens[0].one, Fraction):
+        r = _certified_algebra_dimension(gens)
+        if r is not None:
+            return r
+    return _closure_dimension(gens)
+
+
+def _closure_dimension(gens):
+    """The closure of span(I) under right multiplication, grown over the
+    entry field in a Subspace of the vec'd (row-major) matrices."""
     n = gens[0].nrows
     one = gens[0].one
     span = Subspace(n * n, (), one)
-    frontier = []
-
-    def vec(m):
-        return {r * n + c: v for (r, c), v in m.entries.items()}
-
-    for m in list(gens) + [ExactMatrix.identity(n, one)]:
-        if span.insert(vec(m)):
-            frontier.append(m)
+    frontier = [ExactMatrix.identity(n, one)]
+    span.insert(_vec(frontier[0]))
     while frontier:
         new = []
         for m in frontier:
             for g in gens:
-                for prod in (m * g, g * m):
-                    if span.insert(vec(prod)):
-                        new.append(prod)
+                prod = m * g
+                if span.insert(_vec(prod)):
+                    new.append(prod)
         frontier = new
     return span.dim
+
+
+def _vec(m):
+    n = m.ncols
+    return {r * n + c: v for (r, c), v in m.entries.items()}
+
+
+def _times(vec, grows, n):
+    """vec(M G) from vec(M) of an n x n M and the rows of G (integers)."""
+    out = {}
+    for idx, a in vec.items():
+        base = idx - idx % n
+        for c, b in grows[idx % n].items():
+            out[base + c] = out.get(base + c, 0) + a * b
+    return out
+
+
+def _primitive(vec):
+    """An integer vector divided by the gcd of its entries, zeros dropped."""
+    vec = {k: v for k, v in vec.items() if v}
+    g = gcd(*vec.values())
+    return {k: v // g for k, v in vec.items()} if g > 1 else vec
+
+
+def _insert_mod(basis, vec, p):
+    """Subspace.insert mod p: add vec to the reduced echelon basis
+    {pivot index: vector}; True if it grew."""
+    for q in [q for q in vec if q in basis]:
+        _sub_multiple_mod(vec, vec[q], basis[q], p)
+    if not vec:
+        return False
+    q = min(vec)
+    inv = pow(vec[q], -1, p)
+    vec = {k: v * inv % p for k, v in vec.items()}
+    for b in basis.values():
+        f = b.get(q)
+        if f:
+            _sub_multiple_mod(b, f, vec, p)
+    basis[q] = vec
+    return True
+
+
+def _certified_algebra_dimension(gens):
+    """Dimension of the algebra generated by Fraction matrices, or None.
+
+    Each generator is scaled by the lcm of its denominators to an integer
+    matrix G, which generates the same algebra.  The closure of span(I)
+    under right multiplication runs mod a prime p that divides no
+    denominator, recording each new word as (parent word, generator).  The
+    r words independent mod p are independent over Q, so dim >= r.  The
+    words and their products by each G are rebuilt over Z, each divided by
+    its content; `_certified_rank` of them all = r shows span_Q(words)
+    closed, so dim <= r.
+    """
+    n = gens[0].nrows
+    dens = set()
+    grows = []
+    for g in gens:
+        den = lcm(*(v.denominator for v in g.entries.values()))
+        dens.add(den)
+        rows = [{} for _ in range(n)]
+        for (r, c), v in g.entries.items():
+            rows[r][c] = v.numerator * (den // v.denominator)
+        grows.append(rows)
+    p = next((p for p in _PRIMES if all(d % p for d in dens)), None)
+    if p is None:
+        return None
+    ident = {i * n + i: 1 for i in range(n)}
+    basis = {}
+    _insert_mod(basis, dict(ident), p)
+    words = [(None, None)]
+    residues = [ident]
+    frontier = [0]
+    while frontier:
+        new = []
+        for i in frontier:
+            for gi, grow in enumerate(grows):
+                prod = {k: r for k, v in _times(residues[i], grow, n).items() if (r := v % p)}
+                if _insert_mod(basis, dict(prod), p):
+                    words.append((i, gi))
+                    residues.append(prod)
+                    new.append(len(words) - 1)
+        frontier = new
+    zwords = [ident]
+    for parent, gi in words[1:]:
+        zwords.append(_primitive(_times(zwords[parent], grows[gi], n)))
+    made = set(words)
+    rows = zwords + [
+        _primitive(_times(w, grow, n))
+        for i, w in enumerate(zwords)
+        for gi, grow in enumerate(grows)
+        if (i, gi) not in made
+    ]
+    return len(words) if _certified_rank(rows, n * n) == len(words) else None

@@ -1,5 +1,6 @@
 """Sparse exact matrices, canonical subspaces, and minimal polynomials."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckeb import exactlinalg
+from heckeb.cli import main, parse_backend
 from heckeb.exactlinalg import (
     ExactMatrix,
     ShapeMismatch,
@@ -23,7 +26,13 @@ from heckeb.exactlinalg import (
     poly_lcm,
     poly_mul,
     vstack,
+    _PRIMES,
+    _certified_algebra_dimension,
+    _certified_rank,
+    _closure_dimension,
+    _sylvester,
 )
+from heckeb.rep import coideal_generators, generator_matrix
 
 ONE = Fraction(1)
 
@@ -83,11 +92,6 @@ class TestExactMatrix:
         assert a.transpose() == dense([[1], [2], [3]])
         assert vstack([a, a]).nrows == 2
         assert hstack([a.transpose(), a.transpose()]).ncols == 2
-
-    def test_pow(self):
-        a = dense([[1, 1], [0, 1]])
-        assert a**3 == dense([[1, 3], [0, 1]])
-        assert a**0 == ExactMatrix.identity(2, ONE)
 
 
 class TestSubspace:
@@ -189,3 +193,140 @@ class TestAlgebraDimensions:
         assert matrix_algebra_dimension([d]) == 2
         # adding a strict upper entry closes up to the triangular algebra
         assert matrix_algebra_dimension([d, dense([[0, 1], [0, 0]])]) == 3
+
+
+# ---------------------------------------------------------------------------
+# the certified modular route against elimination over Fractions
+
+POINTS = ["Q=2,q=3", "Q=3,q=2", "Q=5,q=3", "Q=3,q=7"]
+
+fractions_small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+sparse_entries = st.one_of(st.just(Fraction(0)), fractions_small)
+
+
+@st.composite
+def planted_matrices(draw):
+    """Sparse rational matrices with dependent columns, then rows, planted
+    as combinations of two earlier ones."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    rows = [[draw(sparse_entries) for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
+        a, b = draw(fractions_small), draw(fractions_small)
+        for row in rows:
+            row.append(a * row[i] + b * row[j])
+        ncols += 1
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        a, b = draw(fractions_small), draw(fractions_small)
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        nrows += 1
+    return dense(rows)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin: the prime bases up to 37 decide every
+    n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@pytest.fixture
+def primes_used(monkeypatch):
+    """The primes each modular elimination runs at, in order."""
+    used = []
+    eliminate = exactlinalg._eliminate_mod
+
+    def recording(rows, ncols, p):
+        used.append(p)
+        return eliminate(rows, ncols, p)
+
+    monkeypatch.setattr(exactlinalg, "_eliminate_mod", recording)
+    return used
+
+
+class TestCertifiedRank:
+    @given(planted_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_elimination(self, m):
+        expected = len(m._row_echelon()[0])
+        assert m.rank() == expected
+        assert _certified_rank(m.rows(), m.ncols) == expected
+        assert _certified_rank(m.transpose().rows(), m.nrows) == expected
+
+    def test_primes_are_prime(self):
+        assert [is_prime(n) for n in (2, 37, 41, 561, 2**31 - 1, 2**61 + 1)] == [
+            True, True, True, False, True, False]
+        assert _PRIMES[0] == 2**61 - 1
+        assert len(set(_PRIMES)) == len(_PRIMES)
+        assert all(p.bit_length() == 61 and is_prime(p) for p in _PRIMES)
+
+    def test_primes_are_prime_by_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        assert all(sympy.isprime(p) for p in _PRIMES)
+
+    def test_denominator_forces_the_next_prime(self, primes_used):
+        # the first two rows are proportional, so the rank needs a certificate
+        big = _PRIMES[0]
+        rows = [
+            {0: Fraction(1, big), 1: Fraction(2)},
+            {0: Fraction(2, big), 1: Fraction(4)},
+            {0: ONE, 2: ONE},
+        ]
+        assert _certified_rank(rows, 3) == 2
+        assert primes_used[0] == _PRIMES[1]
+
+    def test_point_at_the_first_prime_end_to_end(self, capsys):
+        argv = ["verify", "--suite", "double-centralizer", "--n", "2", "--d", "2",
+                "--backend", "Q=%d,q=3" % _PRIMES[0], "--output", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    def test_unreconstructible_kernel_falls_back(self, primes_used):
+        # the kernel is spanned by (2^400, 1): no CRT over the primes holds it
+        big = 2**400
+        m = dense([[1, -big], [2, -2 * big]])
+        assert _certified_rank(m.rows(), 2) is None
+        assert primes_used == list(_PRIMES)
+        # a Sylvester system whose kernel holds the same vector: its
+        # dimension comes from the elimination over Fractions
+        assert intertwiner_dimension([dense([[0, big], [0, 0]])], [dense([[0, 1], [0, 0]])]) == 2
+
+    @pytest.mark.parametrize("point", POINTS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_generators_match_fraction_route(self, n, point):
+        bk = parse_backend(point)
+        hecke = [generator_matrix(n, 2, i, bk) for i in range(2)]
+        coideal = list(coideal_generators(n, 2, bk).values())
+        for gens in (hecke, coideal):
+            closure = _closure_dimension(gens)
+            assert _certified_algebra_dimension(gens) == closure
+            assert matrix_algebra_dimension(gens) == closure
+            s = _sylvester(gens, gens)
+            assert _certified_rank(s.rows(), s.ncols) == s.rank()
+            assert commutant_dimension(gens) == s.ncols - s.rank()
+
+    def test_coideal_closure_needs_two_primes(self, primes_used):
+        bk = parse_backend("Q=3,q=7")
+        coideal = list(coideal_generators(3, 2, bk).values())
+        assert _certified_algebra_dimension(coideal) == _closure_dimension(coideal) == 15
+        assert len(primes_used) >= 2
