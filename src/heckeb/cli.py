@@ -76,8 +76,9 @@ def parse_backend(text, degree=6):
     valid up to the given degree."""
     if text == "symbolic":
         return SYMBOLIC
-    parts = dict(p.split("=", 1) for p in text.split(",") if "=" in p)
-    if set(parts) != {"Q", "q"}:
+    items = [p.split("=", 1) for p in text.split(",")]
+    parts = dict(p for p in items if len(p) == 2)
+    if len(items) != 2 or set(parts) != {"Q", "q"}:
         raise UsageError("backend must be 'symbolic' or 'Q=<rat>,q=<rat>'")
     try:
         spec = Specialization(Fraction(parts["Q"]), Fraction(parts["q"]), degree)
@@ -514,7 +515,11 @@ def main(argv=None):
     except (UsageError, BudgetExceeded) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    emit(payload, args)
+    try:
+        emit(payload, args)
+    except OSError as exc:
+        sys.stderr.write("error: cannot write %s: %s\n" % (args.out, exc.strerror))
+        return 2
     return 0 if ok else 1
 
 

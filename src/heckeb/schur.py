@@ -18,15 +18,16 @@ The Schur algebra is the centralizer of the Hecke action.  Its dimension is
 computed two independent ways: as a joint-commutant kernel, and orbit by orbit
 through Frobenius reciprocity (each permutation module is induced from a
 one-dimensional character of a parabolic, so Hom(V(a), V(b)) is a simultaneous
-eigenspace inside V(b)).
+eigenspace inside V(b)).  The ledger takes the orbit route; the centralizer
+command compares the two.
 
 The Schur functor of a bipartition is the image of the quasi-idempotent
 e'_{lam,mu} = f_1 ... f_k (hecke.bipartition_factors); its dimension matches
 the count of semistandard bitableaux.  rho is an anti-homomorphism, so the
-ledger counts dim L = rank rho(f_1)^T ... rho(f_k)^T by pushing the image of
-rho(f_k)^T through the earlier transposes, never expanding e' in the algebra.
-The schur command still expands e' (the element route) and compares its image
-with the diagram route, which pushes V through rho(f_1), rho(f_2), ... in turn.
+image is V pushed through rho(f_1), rho(f_2), ... in turn (the diagram route),
+never expanding e' in the algebra; the ledger and the irreducibility report
+take it.  The schur command also expands e' (the element route) and compares
+the two images.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ LEDGER_MAX_RANK = 4
 # the same for the jucys-murphy (rank d) and cylinder (d + e) suites, which
 # build no tensor space: 1.2 s at d = 16 and 0.6 s at d = e = 8 (2-vCPU Xeon)
 ALGEBRA_MAX_RANK = 16
-# largest n**d at which the Schur algebra dimension is also taken from the
-# full commutant; above it only the orbit route is cheap enough
+# largest n**d at which the centralizer command cross-checks the orbit route
+# against the full commutant, whose Sylvester system has n**(2d) columns
 COMMUTANT_MAX_DIM = 30
 
 
@@ -268,12 +269,6 @@ def schur_algebra_dimension_orbit(n, d, bk=SYMBOLIC):
     return total
 
 
-def schur_algebra_dimension(n, d, bk=SYMBOLIC):
-    if n**d <= COMMUTANT_MAX_DIM:
-        return schur_algebra_dimension_commutant(n, d, bk)
-    return schur_algebra_dimension_orbit(n, d, bk)
-
-
 # ---------------------------------------------------------------------------
 # Schur functors and the Schur-Weyl ledger
 
@@ -283,36 +278,21 @@ def schur_functor_subspace(shape, n, bk=SYMBOLIC) -> Subspace:
     return rho(bipartition_element(shape), n, bk).column_space()
 
 
-def _factor_matrices(shape, n, bk):
-    """(rho(f), number of terms of f) for each factor f of e'_{lam,mu} but 1."""
-    one = HeckeElement.one(sum(map(sum, shape)))
-    return [(rho(f, n, bk), f.support_size()) for f in bipartition_factors(shape) if f != one]
-
-
 def schur_functor_diagram_subspace(shape, n, bk=SYMBOLIC) -> Subspace:
     """The same space built factor by factor, not from one algebra product:
     rho is an anti-homomorphism, so the image of rho(f_1 ... f_k) is V pushed
     through rho(f_1), then rho(f_2), and so on."""
-    N = n ** sum(map(sum, shape))
+    d = sum(map(sum, shape))
+    N = n**d
+    one = HeckeElement.one(d)
     vecs = ExactMatrix.identity(N, bk.one).columns()
-    for m, terms in _factor_matrices(shape, n, bk):
-        vecs = [v for v in map(m.apply, vecs) if v]
-        if terms > 1:  # a basis element T_w is invertible: nothing to reduce
+    for f in bipartition_factors(shape):
+        if f == one:
+            continue
+        vecs = [v for v in map(rho(f, n, bk).apply, vecs) if v]
+        if f.support_size() > 1:  # a basis element T_w is invertible: nothing to reduce
             vecs = Subspace(N, vecs, bk.one).basis()
     return Subspace(N, vecs, bk.one)
-
-
-def schur_functor_dimension(shape, n, bk=SYMBOLIC):
-    """dim of the image of rho(e'_{lam,mu}), by rank and without expanding e':
-    rank rho(f_1 ... f_k) = rank rho(f_1)^T ... rho(f_k)^T, so the small image
-    of rho(f_k)^T is pushed through the earlier transposes, rank taken once."""
-    mats = [m.transpose() for m, _ in _factor_matrices(shape, n, bk)]
-    vecs = mats[-1].column_space().basis()
-    for m in reversed(mats[:-1]):
-        vecs = [v for v in map(m.apply, vecs) if v]
-        if not vecs:
-            return 0
-    return ExactMatrix.from_columns(mats[0].nrows, vecs, bk.one).rank()
 
 
 def schur_weyl_decompose(n, d, bk=SYMBOLIC):
@@ -326,7 +306,7 @@ def schur_weyl_decompose(n, d, bk=SYMBOLIC):
     check_budget(n, d, bk)
     rows = []
     for shape in bipartitions(d):
-        dim_l = schur_functor_dimension(shape, n, bk)
+        dim_l = schur_functor_diagram_subspace(shape, n, bk).dim
         rows.append(
             {
                 "shape": shape,
@@ -339,7 +319,7 @@ def schur_weyl_decompose(n, d, bk=SYMBOLIC):
         )
     sum_ld = sum(r["dimL"] * r["dimM"] for r in rows)
     sum_l2 = sum(r["dimL"] ** 2 for r in rows)
-    schur_dim = schur_algebra_dimension(n, d, bk)
+    schur_dim = schur_algebra_dimension_orbit(n, d, bk)
     return {
         "n": n,
         "d": d,
@@ -376,11 +356,9 @@ def irreducibility_report(n, d, bk, shapes=None):
     if shapes is None:
         shapes = [s for s in bipartitions(d) if bipartition_fits(s, n)]
     coideal = list(coideal_generators(n, d, bk).values())
-    subs = {}
     restricted = {}
     for s in shapes:
-        sub = schur_functor_subspace(s, n, bk)
-        subs[s] = sub
+        sub = schur_functor_diagram_subspace(s, n, bk)
         restricted[s] = [restrict_to_subspace(g, sub) for g in coideal]
     report = {}
     for s1 in shapes:

@@ -1,6 +1,8 @@
 """The command line interface: exit codes, output formats, stability."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -127,8 +129,20 @@ class TestCommands:
 
 
 class TestErrors:
-    def test_bad_backend_exits_2(self, capsys):
-        assert main(["dims", "--n", "3", "--d", "2", "--backend", "Q=0,q=3"]) == 2
+    @pytest.mark.parametrize("backend", ["Q=0,q=3", "Q=2,q=3,banana", "Q=2,Q=5,q=3"])
+    def test_bad_backend_exits_2(self, capsys, backend):
+        assert main(["dims", "--n", "3", "--d", "2", "--backend", backend]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("where", ["missing dir", "a dir"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "x.json" if where == "missing dir" else tmp_path
+        assert main(["dims", "--n", "2", "--d", "2", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write %s" % target)
 
     def test_symbolic_eigen_exits_2(self, capsys):
         assert main(["eigen", "--n", "2", "--d", "2"]) == 2
@@ -260,3 +274,22 @@ class TestErrors:
 
     def test_even_permutation_suite_exits_2(self, capsys):
         assert main(["verify", "--suite", "permutation", "--n", "4", "--d", "2"]) == 2
+
+
+WORKLOADS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json").read_text()
+)
+
+
+class TestBenchWorkloads:
+    """Each benchmark workload still prints the results its reference digest
+    names, symbolic or at the first point, digested as perfbench/run.py does."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS["workloads"]))
+    def test_results_digest(self, capsys, name):
+        workload = WORKLOADS["workloads"][name]
+        backend = "symbolic" if workload["backend"] == "symbolic" else WORKLOADS["points"][0]
+        code, out = run(capsys, [*workload["argv"], "--backend", backend, "--output", "json"])
+        assert code == 0
+        blob = json.dumps(json.loads(out)["results"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == workload["results_sha256"]

@@ -2,6 +2,8 @@
 
 import pytest
 
+from heckeb import schur
+from heckeb.cli import main
 from heckeb.exactlinalg import Subspace
 from heckeb.rep import SYMBOLIC, BudgetExceeded, SpecializedBackend
 from heckeb.scalars import Specialization, default_specialization
@@ -16,11 +18,9 @@ from heckeb.schur import (
     pm_power_basis,
     pm_power_dimension,
     pm_power_kernel,
-    schur_algebra_dimension,
     schur_algebra_dimension_commutant,
     schur_algebra_dimension_orbit,
     schur_functor_diagram_subspace,
-    schur_functor_dimension,
     schur_functor_subspace,
     schur_weyl_decompose,
     signed_tensor_subspace,
@@ -96,28 +96,29 @@ class TestSchurFunctor:
 
     @pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (5, 2), (3, 3)])
     def test_factored_rank_matches_element_route(self, n, d):
+        """The factored image is the element route's canonical subspace, so
+        their ranks agree too."""
         for shape in bipartitions(d):
-            dim = schur_functor_subspace(shape, n, SYMBOLIC).dim
-            assert schur_functor_dimension(shape, n, SYMBOLIC) == dim
+            assert schur_functor_diagram_subspace(shape, n, SYMBOLIC) == schur_functor_subspace(
+                shape, n, SYMBOLIC
+            )
 
     @pytest.mark.parametrize("Q,q", [(2, 3), (3, 2), (5, 3), (3, 7)])
     def test_factored_rank_matches_element_route_specialized(self, Q, q):
         bk = SpecializedBackend(Specialization(Q, q))
         for shape in bipartitions(3):
-            dim = schur_functor_subspace(shape, 4, bk).dim
-            assert schur_functor_dimension(shape, 4, bk) == dim
+            assert schur_functor_diagram_subspace(shape, 4, bk) == schur_functor_subspace(
+                shape, 4, bk
+            )
 
 
 class TestSchurAlgebra:
-    @pytest.mark.parametrize("n,d,expected", [(3, 1, 5), (3, 2, 15), (5, 2, 91)])
+    @pytest.mark.parametrize("n,d,expected", [(3, 1, 5), (3, 2, 15), (5, 2, 91), (7, 2, 325)])
     def test_dimension_two_ways(self, n, d, expected):
         assert schur_algebra_dimension_orbit(n, d, SYMBOLIC) == expected
+        assert schur_algebra_dimension_orbit(n, d, SPEC) == expected
         if n**d <= 30:
             assert schur_algebra_dimension_commutant(n, d, SYMBOLIC) == expected
-
-    def test_auto_method(self):
-        assert schur_algebra_dimension(3, 2, SYMBOLIC) == 15
-        assert schur_algebra_dimension(7, 2, SPEC) == 325
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
@@ -134,6 +135,16 @@ class TestDecomposition:
         assert led["sum_dimL_sq"] == led["schur_algebra_dim"]
         for row in led["rows"]:
             assert row["dimL"] == row["dimL_formula"]
+
+    def test_ledger_takes_no_commutant(self, monkeypatch, capsys):
+        # the Schur algebra dimension comes from the orbit route alone
+        def refuse(gens):
+            raise AssertionError("the ledger built a commutant")
+
+        monkeypatch.setattr(schur, "commutant_dimension", refuse)
+        assert schur_weyl_decompose(5, 2, SYMBOLIC)["pass"]
+        assert main(["decompose", "--n", "3", "--d", "2"]) == 0
+        assert "Schur algebra dim 15" in capsys.readouterr().out
 
     def test_double_centralizer(self):
         for n, d, expected in [(3, 1, 5), (3, 2, 15)]:
