@@ -425,6 +425,7 @@ COMMANDS = {
         spaces=lambda a: [(a.n, shape_size(a))],
         degree=lambda a: shape_size(a),
         rank=lambda a: (shape_size(a),),
+        refusal=lambda a, bk: "a shape needs at least one box" if not shape_size(a) else None,
     ),
     "eigen": Row(lambda a, bk: cmd_eigen(a, bk), refusal=specialized_only("eigen")),
     "centralizer": Row(lambda a, bk: cmd_centralizer(a, bk)),

@@ -196,15 +196,6 @@ class ExactMatrix:
                 e[(r1 * other.nrows + r2, c1 * other.ncols + c2)] = a * b
         return ExactMatrix(self.nrows * other.nrows, self.ncols * other.ncols, e, self.one)
 
-    def map_entries(self, fn, one):
-        """Entry-wise image under a field map (used for specialization)."""
-        e = {}
-        for k, v in self.entries.items():
-            w = fn(v)
-            if w:
-                e[k] = w
-        return ExactMatrix(self.nrows, self.ncols, e, one)
-
     # -- elimination
 
     def _row_echelon(self, full=True):

@@ -67,6 +67,9 @@ class HeckeElement:
     def __eq__(self, other):
         return isinstance(other, HeckeElement) and self.d == other.d and self.terms == other.terms
 
+    def __hash__(self):
+        return hash((self.d, frozenset(self.terms.items())))
+
     # -- linear structure
 
     def __add__(self, other):

@@ -40,7 +40,7 @@ from .scalars import (
     Specialization,
     specialize,
 )
-from .weylcomb import index_set, orbit_with_minimal_reps, shift_outward
+from .weylcomb import SignedPermutation, index_set, orbit_with_minimal_reps, shift_outward
 
 
 class UnclassifiedEigenvalue(ArithmeticError):
@@ -160,15 +160,20 @@ def generator_matrix(n, d, i, bk):
 
 @functools.cache
 def rho_basis(n, d, w, bk):
-    """rho(T_w); built along a reduced word, rightmost letter applied first."""
-    out = ExactMatrix.identity(n**d, bk.one)
-    for i in w.reduced_word():
-        out = generator_matrix(n, d, i, bk) * out
-    return out
+    """rho(T_w) = rho(T_s) rho(T_{ws}) for the last letter s of a reduced word
+    of w: one product on the cached matrix of the shorter prefix."""
+    word = w.reduced_word()
+    if not word:
+        return ExactMatrix.identity(n**d, bk.one)
+    s = word[-1]
+    prefix = w * SignedPermutation.generator(d, s)
+    return generator_matrix(n, d, s, bk) * rho_basis(n, d, prefix, bk)
 
 
+@functools.cache
 def rho(elem, n, bk=SYMBOLIC):
-    """Matrix of a Hecke element acting on V_n^{(x) d} (d = elem.d)."""
+    """Matrix of a Hecke element acting on V_n^{(x) d} (d = elem.d); cached,
+    so each distinct factor of a bipartition element is built once."""
     d = elem.d
     out = ExactMatrix.zeros(n**d, n**d, bk.one)
     for w, c in elem.terms.items():

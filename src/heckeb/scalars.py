@@ -583,14 +583,6 @@ RF_Q = RationalFunction(Q_POLY)
 RF_q = RationalFunction(q_POLY)
 
 
-def f_d(d: int) -> LaurentPoly2:
-    """The separation polynomial prod_{i=1-d}^{d-1} (Q^-2 + q^{2i})."""
-    out = LP_ONE
-    for i in range(1 - d, d):
-        out = out * (LaurentPoly2.monomial(1, -2, 0) + LaurentPoly2.monomial(1, 0, 2 * i))
-    return out
-
-
 def _coprime_base(values):
     """Pairwise coprime integers > 1 such that every value > 1 is a product of
     their powers."""

@@ -272,6 +272,13 @@ class TestErrors:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", ["|", "-|-"])
+    def test_shape_with_no_boxes_exits_2(self, capsys, shape):
+        assert main(["schur", "--shape=" + shape, "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a shape needs at least one box\n"
+
     def test_even_permutation_suite_exits_2(self, capsys):
         assert main(["verify", "--suite", "permutation", "--n", "4", "--d", "2"]) == 2
 

@@ -22,6 +22,7 @@ from heckeb.rep import (
     k_block,
     r_block,
     rho,
+    rho_basis,
     tensor_tuples,
     verify_coideal_commutation,
     verify_k_against_center,
@@ -29,7 +30,7 @@ from heckeb.rep import (
     verify_rk_equations,
 )
 from heckeb.scalars import default_specialization
-from heckeb.weylcomb import shift_center, shift_outward
+from heckeb.weylcomb import all_elements, shift_center, shift_outward
 
 SPEC = SpecializedBackend(default_specialization())
 
@@ -53,11 +54,24 @@ class TestAction:
                 HeckeElement.generator(d, i), n, SYMBOLIC
             )
 
+    @pytest.mark.parametrize("bk", [SYMBOLIC, SPEC], ids=["symbolic", "Q=2,q=3"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rho_basis_by_prefix_matches_word(self, bk, d):
+        """rho_basis builds T_w from its cached prefix; the product along a
+        whole reduced word gives the same matrix."""
+        n = 2
+        for w in all_elements(d):
+            out = ExactMatrix.identity(n**d, bk.one)
+            for i in w.reduced_word():
+                out = generator_matrix(n, d, i, bk) * out
+            assert rho_basis(n, d, w, bk) == out
+
     def test_specialized_matches_symbolic(self):
         n, d = 3, 2
         sym = rho(jucys_murphy(d, 2), n, SYMBOLIC)
         spc = rho(jucys_murphy(d, 2), n, SPEC)
-        assert sym.map_entries(SPEC.of, SPEC.one) == spc
+        specialized = {k: SPEC.of(v) for k, v in sym.entries.items()}
+        assert ExactMatrix(sym.nrows, sym.ncols, specialized, SPEC.one) == spc
 
 
 class TestRKEquations:

@@ -18,7 +18,6 @@ from heckeb.scalars import (
     RationalFunction,
     Specialization,
     default_specialization,
-    f_d,
     poly_divexact,
     poly_gcd,
     specialize,
@@ -178,9 +177,6 @@ class TestSpecialization:
     def test_default_point(self):
         s = default_specialization()
         assert (s.valueQ, s.valueq) == (2, 3)
-
-    def test_separation_polynomial_value(self):
-        assert f_d(2).evaluate(Fraction(2), Fraction(3)) == Fraction(2405, 576)
 
     def test_invalid_points_rejected(self):
         with pytest.raises(InvalidSpecialization):

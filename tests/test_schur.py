@@ -1,12 +1,17 @@
 """Signed powers, Schur functors, centralizer algebras, decompositions."""
 
+from math import prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeb import schur
 from heckeb.cli import main
 from heckeb.exactlinalg import Subspace
-from heckeb.rep import SYMBOLIC, BudgetExceeded, SpecializedBackend
-from heckeb.scalars import Specialization, default_specialization
+from heckeb.hecke import HeckeElement, bipartition_factors, jucys_murphy
+from heckeb.rep import SYMBOLIC, BudgetExceeded, SpecializedBackend, rho
+from heckeb.scalars import RF_ONE, RF_Q, Specialization, default_specialization
 from heckeb.schur import (
     PM_KINDS,
     check_budget,
@@ -18,6 +23,7 @@ from heckeb.schur import (
     pm_power_basis,
     pm_power_dimension,
     pm_power_kernel,
+    product_image,
     schur_algebra_dimension_commutant,
     schur_algebra_dimension_orbit,
     schur_functor_diagram_subspace,
@@ -28,7 +34,7 @@ from heckeb.schur import (
     verify_double_centralizer,
     verify_e_hecke,
 )
-from heckeb.weylcomb import bipartitions, semistandard_bitableaux_count
+from heckeb.weylcomb import all_elements, bipartitions, semistandard_bitableaux_count
 
 SPEC = SpecializedBackend(default_specialization())
 
@@ -110,6 +116,58 @@ class TestSchurFunctor:
             assert schur_functor_diagram_subspace(shape, 4, bk) == schur_functor_subspace(
                 shape, 4, bk
             )
+
+
+@st.composite
+def factor_lists(draw, max_rank, max_len, small_shifts):
+    """One to max_len Hecke elements of one rank d <= max_rank: generators,
+    shifts K_j + c (c = Q, -1/Q, or a small integer if small_shifts) and
+    basis elements with small integer coefficients."""
+    d = draw(st.integers(1, max_rank))
+    small = st.integers(-2, 2).map(lambda c: RF_ONE * c)
+    shift = st.sampled_from([RF_Q, -RF_Q.inverse()])
+    if small_shifts:
+        shift = st.one_of(shift, small)
+    one = HeckeElement.one(d)
+    elements = st.one_of(
+        st.integers(0, d - 1).map(lambda i: HeckeElement.generator(d, i)),
+        st.tuples(st.integers(1, d), shift).map(lambda p: jucys_murphy(d, p[0]) + one.scale(p[1])),
+        st.tuples(st.sampled_from(sorted(all_elements(d), key=lambda w: w.images)), small).map(
+            lambda p: HeckeElement.basis(d, *p)
+        ),
+    )
+    return draw(st.lists(elements, min_size=1, max_size=max_len))
+
+
+def expanded_image(factors, n, bk):
+    return rho(prod(factors[1:], start=factors[0]), n, bk).column_space()
+
+
+class TestProductRoute:
+    def test_each_distinct_factor_built_once(self):
+        """The ledger at d = 3 multiplies through 52 non-identity factors, of
+        which 15 are distinct: rho builds each of those once and serves the
+        other 37 calls from its cache."""
+        one = HeckeElement.one(3)
+        factors = [f for s in bipartitions(3) for f in bipartition_factors(s) if f != one]
+        rho.cache_clear()
+        schur_weyl_decompose(3, 3, SpecializedBackend(Specialization(2, 3)))
+        built = rho.cache_info()
+        assert (len(factors), len(set(factors))) == (52, 15)
+        assert (built.misses, built.hits) == (15, 37)
+
+    @given(factors=factor_lists(3, 4, small_shifts=True))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_expanded_product_at_a_point(self, factors):
+        n = 3 if factors[0].d < 3 else 2
+        assert product_image(factors, n, SPEC) == expanded_image(factors, n, SPEC)
+
+    # Eliminating the expanded matrix symbolically is the slow side: at rank
+    # 3, or with integer shifts, one 8x8 column space can take tens of seconds
+    @given(factors=factor_lists(2, 2, small_shifts=False))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_expanded_product_symbolic(self, factors):
+        assert product_image(factors, 2, SYMBOLIC) == expanded_image(factors, 2, SYMBOLIC)
 
 
 class TestSchurAlgebra:
