@@ -50,8 +50,8 @@ from .rep import (
 from .hecke import central_element, cylinder_identity_holds, jucys_murphy, jucys_murphy_commute
 from .scalars import InvalidSpecialization, Specialization
 from .schur import (
-    ALGEBRA_MAX_RANK,
     COMMUTANT_MAX_DIM,
+    LEDGER_MAX_RANK,
     PM_KINDS,
     check_budget,
     check_rank,
@@ -358,8 +358,9 @@ class Row(NamedTuple):
     degree: Callable = lambda a: a.d  # rank of the Hecke algebra the point must be valid to
     # why it cannot run at all: a usage error when named alone, a skip in 'all'
     refusal: Callable = lambda a, bk: None
-    # check_rank arguments (Hecke rank[, cap, budget]) for the elements it multiplies
-    # out, rank 0 for none; the ledger's (decompose, schur) are the factors of e'
+    # check_rank arguments (Hecke rank[, cap, budget]) of the elements it multiplies
+    # out, which its tensor spaces do not bound (n^d = 1 at n = 1), rank 0 for none;
+    # the ledger (decompose, schur) multiplies the factors of e', at the ledger cap
     rank: Callable = lambda a: (0,)
 
 
@@ -376,10 +377,12 @@ SUITES = {
     "jucys-murphy": Row(
         lambda a, bk: {"jucys_murphy_commute": jucys_murphy_commute(a.d)},
         spaces=lambda a: [],
-        rank=lambda a: (a.d, ALGEBRA_MAX_RANK, "Hecke algebra"),
+        rank=lambda a: (a.d,),
     ),
     "spectra": Row(
-        lambda a, bk: {"spectra": all_semisimple(a.n, a.d, bk)}, refusal=specialized_only("spectra")
+        lambda a, bk: {"spectra": all_semisimple(a.n, a.d, bk)},
+        refusal=specialized_only("spectra"),
+        rank=lambda a: (a.d,),
     ),
     "rk-equations": Row(
         lambda a, bk: {
@@ -391,11 +394,12 @@ SUITES = {
         },
         # V^{(x) d} for the central element, V^{(x) 2e} for the R and K blocks
         spaces=lambda a: [(a.n, a.d), (a.n, 2 * a.e)],
+        rank=lambda a: (max(a.d, 2 * a.e),),
     ),
     "cylinder": Row(
         lambda a, bk: {"cylinder_identity": cylinder_identity_holds(a.d, a.e)},
         spaces=lambda a: [],
-        rank=lambda a: (a.d + a.e, ALGEBRA_MAX_RANK, "Hecke algebra"),
+        rank=lambda a: (a.d + a.e,),
     ),
     "permutation": Row(
         lambda a, bk: {"permutation_intertwiners": verify_permutation_intertwiners(a.n, a.d, bk)},
@@ -414,20 +418,25 @@ SUITES = {
         lambda a, bk: {"e_hecke_consistency": verify_e_hecke(a.n, a.d, a.e, bk)},
         spaces=lambda a: [(a.n, a.d * a.e)],
         degree=lambda a: a.d * a.e,
+        rank=lambda a: (a.d * a.e,),
     ),
 }
 
 COMMANDS = {
     "dims": Row(lambda a, bk: cmd_dims(a, bk)),
-    "decompose": Row(lambda a, bk: cmd_decompose(a, bk), rank=lambda a: (a.d,)),
+    "decompose": Row(
+        lambda a, bk: cmd_decompose(a, bk), rank=lambda a: (a.d, LEDGER_MAX_RANK, "ledger")
+    ),
     "schur": Row(
         lambda a, bk: cmd_schur(a, bk),
         spaces=lambda a: [(a.n, shape_size(a))],
         degree=lambda a: shape_size(a),
-        rank=lambda a: (shape_size(a),),
+        rank=lambda a: (shape_size(a), LEDGER_MAX_RANK, "ledger"),
         refusal=lambda a, bk: "a shape needs at least one box" if not shape_size(a) else None,
     ),
-    "eigen": Row(lambda a, bk: cmd_eigen(a, bk), refusal=specialized_only("eigen")),
+    "eigen": Row(
+        lambda a, bk: cmd_eigen(a, bk), refusal=specialized_only("eigen"), rank=lambda a: (a.d,)
+    ),
     "centralizer": Row(lambda a, bk: cmd_centralizer(a, bk)),
 }
 
@@ -497,6 +506,12 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value that starts with '-' for an option: join a shape
+    # with an empty left side to its flag, '--shape -|4' to '--shape=-|4'
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] == "--shape" and "|" in argv[i]:
+            argv[i - 1 : i + 1] = ["--shape=" + argv[i]]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

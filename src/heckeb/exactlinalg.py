@@ -85,9 +85,6 @@ class ExactMatrix:
 
     # -- views
 
-    def column(self, j):
-        return {r: v for (r, c), v in self.entries.items() if c == j}
-
     def columns(self):
         cols = [dict() for _ in range(self.ncols)]
         for (r, c), v in self.entries.items():

@@ -31,7 +31,6 @@ from .exactlinalg import (
     ExactMatrix,
     minimal_polynomial,
     poly_divmod,
-    poly_eval_matrix,
 )
 from .scalars import (
     RF_ONE,
@@ -570,26 +569,3 @@ def eigenvalue_multiplicities(m: ExactMatrix, candidates):
         )
     return mults
 
-
-def generalized_eigensplit(m: ExactMatrix, candidates):
-    """Split the space into the generalized eigenspaces for the candidates
-    with positive value and those with negative value.
-
-    Returns (positive subspace, negative subspace, multiplicity dict).
-    """
-    mults = eigenvalue_multiplicities(m, candidates)
-    one = m.one
-    pos_ann = [one]
-    neg_ann = [one]
-    from .exactlinalg import poly_mul
-
-    for lam, k in mults.items():
-        fac = [-lam, one]
-        for _ in range(k):
-            if lam > 0:
-                pos_ann = poly_mul(pos_ann, fac)
-            else:
-                neg_ann = poly_mul(neg_ann, fac)
-    pos = poly_eval_matrix(neg_ann, m).column_space()
-    neg = poly_eval_matrix(pos_ann, m).column_space()
-    return pos, neg, mults

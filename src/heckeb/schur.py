@@ -47,9 +47,7 @@ from .exactlinalg import (
     matrix_algebra_dimension,
     minimal_polynomial,
     poly_derivative,
-    poly_eval_matrix,
     poly_gcd_monic,
-    poly_mul,
     vstack,
 )
 from .hecke import (
@@ -57,18 +55,13 @@ from .hecke import (
     bipartition_element,
     bipartition_factors,
     central_element,
-    shuffle_t,
-    u_minus,
-    u_plus,
 )
 from .rep import (
     SYMBOLIC,
     BudgetExceeded,
     PermutationModule,
     SpecializedBackend,
-    central_candidate_eigenvalues,
     coideal_generators,
-    eigenvalue_multiplicities,
     embed_factors,
     generator_matrix,
     k_block,
@@ -83,7 +76,6 @@ from .weylcomb import (
     block_flip,
     block_transposition,
     dominant_tuples,
-    orbit_with_minimal_reps,
     semistandard_bitableaux_count,
     stabilizer_parabolic,
     standard_bitableaux_count,
@@ -93,13 +85,15 @@ PM_KINDS = ("s_plus", "s_minus", "wedge_plus", "wedge_minus")
 
 SYMBOLIC_BUDGET = 125
 SPECIALIZED_BUDGET = 400
-# largest rank of the Hecke algebra in which the ledger (decompose, schur)
-# multiplies out bipartition elements or their factors: n^d does not bound
-# that work, and at n = 1 it bounds nothing
-LEDGER_MAX_RANK = 4
-# the same for the jucys-murphy (rank d) and cylinder (d + e) suites, which
-# build no tensor space: 1.2 s at d = 16 and 0.6 s at d = e = 8 (2-vCPU Xeon)
+# largest rank of the Hecke algebra in which a command multiplies out Hecke
+# elements, work that n^d does not bound (at n = 1 it bounds nothing): rank d
+# for jucys-murphy, spectra and eigen, d + e for cylinder, max(d, 2e) for
+# rk-equations, d * e for e-hecke.  At the cap jucys-murphy takes 1.2 s,
+# cylinder 0.6 s at d = e = 8, and eigen ~1 s at n = 1 (2-vCPU Xeon)
 ALGEBRA_MAX_RANK = 16
+# the same for the ledger (decompose, schur), which multiplies out
+# bipartition elements or their factors
+LEDGER_MAX_RANK = 4
 # largest n**d at which the centralizer command cross-checks the orbit route
 # against the full commutant, whose Sylvester system has n**(2d) columns
 COMMUTANT_MAX_DIM = 30
@@ -120,7 +114,7 @@ def check_budget(n, d, bk):
     )
 
 
-def check_rank(d, cap=LEDGER_MAX_RANK, budget="ledger"):
+def check_rank(d, cap=ALGEBRA_MAX_RANK, budget="Hecke algebra"):
     if d > cap:
         raise BudgetExceeded("Hecke rank %d exceeds the %s budget %d" % (d, budget, cap))
 
@@ -158,12 +152,6 @@ def pm_power_dimension(kind, n, d, bk=SYMBOLIC, flavour="quotient"):
     raise ValueError("flavour must be 'quotient' or 'kernel'")
 
 
-def pm_power_kernel(kind, n, d, bk=SYMBOLIC) -> Subspace:
-    """The kernel-flavour signed power as an honest subspace."""
-    ops = _pm_relation_ops(kind, n, d, bk)
-    return vstack(ops).kernel()
-
-
 def expected_pm_dimension(kind, n, d):
     """The closed-form dimensions of the signed powers."""
     r = n // 2
@@ -175,65 +163,6 @@ def expected_pm_dimension(kind, n, d):
     if n % 2 == 0:
         return comb(r, d)
     return comb(r + 1, d) if k_pos else comb(r, d)
-
-
-def pm_admissible_tuples(kind, n, d):
-    """Dominant doubled tuples indexing the signed-power basis vectors."""
-    k_pos, r_pos = _kind_signs(kind)
-    out = []
-    for a in dominant_tuples(n, d):
-        if not k_pos and 0 in a:
-            # the minus flavours require strictly positive entries
-            continue
-        if not r_pos and len(set(a)) != d:
-            # the wedge flavours require strict increase
-            continue
-        out.append(a)
-    return out
-
-
-def pm_basis_vector(a, kind, n, bk=SYMBOLIC):
-    """The signed orbit sum v(a)_{alpha beta} in ambient coordinates.
-
-    alpha = +- follows the K sign of the kind, beta the R sign; the weight of
-    the orbit point w a is (alpha Q)^{-alpha l_0(w)} (beta q)^{-beta l_1(w)}.
-    """
-    from .rep import tensor_tuples
-
-    k_pos, r_pos = _kind_signs(kind)
-    alpha = 1 if k_pos else -1
-    beta = 1 if r_pos else -1
-    baseQ = RF_Q if k_pos else -RF_Q
-    baseq = RF_q if r_pos else -RF_q
-    _, index = tensor_tuples(n, len(a))
-    vec = {}
-    for b, w in orbit_with_minimal_reps(tuple(a)).items():
-        l0, l1 = w.length_split()
-        coeff = bk.of(baseQ ** (-alpha * l0) * baseq ** (-beta * l1))
-        if coeff:
-            vec[index[b]] = coeff
-    return vec
-
-
-def pm_power_basis(kind, n, d, bk=SYMBOLIC):
-    """The admissible-orbit basis vectors of the kernel-flavour signed power."""
-    return [
-        (a, pm_basis_vector(a, kind, n, bk)) for a in pm_admissible_tuples(kind, n, d)
-    ]
-
-
-def tensor_pm_subspace(sign, n, d, bk=SYMBOLIC) -> Subspace:
-    """The signed halves of the tensor space: images of u_d^+ and u_d^-."""
-    elem = u_plus(d, d) if sign > 0 else u_minus(d, d)
-    return rho(elem, n, bk).column_space()
-
-
-def signed_tensor_subspace(a, b, n, bk=SYMBOLIC) -> Subspace:
-    """The mixed signed block (x)^a_+ (x) (x)^b_- as a subspace of V^{(x)(a+b)}:
-    the image of u_b^- T_{b,a} u_a^+."""
-    d = a + b
-    elem = u_minus(d, b) * shuffle_t(b, a, d) * u_plus(d, a)
-    return rho(elem, n, bk).column_space()
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +317,9 @@ def verify_double_centralizer(n, d, bk):
     the commutant of the Hecke action and the commutant of the coideal
     action, each computed from the generating matrices."""
     hecke_gens = [generator_matrix(n, d, i, bk) for i in range(d)]
-    coideal = list(coideal_generators(n, d, bk).values())
+    # at n = 1 there is no coideal generator; the identity generates the same
+    # unital algebra and has the same commutant
+    coideal = list(coideal_generators(n, d, bk).values()) or [ExactMatrix.identity(n**d, bk.one)]
     schur_dim = commutant_dimension(hecke_gens)
     coideal_alg_dim = matrix_algebra_dimension(coideal)
     hecke_commutant_of_coideal = commutant_dimension(coideal)
@@ -404,7 +335,7 @@ def verify_double_centralizer(n, d, bk):
 
 
 # ---------------------------------------------------------------------------
-# the e-cabled generators and higher signed powers
+# the e-cabled generators
 
 
 def e_hecke_generators(n, d, e, bk=SYMBOLIC):
@@ -441,54 +372,3 @@ def e_hecke_rank1_eigenvalue_count(n, e, s: Specialization):
     mp = minimal_polynomial(m)
     g = poly_gcd_monic(mp, poly_derivative(mp, m.one))
     return len(mp) - len(g)
-
-
-def _r_block_candidates(e, s):
-    out = {}
-    jb = 2 * e * e
-    for j in range(-jb, jb + 1):
-        v = s.valueq**j
-        out[v] = ("+", j)
-        out[-v] = ("-", j)
-    return out
-
-
-def higher_pm_dimension(kind, n, d, e, s: Specialization):
-    """Dimension of a higher signed power of the e-cabled action.
-
-    The largest quotient of V^{(x) de} on which the cabled K acts with only
-    its allowed sign class and every block transposition likewise: divide by
-    the submodule generated by all disallowed generalized eigenspaces.
-    """
-    bk = SpecializedBackend(s)
-    ops = e_hecke_generators(n, d, e, bk)
-    N = n ** (d * e)
-    one = bk.one
-    k_pos, r_pos = _kind_signs(kind)
-    bad = Subspace(N, (), one)
-    for idx, op in enumerate(ops):
-        cands = (
-            central_candidate_eigenvalues(e, s) if idx == 0 else _r_block_candidates(e, s)
-        )
-        allowed_positive = k_pos if idx == 0 else r_pos
-        mults = eigenvalue_multiplicities(op, cands)
-        ann = [one]
-        for lam, k in mults.items():
-            if (lam > 0) == allowed_positive:
-                for _ in range(k):
-                    ann = poly_mul(ann, [-lam, one])
-        if len(ann) == 1:
-            # no allowed eigenvalue at all: the whole space is disallowed
-            bad = Subspace(N, ExactMatrix.identity(N, one).columns(), one)
-            break
-        for col in poly_eval_matrix(ann, op).columns():
-            bad.insert(col)
-    # close under the action
-    changed = True
-    while changed:
-        changed = False
-        for op in ops:
-            for v in list(bad.basis()):
-                if bad.insert(op.apply(v)):
-                    changed = True
-    return N - bad.dim

@@ -18,6 +18,7 @@ odd doubled values for even n.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb, factorial
 
 
@@ -237,17 +238,7 @@ def stabilizer_parabolic(a):
 
 def dominant_tuples(n, d):
     """All dominant index tuples in I_n^d (doubled values, weakly increasing)."""
-    vals = [v for v in index_set(n) if v >= 0]
-
-    def rec(k, lo):
-        if k == 0:
-            yield ()
-            return
-        for i in range(lo, len(vals)):
-            for rest in rec(k - 1, i):
-                yield (vals[i],) + rest
-
-    return [t for t in rec(d, 0)]
+    return list(combinations_with_replacement([v for v in index_set(n) if v >= 0], d))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from heckeb.schur import (
     expected_pm_dimension,
     irreducibility_report,
     pm_power_dimension,
-    pm_power_kernel,
     schur_functor_diagram_subspace,
     schur_functor_subspace,
     schur_weyl_decompose,
@@ -135,7 +134,7 @@ def test_06_signed_power_dimensions():
             for kind in PM_KINDS:
                 expected = expected_pm_dimension(kind, n, d)
                 ok = ok and pm_power_dimension(kind, n, d, bk, "quotient") == expected
-                ok = ok and pm_power_kernel(kind, n, d, bk).dim == expected
+                ok = ok and pm_power_dimension(kind, n, d, bk, "kernel") == expected
     report(6, "signed power dimensions are binomial", ok)
 
 

@@ -66,6 +66,10 @@ class TestCommands:
             (["--suite", "spectra", "--n", "2", "--d", "3", "--backend", "Q=2,q=3"], "spectra"),
             (["--suite", "rk-equations", "--n", "2", "--d", "1", "--e", "1"], "rk_equations"),
             (["--suite", "double-centralizer", "--n", "2", "--d", "2"], "double_centralizer"),
+            # V_1 has no coideal generator
+            (["--suite", "double-centralizer", "--n", "1", "--d", "1"], "double_centralizer"),
+            (["--suite", "all", "--n", "1", "--d", "2", "--e", "2"], "overall"),
+            (["--suite", "all", "--n", "1", "--d", "2", "--e", "2", "--backend", "Q=2,q=3"], "overall"),
             (["--suite", "e-hecke", "--n", "2", "--d", "2", "--e", "1"], "e_hecke_consistency"),
             # the suite ignores e, so the point is checked to degree d only
             (
@@ -81,6 +85,9 @@ class TestCommands:
             "spectra",
             "rk-equations",
             "double-centralizer",
+            "double-centralizer-n1",
+            "all-n1",
+            "all-n1-specialized",
             "e-hecke",
             "unused-e",
         ],
@@ -106,6 +113,14 @@ class TestCommands:
         assert code == 0
         assert "dim 2 (formula 2)" in out
 
+    @pytest.mark.parametrize("shape", ["-|2", "-|1,1"])
+    def test_shape_with_empty_left_side(self, capsys, shape):
+        # a value that starts with '-' is read as the shape, not as an option
+        code, out = run(capsys, ["schur", "--shape", shape, "--n", "3"])
+        assert code == 0
+        assert out.startswith("schur functor %s on V_3" % shape)
+        assert run(capsys, ["schur", "--shape=" + shape, "--n", "3"]) == (code, out)
+
     def test_eigen_command(self, capsys):
         code, out = run(
             capsys, ["eigen", "--n", "2", "--d", "2", "--backend", "Q=2,q=3"]
@@ -117,6 +132,12 @@ class TestCommands:
         code, out = run(capsys, ["centralizer", "--n", "3", "--d", "2"])
         assert code == 0
         assert "15" in out
+
+    def test_centralizer_at_high_degree(self, capsys):
+        # n^d = 1 at n = 1, so any d is within budget; no recursion over d
+        code, out = run(capsys, ["centralizer", "--n", "1", "--d", "1200"])
+        assert code == 0
+        assert "Schur algebra dim (orbit method): 1" in out
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "dims.json"
@@ -173,8 +194,36 @@ class TestErrors:
                 ["verify", "--suite", "cylinder", "--n", "1", "--d", "20", "--e", "20"],
                 "Hecke rank 40 exceeds the Hecke algebra budget",
             ),
+            # nor these at n = 1: Hecke elements of rank d, max(d, 2e) and d e
+            (
+                ["eigen", "--n", "1", "--d", "30", "--backend", "Q=2,q=3"],
+                "Hecke rank 30 exceeds the Hecke algebra budget",
+            ),
+            (
+                ["verify", "--suite", "rk-equations", "--n", "1", "--d", "40"],
+                "Hecke rank 40 exceeds the Hecke algebra budget",
+            ),
+            (
+                ["verify", "--suite", "rk-equations", "--n", "1", "--d", "1", "--e", "600"],
+                "Hecke rank 1200 exceeds the Hecke algebra budget",
+            ),
+            (
+                ["verify", "--suite", "e-hecke", "--n", "1", "--d", "2", "--e", "400"],
+                "Hecke rank 800 exceeds the Hecke algebra budget",
+            ),
         ],
-        ids=["dims", "rk-tensor", "rk-blocks", "permutation", "jucys-murphy", "cylinder"],
+        ids=[
+            "dims",
+            "rk-tensor",
+            "rk-blocks",
+            "permutation",
+            "jucys-murphy",
+            "cylinder",
+            "eigen-n1",
+            "rk-rank-d",
+            "rk-rank-e",
+            "e-hecke-n1",
+        ],
     )
     def test_budget_exits_2(self, capsys, argv, message):
         assert main(argv) == 2

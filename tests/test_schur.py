@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from heckeb import schur
 from heckeb.cli import main
-from heckeb.exactlinalg import Subspace
-from heckeb.hecke import HeckeElement, bipartition_factors, jucys_murphy
+from heckeb.hecke import HeckeElement, bipartition_factors, jucys_murphy, shuffle_t, u_minus, u_plus
 from heckeb.rep import SYMBOLIC, BudgetExceeded, SpecializedBackend, rho
 from heckeb.scalars import RF_ONE, RF_Q, Specialization, default_specialization
 from heckeb.schur import (
@@ -17,24 +16,23 @@ from heckeb.schur import (
     check_budget,
     e_hecke_rank1_eigenvalue_count,
     expected_pm_dimension,
-    higher_pm_dimension,
     irreducibility_report,
-    pm_admissible_tuples,
-    pm_power_basis,
     pm_power_dimension,
-    pm_power_kernel,
     product_image,
     schur_algebra_dimension_commutant,
     schur_algebra_dimension_orbit,
     schur_functor_diagram_subspace,
     schur_functor_subspace,
     schur_weyl_decompose,
-    signed_tensor_subspace,
-    tensor_pm_subspace,
     verify_double_centralizer,
     verify_e_hecke,
 )
-from heckeb.weylcomb import all_elements, bipartitions, semistandard_bitableaux_count
+from heckeb.weylcomb import (
+    all_elements,
+    bipartition_fits,
+    bipartitions,
+    semistandard_bitableaux_count,
+)
 
 SPEC = SpecializedBackend(default_specialization())
 
@@ -48,31 +46,23 @@ class TestSignedPowers:
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (3, 3)])
     @pytest.mark.parametrize("kind", PM_KINDS)
     def test_kernel_dimension(self, kind, n, d):
-        assert pm_power_kernel(kind, n, d, SYMBOLIC).dim == expected_pm_dimension(kind, n, d)
-
-    @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (3, 3)])
-    @pytest.mark.parametrize("kind", PM_KINDS)
-    def test_admissible_basis_spans_kernel(self, kind, n, d):
-        tuples = pm_admissible_tuples(kind, n, d)
-        assert len(tuples) == expected_pm_dimension(kind, n, d)
-        kernel = pm_power_kernel(kind, n, d, SYMBOLIC)
-        span = Subspace(n**d, (), SYMBOLIC.one)
-        for _, vec in pm_power_basis(kind, n, d, SYMBOLIC):
-            span.insert(vec)
-        assert span == kernel
+        assert pm_power_dimension(kind, n, d, SYMBOLIC, "kernel") == expected_pm_dimension(kind, n, d)
 
     def test_tensor_pm_dimensions(self):
         # the two halves are joint eigenspace sums, not complements
         for n, d in [(3, 2), (4, 2), (5, 2)]:
-            plus = tensor_pm_subspace(1, n, d, SPEC)
-            minus = tensor_pm_subspace(-1, n, d, SPEC)
+            plus = rho(u_plus(d, d), n, SPEC).column_space()
+            minus = rho(u_minus(d, d), n, SPEC).column_space()
             assert plus.dim == ((n + 1) // 2) ** d
             assert minus.dim == (n // 2) ** d
 
     def test_signed_tensor_dimensions_multiply(self):
+        # the mixed block (x)^a_+ (x) (x)^b_- is the image of u_b^- T_{b,a} u_a^+
         n = 5
-        assert signed_tensor_subspace(1, 1, n, SPEC).dim == 6
-        assert signed_tensor_subspace(2, 1, n, SPEC).dim == 18
+        for a, b, expected in [(1, 1, 6), (2, 1, 18)]:
+            d = a + b
+            elem = u_minus(d, b) * shuffle_t(b, a, d) * u_plus(d, a)
+            assert rho(elem, n, SPEC).column_space().dim == expected
 
 
 class TestSchurFunctor:
@@ -222,19 +212,21 @@ class TestCabled:
         assert verify_e_hecke(n, d, e, SYMBOLIC)
 
     def test_rank1_eigenvalue_counts(self):
-        s = default_specialization()
-        got = [e_hecke_rank1_eigenvalue_count(n, 2, s) for n in (2, 3, 4, 5)]
-        assert got == [3, 4, 5, 5]
+        # c_K acts on the (lam, mu) part by the product over the boxes of the
+        # JM eigenvalues, q^{2c}/Q on lam and -Q q^{2c} on mu (c the content),
+        # which depends only on |mu| and content(lam) + content(mu); at a
+        # generic point the count is the number of such pairs that fit n
+        def content(lam):
+            return sum(j - i for i, row in enumerate(lam) for j in range(row))
 
-    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2)])
-    @pytest.mark.parametrize("kind", PM_KINDS)
-    def test_higher_power_reduces_at_width_one(self, kind, n, d):
         s = default_specialization()
-        assert higher_pm_dimension(kind, n, d, 1, s) == expected_pm_dimension(kind, n, d)
-
-    def test_higher_power_values(self):
-        s = default_specialization()
-        got = {kind: higher_pm_dimension(kind, 3, 2, 2, s) for kind in PM_KINDS}
-        assert got == {"s_plus": 8, "s_minus": 6, "wedge_plus": 3, "wedge_minus": 5}
-        got2 = {kind: higher_pm_dimension(kind, 2, 2, 2, s) for kind in PM_KINDS}
-        assert got2 == {"s_plus": 2, "s_minus": 2, "wedge_plus": 0, "wedge_minus": 1}
+        grid = [(n, e) for n in range(1, 6) for e in (1, 2, 3)] + [
+            (2, 4), (3, 4), (6, 2), (1, 5), (2, 5)
+        ]
+        for n, e in grid:
+            pairs = {
+                (sum(mu), content(lam) + content(mu))
+                for lam, mu in bipartitions(e)
+                if bipartition_fits((lam, mu), n)
+            }
+            assert e_hecke_rank1_eigenvalue_count(n, e, s) == len(pairs), (n, e)
