@@ -373,7 +373,12 @@ def specialized_only(name):
 
 
 SUITES = {
-    "hecke-relations": Row(lambda a, bk: {"rho_relations": verify_rho_relations(a.n, a.d, bk)}),
+    # the braid and commutation checks take O(d^2) products, which n^d = 1 at
+    # n = 1 does not bound
+    "hecke-relations": Row(
+        lambda a, bk: {"rho_relations": verify_rho_relations(a.n, a.d, bk)},
+        rank=lambda a: (a.d,),
+    ),
     "jucys-murphy": Row(
         lambda a, bk: {"jucys_murphy_commute": jucys_murphy_commute(a.d)},
         spaces=lambda a: [],

@@ -18,8 +18,11 @@ The Schur algebra is the centralizer of the Hecke action.  Its dimension is
 computed two independent ways: as a joint-commutant kernel, and orbit by orbit
 through Frobenius reciprocity (each permutation module is induced from a
 one-dimensional character of a parabolic, so Hom(V(a), V(b)) is a simultaneous
-eigenspace inside V(b)).  The ledger takes the orbit route; the centralizer
-command compares the two.
+eigenspace inside V(b)).  That eigenspace depends only on the parabolic of a
+and the orbit type of b (which entries are 0, which neighbours are equal), so
+the orbit route takes one rank per such pair: 56 at n 7, d 3 for its 20 x 20
+pairs of tuples.  The ledger takes the orbit route; the centralizer command
+compares the two.
 
 The Schur functor of a bipartition is the image of the quasi-idempotent
 e'_{lam,mu} = f_1 ... f_k (hecke.bipartition_factors); its dimension matches
@@ -27,15 +30,18 @@ the count of semistandard bitableaux.  rho is an anti-homomorphism, so the
 image is the column space of rho(f_k) ... rho(f_1) (the diagram route), never
 expanding e' in the algebra: a basis matrix starts as rho(f_1), is replaced
 by the sparse product rho(f) * basis at each later factor, and is cut back to
-an echelon basis after each factor that is not a basis element.  rep.rho is
-cached, so each distinct factor matrix is built once per process: the ten
-bipartitions of 3 have 52 non-identity factors, of which 15 are distinct.
-The ledger and the irreducibility report take this route.  The schur command also expands e' (the element
-route) and compares the two images.
+an echelon basis after each factor that is not a basis element.  Shapes of
+one (|lam|, |mu|) share their leading factors, so the ledger and the
+irreducibility report hold the path of the previous shape (a chain) and
+multiply only past the common prefix: the ten bipartitions of 3 have 52
+non-identity factors but 30 distinct prefix products.  rep.rho is cached, so
+each of the 15 distinct factor matrices is built once per process.  The schur
+command also expands e' (the element route) and compares the two images.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 
 from .exactlinalg import (
@@ -87,9 +93,10 @@ SYMBOLIC_BUDGET = 125
 SPECIALIZED_BUDGET = 400
 # largest rank of the Hecke algebra in which a command multiplies out Hecke
 # elements, work that n^d does not bound (at n = 1 it bounds nothing): rank d
-# for jucys-murphy, spectra and eigen, d + e for cylinder, max(d, 2e) for
-# rk-equations, d * e for e-hecke.  At the cap jucys-murphy takes 1.2 s,
-# cylinder 0.6 s at d = e = 8, and eigen ~1 s at n = 1 (2-vCPU Xeon)
+# for hecke-relations, jucys-murphy, spectra and eigen, d + e for cylinder,
+# max(d, 2e) for rk-equations, d * e for e-hecke.  At the cap jucys-murphy
+# takes 1.2 s, cylinder 0.6 s at d = e = 8, and eigen ~1 s at n = 1 (2-vCPU
+# Xeon)
 ALGEBRA_MAX_RANK = 16
 # the same for the ledger (decompose, schur), which multiplies out
 # bipartition elements or their factors
@@ -176,29 +183,46 @@ def schur_algebra_dimension_commutant(n, d, bk=SYMBOLIC):
     return commutant_dimension(gens)
 
 
+def _orbit_type(a):
+    """Which entries of a dominant tuple are 0 and which neighbours are equal."""
+    return tuple(x == 0 for x in a), tuple(x == y for x, y in zip(a, a[1:]))
+
+
 def schur_algebra_dimension_orbit(n, d, bk=SYMBOLIC):
     """The same dimension orbit by orbit: sum over pairs of dominant tuples of
     dim Hom(V(a), V(b)), each Hom being the simultaneous eigenspace of the
-    parabolic character of a inside the permutation module of b."""
-    doms = dominant_tuples(n, d)
-    mods = {a: PermutationModule(n, a, bk) for a in doms}
+    parabolic character of a inside the permutation module of b.
+
+    That eigenspace depends only on the parabolic J of a and the _orbit_type
+    of b, so it is taken once per (J, type) and counted with the number of
+    pairs on that key.  This is exact: two dominant tuples of one type differ
+    by an odd, strictly increasing relabelling of the values (0 to 0, positive
+    to positive), which preserves the sorted order of the orbit's tuples and
+    the relations x == 0, x < 0, x == y and x > y, the only ones
+    rep.action_matrix_on reads; so both permutation modules have the same
+    generator matrices."""
+    parabolics = Counter()
+    types = Counter()
+    reps = {}
+    for a in dominant_tuples(n, d):
+        parabolics[stabilizer_parabolic(a)] += 1
+        t = _orbit_type(a)
+        types[t] += 1
+        reps.setdefault(t, a)
     one = bk.one
     qi = bk.of(RF_q.inverse())
     Qi = bk.of(RF_Q.inverse())
     total = 0
-    for a in doms:
-        J = stabilizer_parabolic(a)
-        for b in doms:
-            pm = mods[b]
-            if not J:
-                total += pm.dim
-                continue
-            mats = []
-            ident = ExactMatrix.identity(pm.dim, one)
-            for i in J:
-                shift = Qi if i == 0 else qi
-                mats.append(pm.generator(i) - ident.scale(shift))
-            total += vstack(mats).nullity()
+    for t, count_b in types.items():
+        pm = PermutationModule(n, reps[t], bk)
+        ident = ExactMatrix.identity(pm.dim, one)
+        for J, count_a in parabolics.items():
+            if J:
+                mats = [pm.generator(i) - ident.scale(Qi if i == 0 else qi) for i in J]
+                hom = vstack(mats).nullity()
+            else:
+                hom = pm.dim
+            total += count_a * count_b * hom
     return total
 
 
@@ -211,33 +235,47 @@ def schur_functor_subspace(shape, n, bk=SYMBOLIC) -> Subspace:
     return rho(bipartition_element(shape), n, bk).column_space()
 
 
-def product_image(factors, n, bk=SYMBOLIC) -> Subspace:
+def product_image(factors, n, bk=SYMBOLIC, chain=None) -> Subspace:
     """Image of rho(f_1 ... f_k) inside V_n^{(x) d}, without expanding the
     product: rho is an anti-homomorphism, so it is the column space of
     rho(f_k) ... rho(f_1).  The basis is kept as one matrix, starting from
     rho(f_1) and replaced by rho(f) * basis at each later factor: one sparse
-    product, whose cost is its multiply-adds."""
+    product, whose cost is its multiply-adds.
+
+    chain, if given, is a caller-owned list of (factor, basis after it) pairs
+    holding the path of the previous call: the longest common prefix with
+    factors is kept, the rest dropped, and only the new tail is multiplied and
+    reduced (None stands for the identity basis).  A chain belongs to one
+    (n, bk); pass a fresh list for any other."""
+    if chain is None:
+        chain = []
+    k = 0
+    for (g, _), f in zip(chain, factors):
+        if g != f:
+            break
+        k += 1
+    del chain[k:]
     d = factors[0].d
     N = n**d
     one = HeckeElement.one(d)
-    basis = None
-    for f in factors:
-        if f == one:
-            continue
-        m = rho(f, n, bk)
-        basis = m if basis is None else m * basis
-        if f.support_size() > 1:  # a basis element T_w is invertible: nothing to reduce
-            basis = ExactMatrix.from_columns(N, basis.column_space().basis(), bk.one)
+    basis = chain[-1][1] if chain else None
+    for f in factors[k:]:
+        if f != one:
+            m = rho(f, n, bk)
+            basis = m if basis is None else m * basis
+            if f.support_size() > 1:  # a basis element T_w is invertible: nothing to reduce
+                basis = ExactMatrix.from_columns(N, basis.column_space().basis(), bk.one)
+        chain.append((f, basis))
     if basis is None:
         basis = ExactMatrix.identity(N, bk.one)
     return basis.column_space()
 
 
-def schur_functor_diagram_subspace(shape, n, bk=SYMBOLIC) -> Subspace:
+def schur_functor_diagram_subspace(shape, n, bk=SYMBOLIC, chain=None) -> Subspace:
     """The same space built factor by factor, not from one algebra product:
     the product_image of hecke.bipartition_factors(shape), each factor matrix
-    built once per process (rep.rho is cached)."""
-    return product_image(bipartition_factors(shape), n, bk)
+    built once per process (rep.rho is cached); chain as in product_image."""
+    return product_image(bipartition_factors(shape), n, bk, chain)
 
 
 def schur_weyl_decompose(n, d, bk=SYMBOLIC):
@@ -250,8 +288,9 @@ def schur_weyl_decompose(n, d, bk=SYMBOLIC):
     """
     check_budget(n, d, bk)
     rows = []
+    chain = []
     for shape in bipartitions(d):
-        dim_l = schur_functor_diagram_subspace(shape, n, bk).dim
+        dim_l = schur_functor_diagram_subspace(shape, n, bk, chain).dim
         rows.append(
             {
                 "shape": shape,
@@ -302,8 +341,9 @@ def irreducibility_report(n, d, bk, shapes=None):
         shapes = [s for s in bipartitions(d) if bipartition_fits(s, n)]
     coideal = list(coideal_generators(n, d, bk).values())
     restricted = {}
+    chain = []
     for s in shapes:
-        sub = schur_functor_diagram_subspace(s, n, bk)
+        sub = schur_functor_diagram_subspace(s, n, bk, chain)
         restricted[s] = [restrict_to_subspace(g, sub) for g in coideal]
     report = {}
     for s1 in shapes:

@@ -211,6 +211,10 @@ class TestErrors:
                 ["verify", "--suite", "e-hecke", "--n", "1", "--d", "2", "--e", "400"],
                 "Hecke rank 800 exceeds the Hecke algebra budget",
             ),
+            (
+                ["verify", "--suite", "hecke-relations", "--n", "1", "--d", "5000"],
+                "Hecke rank 5000 exceeds the Hecke algebra budget",
+            ),
         ],
         ids=[
             "dims",
@@ -223,6 +227,7 @@ class TestErrors:
             "rk-rank-d",
             "rk-rank-e",
             "e-hecke-n1",
+            "hecke-relations-n1",
         ],
     )
     def test_budget_exits_2(self, capsys, argv, message):

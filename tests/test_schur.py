@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from heckeb import schur
 from heckeb.cli import main
 from heckeb.hecke import HeckeElement, bipartition_factors, jucys_murphy, shuffle_t, u_minus, u_plus
-from heckeb.rep import SYMBOLIC, BudgetExceeded, SpecializedBackend, rho
+from heckeb.exactlinalg import ExactMatrix
+from heckeb.rep import SYMBOLIC, BudgetExceeded, PermutationModule, SpecializedBackend, rho
 from heckeb.scalars import RF_ONE, RF_Q, Specialization, default_specialization
 from heckeb.schur import (
     PM_KINDS,
@@ -31,6 +32,7 @@ from heckeb.weylcomb import (
     all_elements,
     bipartition_fits,
     bipartitions,
+    dominant_tuples,
     semistandard_bitableaux_count,
 )
 
@@ -108,25 +110,56 @@ class TestSchurFunctor:
             )
 
 
-@st.composite
-def factor_lists(draw, max_rank, max_len, small_shifts):
-    """One to max_len Hecke elements of one rank d <= max_rank: generators,
-    shifts K_j + c (c = Q, -1/Q, or a small integer if small_shifts) and
-    basis elements with small integer coefficients."""
-    d = draw(st.integers(1, max_rank))
+def factor_elements(d, small_shifts):
+    """Hecke elements of rank d: generators, shifts K_j + c (c = Q, -1/Q, or a
+    small integer if small_shifts) and basis elements with small integer
+    coefficients."""
     small = st.integers(-2, 2).map(lambda c: RF_ONE * c)
     shift = st.sampled_from([RF_Q, -RF_Q.inverse()])
     if small_shifts:
         shift = st.one_of(shift, small)
     one = HeckeElement.one(d)
-    elements = st.one_of(
+    return st.one_of(
         st.integers(0, d - 1).map(lambda i: HeckeElement.generator(d, i)),
         st.tuples(st.integers(1, d), shift).map(lambda p: jucys_murphy(d, p[0]) + one.scale(p[1])),
         st.tuples(st.sampled_from(sorted(all_elements(d), key=lambda w: w.images)), small).map(
             lambda p: HeckeElement.basis(d, *p)
         ),
     )
-    return draw(st.lists(elements, min_size=1, max_size=max_len))
+
+
+@st.composite
+def factor_lists(draw, max_rank, max_len, small_shifts):
+    """One to max_len factor_elements of one rank d <= max_rank."""
+    d = draw(st.integers(1, max_rank))
+    return draw(st.lists(factor_elements(d, small_shifts), min_size=1, max_size=max_len))
+
+
+@st.composite
+def prefix_sharing_lists(draw, max_rank, max_len, small_shifts):
+    """Two to five factor lists of one rank, each made from the one before:
+    the same list, a prefix of it, a prefix with a new tail, the list with
+    another first factor, or a list of identities."""
+    first = draw(factor_lists(max_rank, max_len, small_shifts))
+    one = HeckeElement.one(first[0].d)
+    elements = st.one_of(factor_elements(first[0].d, small_shifts), st.just(one))
+    moves = st.sampled_from(["same", "prefix", "tail", "first", "ones"])
+    lists = [first]
+    for move in draw(st.lists(moves, min_size=1, max_size=4)):
+        prev = lists[-1]
+        if move == "same":
+            nxt = list(prev)
+        elif move == "prefix":
+            nxt = prev[: draw(st.integers(1, len(prev)))]
+        elif move == "tail":
+            cut = draw(st.integers(0, len(prev)))
+            nxt = prev[:cut] + draw(st.lists(elements, min_size=1, max_size=max_len - cut or 1))
+        elif move == "first":
+            nxt = [draw(elements.filter(lambda f: f != prev[0]))] + prev[1:]
+        else:
+            nxt = [one] * draw(st.integers(1, max_len))
+        lists.append(nxt)
+    return lists
 
 
 def expanded_image(factors, n, bk):
@@ -135,16 +168,57 @@ def expanded_image(factors, n, bk):
 
 class TestProductRoute:
     def test_each_distinct_factor_built_once(self):
-        """The ledger at d = 3 multiplies through 52 non-identity factors, of
-        which 15 are distinct: rho builds each of those once and serves the
-        other 37 calls from its cache."""
+        """The ledger at d = 3 has 52 non-identity factors, of which 15 are
+        distinct, but only 30 distinct prefixes: the shared chain multiplies
+        through each prefix once, so rho is called 30 times, building each
+        distinct factor once and serving the other 15 calls from its cache."""
         one = HeckeElement.one(3)
-        factors = [f for s in bipartitions(3) for f in bipartition_factors(s) if f != one]
+        lists = [bipartition_factors(s) for s in bipartitions(3)]
+        factors = [f for fs in lists for f in fs if f != one]
+        prefixes = {tuple(fs[: k + 1]) for fs in lists for k, f in enumerate(fs) if f != one}
         rho.cache_clear()
         schur_weyl_decompose(3, 3, SpecializedBackend(Specialization(2, 3)))
         built = rho.cache_info()
-        assert (len(factors), len(set(factors))) == (52, 15)
-        assert (built.misses, built.hits) == (15, 37)
+        assert (len(factors), len(set(factors)), len(prefixes)) == (52, 15, 30)
+        assert (built.misses, built.hits) == (15, 15)
+
+    @given(lists=prefix_sharing_lists(3, 4, small_shifts=True))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_chain_at_a_point(self, lists):
+        n = 3 if lists[0][0].d < 3 else 2
+        chain = []
+        for factors in lists:
+            assert product_image(factors, n, SPEC, chain) == product_image(factors, n, SPEC)
+
+    @given(lists=prefix_sharing_lists(2, 3, small_shifts=False))
+    @settings(max_examples=20, deadline=None)
+    def test_shared_chain_symbolic(self, lists):
+        chain = []
+        for factors in lists:
+            assert product_image(factors, 2, SYMBOLIC, chain) == product_image(factors, 2, SYMBOLIC)
+
+    def test_each_ledger_call_takes_a_fresh_chain(self, monkeypatch):
+        seen = []
+        route = schur.product_image
+
+        def record(factors, n, bk=SYMBOLIC, chain=None):
+            seen.append((chain, len(chain)))
+            return route(factors, n, bk, chain)
+
+        monkeypatch.setattr(schur, "product_image", record)
+        calls = [
+            lambda: schur_weyl_decompose(3, 2, SPEC),
+            lambda: schur_weyl_decompose(3, 2, SPEC),
+            lambda: irreducibility_report(3, 2, SPEC),
+        ]
+        chains = []
+        for call in calls:
+            del seen[:]
+            call()
+            assert seen[0][1] == 0
+            assert all(chain is seen[0][0] for chain, _ in seen)
+            chains.append(seen[0][0])
+        assert not any(a is b for i, a in enumerate(chains) for b in chains[i + 1 :])
 
     @given(factors=factor_lists(3, 4, small_shifts=True))
     @settings(max_examples=40, deadline=None)
@@ -167,6 +241,37 @@ class TestSchurAlgebra:
         assert schur_algebra_dimension_orbit(n, d, SPEC) == expected
         if n**d <= 30:
             assert schur_algebra_dimension_commutant(n, d, SYMBOLIC) == expected
+
+    def test_one_module_per_orbit_type(self):
+        """Every dominant tuple has the permutation module matrices of the
+        first tuple of its _orbit_type, over n 1-7 (so across n too)."""
+        reps = {}
+        for n in range(1, 8):
+            for d in (1, 2, 3):
+                for a in dominant_tuples(n, d):
+                    pm = PermutationModule(n, a, SPEC)
+                    rep = reps.setdefault(schur._orbit_type(a), pm)
+                    assert pm.dim == rep.dim
+                    for i in range(d):
+                        assert pm.generator(i) == rep.generator(i), (a, rep.dominant, i)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_dimension_is_the_sum_of_squares(self, n):
+        for d in (1, 2, 3):
+            shapes = [s for s in bipartitions(d) if bipartition_fits(s, n)]
+            expected = sum(semistandard_bitableaux_count(s, n) ** 2 for s in shapes)
+            assert schur_algebra_dimension_orbit(n, d, SPEC) == expected
+            if n**d <= 125:
+                assert schur_algebra_dimension_orbit(n, d, SYMBOLIC) == expected
+
+    def test_one_rank_per_parabolic_and_orbit_type(self, monkeypatch):
+        """At n 7, d 3 the 20 dominant tuples have 8 orbit types and 7
+        nonempty parabolics: 56 ranks, not one per pair of tuples (380)."""
+        ranks = []
+        rank = ExactMatrix.rank
+        monkeypatch.setattr(ExactMatrix, "rank", lambda m: ranks.append(m) or rank(m))
+        assert schur_algebra_dimension_orbit(7, 3, SPEC) == 2925
+        assert len(ranks) == 56
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
