@@ -19,8 +19,9 @@ requested checks pass, 1 when a check fails, 2 on usage or budget errors.
 Each verify suite and each other command is one row of a table (SUITES,
 COMMANDS) that states what it refuses, the tensor spaces it builds, the rank
 of the Hecke algebra it works in and what it runs.  main reads the rows in
-that order: refusals, every budget (tensor spaces and Hecke ranks), the point
-checked up to that rank, then the work.
+that order: refusals, every budget (tensor spaces, Hecke ranks and the caps
+of the double-centralizer and spectra rows), the point checked up to that
+rank, then the work.
 """
 
 from __future__ import annotations
@@ -50,10 +51,15 @@ from .rep import (
 from .hecke import central_element, cylinder_identity_holds, jucys_murphy, jucys_murphy_commute
 from .scalars import InvalidSpecialization, Specialization
 from .schur import (
+    ALGEBRA_MAX_RANK,
     COMMUTANT_MAX_DIM,
+    DOUBLE_CENTRALIZER_MAX_RANK,
     LEDGER_MAX_RANK,
     PM_KINDS,
+    SPECTRA_MAX_WIDTH,
+    SYLVESTER_MAX_WIDTH,
     check_budget,
+    check_cap,
     check_rank,
     expected_pm_dimension,
     pm_power_dimension,
@@ -362,10 +368,32 @@ class Row(NamedTuple):
     # out, which its tensor spaces do not bound (n^d = 1 at n = 1), rank 0 for none;
     # the ledger (decompose, schur) multiplies the factors of e', at the ledger cap
     rank: Callable = lambda a: (0,)
+    # check_cap arguments (what, size, cap, budget) of each cost that grows
+    # faster than its tensor spaces; taken after them, which keep each size
+    # small enough to compute
+    caps: Callable = lambda a, bk: ()
 
 
 def shape_size(a):
     return sum(map(sum, parse_shape(a.shape)))
+
+
+def spectra_caps(a, bk):
+    """The spectra budget (spectra suite, eigen command): N * d over the d
+    Jucys-Murphy matrices, N x N with N = n^d."""
+    return [("Jucys-Murphy width n^d * d", a.n**a.d * a.d, SPECTRA_MAX_WIDTH, "spectra")]
+
+
+def double_centralizer_caps(a, bk):
+    """The double-centralizer budget, per backend: the Hecke rank d and the
+    width N^2 = n^(2d) of its Sylvester systems.  At n = 1 every system is
+    1 x 1, so the rank takes the Hecke algebra cap there."""
+    sym = bk.is_symbolic
+    rank_cap = DOUBLE_CENTRALIZER_MAX_RANK[sym] if a.n > 1 else ALGEBRA_MAX_RANK
+    return [
+        ("Hecke rank", a.d, rank_cap, "double-centralizer"),
+        ("Sylvester width n^2d", a.n ** (2 * a.d), SYLVESTER_MAX_WIDTH[sym], "double-centralizer"),
+    ]
 
 
 def specialized_only(name):
@@ -388,6 +416,7 @@ SUITES = {
         lambda a, bk: {"spectra": all_semisimple(a.n, a.d, bk)},
         refusal=specialized_only("spectra"),
         rank=lambda a: (a.d,),
+        caps=spectra_caps,
     ),
     "rk-equations": Row(
         lambda a, bk: {
@@ -418,6 +447,7 @@ SUITES = {
             "double_centralizer": verify_double_centralizer(a.n, a.d, bk)["double_centralizer"],
             "coideal_commutation": not verify_coideal_commutation(a.n, a.d, bk),
         },
+        caps=double_centralizer_caps,
     ),
     "e-hecke": Row(
         lambda a, bk: {"e_hecke_consistency": verify_e_hecke(a.n, a.d, a.e, bk)},
@@ -440,7 +470,10 @@ COMMANDS = {
         refusal=lambda a, bk: "a shape needs at least one box" if not shape_size(a) else None,
     ),
     "eigen": Row(
-        lambda a, bk: cmd_eigen(a, bk), refusal=specialized_only("eigen"), rank=lambda a: (a.d,)
+        lambda a, bk: cmd_eigen(a, bk),
+        refusal=specialized_only("eigen"),
+        rank=lambda a: (a.d,),
+        caps=spectra_caps,
     ),
     "centralizer": Row(lambda a, bk: cmd_centralizer(a, bk)),
 }
@@ -526,6 +559,8 @@ def main(argv=None):
             for base, exponent in row.spaces(args):
                 check_budget(base, exponent, bk)
             check_rank(*row.rank(args))
+            for cap in row.caps(args, bk):
+                check_cap(*cap)
         degree = max(row.degree(args) for row in rows)
         if degree > 6:  # parse_backend checked the point up to degree 6
             bk = parse_backend(args.backend, degree)

@@ -33,6 +33,7 @@ from .exactlinalg import (
     poly_divmod,
 )
 from .scalars import (
+    LP_ONE,
     RF_ONE,
     RF_Q,
     RF_q,
@@ -73,6 +74,14 @@ class SymbolicBackend(_Backend):
     def of(self, rf):
         return rf
 
+    def laurent(self, x):
+        """A matrix or scalar of this backend over ZZ[Q^{+-1}, q^{+-1}]: each
+        entry as its LaurentPoly2 (ArithmeticError if one is not Laurent)."""
+        if isinstance(x, ExactMatrix):
+            e = {k: v.laurent() for k, v in x.entries.items()}
+            return ExactMatrix(x.nrows, x.ncols, e, LP_ONE)
+        return x.laurent()
+
     def __repr__(self):
         return "SymbolicBackend()"
 
@@ -87,6 +96,10 @@ class SpecializedBackend(_Backend):
 
     def of(self, rf):
         return specialize(rf, self.spec)
+
+    def laurent(self, x):
+        """At a point the ring is Q itself: x unchanged."""
+        return x
 
     def __repr__(self):
         return "SpecializedBackend(Q=%s, q=%s)" % (self.spec.valueQ, self.spec.valueq)
@@ -198,9 +211,14 @@ def embed_factors(mat, n, left, right):
 def r_block(a, b, n, bk=SYMBOLIC):
     """R_{V^{(x) a}, V^{(x) b}} on V_n^{(x)(a+b)}, built by the cabling rules
     R_{XY,Z} = (R_{X,Z} (x) 1)(1 (x) R_{Y,Z}) and
-    R_{X,YZ} = (1 (x) R_{X,Z})(R_{X,Y} (x) 1)."""
+    R_{X,YZ} = (1 (x) R_{X,Z})(R_{X,Y} (x) 1).
+
+    The blocks are images of the Hecke algebra over ZZ[Q^{+-1}, q^{+-1}], so
+    the symbolic backend builds them in that ring: every entry is a
+    LaurentPoly2 and no product canonicalises.  At a point they are over
+    Fraction as everywhere else."""
     if a == 1 and b == 1:
-        return generator_matrix(n, 2, 1, bk)
+        return bk.laurent(generator_matrix(n, 2, 1, bk))
     if a > 1:
         return embed_factors(r_block(a - 1, b, n, bk), n, 0, 1) * embed_factors(
             r_block(1, b, n, bk), n, a - 1, 0
@@ -213,10 +231,11 @@ def r_block(a, b, n, bk=SYMBOLIC):
 @functools.cache
 def k_block(d, n, bk=SYMBOLIC):
     """K_{V^{(x) d}} by the cylinder rule
-    K_{VW} = (K_V (x) 1) R_{W,V} (K_W (x) 1) R_{V,W} with V the first factor."""
+    K_{VW} = (K_V (x) 1) R_{W,V} (K_W (x) 1) R_{V,W} with V the first factor;
+    LaurentPoly2 entries in the symbolic backend, as for r_block."""
     if d == 1:
-        return generator_matrix(n, 1, 0, bk)
-    kv = embed_factors(generator_matrix(n, 1, 0, bk), n, 0, d - 1)
+        return bk.laurent(generator_matrix(n, 1, 0, bk))
+    kv = embed_factors(k_block(1, n, bk), n, 0, d - 1)
     kw = embed_factors(k_block(d - 1, n, bk), n, 0, 1)
     return kv * r_block(d - 1, 1, n, bk) * kw * r_block(1, d - 1, n, bk)
 
@@ -230,10 +249,13 @@ def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):
     k_consistency): the Yang-Baxter equation does not see K, and the honest
     run already checks it.  The reflection-side consistency then fails for
     n >= 2, which serves as a negative control on the whole setup.
+
+    Every matrix here is over the ring of the blocks (r_block), so the
+    symbolic run multiplies LaurentPoly2 entries only.
     """
     rb = r_block(e, e, n, bk)
-    kb = ExactMatrix.identity(n**e, bk.one) if sabotage_k else k_block(e, n, bk)
-    one = bk.one
+    one = rb.one
+    kb = ExactMatrix.identity(n**e, one) if sabotage_k else k_block(e, n, bk)
     results = {}
     if not sabotage_k:
         # braid relation on three e-blocks
@@ -245,9 +267,9 @@ def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):
     cyl = k1 * rb * k1 * rb
     results["reflection"] = cyl == (rb * k1 * rb * k1)
     # quadratic relation of the base K
-    Qv = bk.of(RF_Q)
-    Qi = bk.of(RF_Q.inverse())
-    base = ExactMatrix.identity(n, one) if sabotage_k else generator_matrix(n, 1, 0, bk)
+    Qv = bk.laurent(bk.of(RF_Q))
+    Qi = bk.laurent(bk.of(RF_Q.inverse()))
+    base = ExactMatrix.identity(n, one) if sabotage_k else k_block(1, n, bk)
     ident = ExactMatrix.identity(base.nrows, one)
     results["k_quadratic"] = ((base + ident.scale(Qv)) * (base - ident.scale(Qi))).is_zero()
     # consistency of the cabled K against the cylinder rule on e + e blocks:
@@ -260,7 +282,9 @@ def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):
 
 
 def verify_k_against_center(n, d, bk=SYMBOLIC):
-    """K_{V^{(x) d}} equals the action of the central element c_K."""
+    """K_{V^{(x) d}} equals the action of the central element c_K; in the
+    symbolic backend the Laurent block meets the rho matrix over the rational
+    functions through their mixed equality (scalars)."""
     from .hecke import central_element
 
     return k_block(d, n, bk) == rho(central_element(d), n, bk)

@@ -22,6 +22,17 @@ gcd(content, |c|) signed like c, and the monomial split; no polynomial gcd
 runs.  Every other denominator takes the general route: polynomial gcds over
 ZZ[Q][q] by a content / primitive-part PRS, which keeps intermediate
 coefficients small enough for everything this package does.
+
+Work whose entries stay in ZZ[Q^{+-1}, q^{+-1}] (the R- and K-matrix blocks,
+images of the Hecke algebra over that ring) runs on LaurentPoly2 directly:
+RationalFunction.laurent() gives the equal Laurent polynomial when the
+denominator is a unit monomial Q^a q^b and raises ArithmeticError otherwise.
+A LaurentPoly2 is canonical too (no zero coefficient is stored), so its
+structural equality is also mathematical.  Across the two types, equality
+goes through RationalFunction: LaurentPoly2.__eq__ leaves any other type to
+it, and it coerces, so L == R and R == L agree.  Hashes agree with that
+equality: a RationalFunction with a unit-monomial denominator hashes as its
+Laurent polynomial.
 """
 
 from __future__ import annotations
@@ -343,7 +354,11 @@ class LaurentPoly2:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly2) and self.terms == other.terms
+        # any other type decides through its own __eq__ (RationalFunction
+        # coerces), so L == R and R == L agree
+        if isinstance(other, LaurentPoly2):
+            return self.terms == other.terms
+        return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
@@ -431,6 +446,14 @@ class RationalFunction:
     def term_count(self):
         return len(self.num.terms) + len(self.den.terms)
 
+    def laurent(self):
+        """The equal LaurentPoly2; raises ArithmeticError unless the
+        denominator is a unit monomial Q^a q^b."""
+        unit = _unit_monomial(self.den)
+        if unit is None:
+            raise ArithmeticError("%s is not a Laurent polynomial" % self)
+        return self.num.shift(-unit[0], -unit[1])
+
     # -- arithmetic
 
     def __add__(self, other):
@@ -508,14 +531,28 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # equal to a LaurentPoly2 exactly when the denominator is a unit
+        # monomial: then hash as that Laurent polynomial
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            if _unit_monomial(self.den) is None:
+                self._hash = hash((self.num, self.den))
+            else:
+                self._hash = hash(self.laurent())
         return self._hash
 
     def __str__(self):
         return "(%s)/(%s)" % (self.num, self.den)
 
     __repr__ = __str__
+
+
+def _unit_monomial(p: LaurentPoly2):
+    """(a, b) when p is Q^a q^b, else None."""
+    if len(p.terms) == 1:
+        ((k, c),) = p.terms.items()
+        if c == 1:
+            return k
+    return None
 
 
 def _coerce(x):

@@ -104,6 +104,22 @@ LEDGER_MAX_RANK = 4
 # largest n**d at which the centralizer command cross-checks the orbit route
 # against the full commutant, whose Sylvester system has n**(2d) columns
 COMMUTANT_MAX_DIM = 30
+# the double-centralizer suite solves Sylvester systems in N^2 = n^(2d)
+# unknowns and closes algebras inside the N^2-dimensional matrix space; its
+# cost also grows with d through the dimension of the Hecke algebra, so it
+# caps the width N^2 and the rank d, per backend (keyed by bk.is_symbolic;
+# at n = 1, where every system is 1 x 1, the rank at ALGEBRA_MAX_RANK).
+# From a sweep of every (n, d) the tensor budgets accept (Q=2, q=3 and
+# symbolic, 2-vCPU Xeon): the slowest accepted input is n 3, d 3 symbolic
+# (~12 s); at the point n 2, d 5 (N^2 = 1,024) and n 3, d 4 took over 30 s,
+# and symbolically n 2, d 4 took 22 s and n 6, d 2 (N^2 = 1,296) 19 s
+SYLVESTER_MAX_WIDTH = {True: 1024, False: 4096}
+DOUBLE_CENTRALIZER_MAX_RANK = {True: 3, False: 4}
+# the spectra suite and the eigen command take minimal polynomials of the
+# d Jucys-Murphy matrices and c_K, N x N with N = n^d, whose degrees grow with
+# d; they cap N * d.  In the same sweep the slowest accepted input took ~3 s
+# (n 2, d 6); n 4, d 4 (N d = 1,024) took 19 s, n 2, d 8 over 30 s
+SPECTRA_MAX_WIDTH = 800
 
 
 def check_budget(n, d, bk):
@@ -121,9 +137,13 @@ def check_budget(n, d, bk):
     )
 
 
+def check_cap(what, size, cap, budget):
+    if size > cap:
+        raise BudgetExceeded("%s %d exceeds the %s budget %d" % (what, size, budget, cap))
+
+
 def check_rank(d, cap=ALGEBRA_MAX_RANK, budget="Hecke algebra"):
-    if d > cap:
-        raise BudgetExceeded("Hecke rank %d exceeds the %s budget %d" % (d, budget, cap))
+    check_cap("Hecke rank", d, cap, budget)
 
 
 def _kind_signs(kind):

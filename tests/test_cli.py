@@ -215,6 +215,27 @@ class TestErrors:
                 ["verify", "--suite", "hecke-relations", "--n", "1", "--d", "5000"],
                 "Hecke rank 5000 exceeds the Hecke algebra budget",
             ),
+            # within the tensor budget but far over 30 s: spectra at N d =
+            # 2,048, and the double centralizer at rank 5 or width 6,561
+            (
+                ["verify", "--suite", "all", "--n", "2", "--d", "8", "--backend", "Q=2,q=3"],
+                "width n^d * d 2048 exceeds the spectra budget",
+            ),
+            (
+                ["verify", "--suite", "double-centralizer", "--n", "2", "--d", "5",
+                 "--backend", "Q=2,q=3"],
+                "Hecke rank 5 exceeds the double-centralizer budget",
+            ),
+            (
+                ["verify", "--suite", "double-centralizer", "--n", "3", "--d", "4",
+                 "--backend", "Q=2,q=3"],
+                "Sylvester width n^2d 6561 exceeds the double-centralizer budget",
+            ),
+            # at n = 1 every system is 1 x 1: the Hecke algebra cap
+            (
+                ["verify", "--suite", "double-centralizer", "--n", "1", "--d", "17"],
+                "Hecke rank 17 exceeds the double-centralizer budget 16",
+            ),
         ],
         ids=[
             "dims",
@@ -228,6 +249,10 @@ class TestErrors:
             "rk-rank-e",
             "e-hecke-n1",
             "hecke-relations-n1",
+            "all-spectra-width",
+            "double-centralizer-rank",
+            "double-centralizer-width",
+            "double-centralizer-n1",
         ],
     )
     def test_budget_exits_2(self, capsys, argv, message):
@@ -288,7 +313,7 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["eigen", "--n", "2", "--d", "7"],
+            ["eigen", "--n", "1", "--d", "7"],
             ["verify", "--suite", "e-hecke", "--n", "1", "--d", "1", "--e", "7"],
         ],
         ids=["eigen", "e-hecke"],

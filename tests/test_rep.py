@@ -28,7 +28,7 @@ from heckeb.rep import (
     verify_rho_relations,
     verify_rk_equations,
 )
-from heckeb.scalars import default_specialization
+from heckeb.scalars import LaurentPoly2, Specialization, default_specialization
 from heckeb.schur import restrict_to_subspace
 from heckeb.weylcomb import all_elements, shift_center, shift_outward
 
@@ -102,6 +102,40 @@ class TestRKEquations:
         m = r_block(1, 2, 3, SYMBOLIC)
         assert m.nrows == 27 and m.ncols == 27
         assert k_block(2, 3, SYMBOLIC).nrows == 9
+
+
+# the four points of the benchmark (perfbench/workloads.json)
+BENCH_POINTS = [
+    SpecializedBackend(Specialization(Q, q)) for Q, q in ((2, 3), (3, 2), (5, 3), (3, 7))
+]
+
+
+class TestBlocksSymbolicAgainstSpecialized:
+    """The symbolic blocks have Laurent entries, and evaluating them at a
+    point gives the blocks the specialized backend builds there."""
+
+    @staticmethod
+    def evaluated(m, bk):
+        assert all(isinstance(v, LaurentPoly2) for v in m.entries.values())
+        s = bk.spec
+        e = {k: v.evaluate(s.valueQ, s.valueq) for k, v in m.entries.items()}
+        return ExactMatrix(m.nrows, m.ncols, e, bk.one)
+
+    @pytest.mark.parametrize("bk", BENCH_POINTS, ids=repr)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_blocks(self, bk, n):
+        for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            assert self.evaluated(r_block(a, b, n, SYMBOLIC), bk) == r_block(a, b, n, bk)
+        for d in (1, 2, 3):
+            assert self.evaluated(k_block(d, n, SYMBOLIC), bk) == k_block(d, n, bk)
+
+    @pytest.mark.parametrize("bk", BENCH_POINTS, ids=repr)
+    @pytest.mark.parametrize("n,e", [(2, 1), (2, 2), (3, 1)])
+    def test_rk_results(self, bk, n, e):
+        for sabotage in (False, True):
+            assert verify_rk_equations(n, e, bk, sabotage) == verify_rk_equations(
+                n, e, SYMBOLIC, sabotage
+            )
 
 
 class TestPermutationModules:

@@ -173,6 +173,41 @@ class TestRationalFunction:
         assert RF_q**-2 == (RF_q * RF_q).inverse()
 
 
+def has_negative_exponent(p):
+    return any(a < 0 or b < 0 for a, b in p.terms)
+
+
+class TestRingBoundary:
+    """RationalFunction.laurent() and equality / hashing across LaurentPoly2
+    and RationalFunction."""
+
+    @given(laurent_polys().filter(has_negative_exponent))
+    @settings(max_examples=60, deadline=None)
+    def test_laurent_round_trip(self, p):
+        assert RationalFunction(p).laurent() == p
+
+    @given(laurent_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_equality_and_hash(self, p):
+        r = RationalFunction(p)
+        assert p == r
+        assert r == p
+        assert hash(p) == hash(r)
+        assert p != RationalFunction(p + LaurentPoly2.from_int(1))
+        assert RationalFunction(p + LaurentPoly2.from_int(1)) != p
+
+    def test_laurent_rejects_a_proper_denominator(self):
+        Q_plus_one = LaurentPoly2.monomial(1, 1, 0) + LaurentPoly2.from_int(1)
+        with pytest.raises(ArithmeticError):
+            RationalFunction(LaurentPoly2.from_int(1), Q_plus_one).laurent()
+        with pytest.raises(ArithmeticError):
+            RationalFunction(1, 2).laurent()
+
+    def test_laurent_of_a_unit_monomial_denominator(self):
+        x = RF_Q.inverse() - RF_Q
+        assert x.laurent() == LaurentPoly2.monomial(1, -1, 0) - LaurentPoly2.monomial(1, 1, 0)
+
+
 class TestSpecialization:
     def test_default_point(self):
         s = default_specialization()
