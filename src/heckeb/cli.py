@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -56,6 +57,7 @@ from .schur import (
     DOUBLE_CENTRALIZER_MAX_RANK,
     LEDGER_MAX_RANK,
     PM_KINDS,
+    POINT_MAX_BITS,
     SPECTRA_MAX_WIDTH,
     SYLVESTER_MAX_WIDTH,
     check_budget,
@@ -87,10 +89,27 @@ def parse_backend(text, degree=6):
     if len(items) != 2 or set(parts) != {"Q", "q"}:
         raise UsageError("backend must be 'symbolic' or 'Q=<rat>,q=<rat>'")
     try:
-        spec = Specialization(Fraction(parts["Q"]), Fraction(parts["q"]), degree)
+        spec = Specialization(point_value("Q", parts["Q"]), point_value("q", parts["q"]), degree)
     except (ValueError, ZeroDivisionError, InvalidSpecialization) as exc:
         raise UsageError("invalid specialization: %s" % exc)
     return SpecializedBackend(spec)
+
+
+# the decimal exponent of a value as Fraction reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def point_value(name, text):
+    """The value of Q or q, within the point height budget.  A decimal
+    exponent e over the budget is refused before Fraction builds 10^|e|,
+    which has over 3|e| bits."""
+    m = _EXPONENT.search(text)
+    if m:
+        check_cap("decimal exponent of " + name, abs(int(m.group(1))), POINT_MAX_BITS, "point height")
+    v = Fraction(text)
+    bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+    check_cap("bit length of " + name, bits, POINT_MAX_BITS, "point height")
+    return v
 
 
 def parse_shape(text):

@@ -20,6 +20,15 @@ and checked exactly over Q, which makes the bound exact.  The algebra closure
 runs mod p, and the span of the words it finds is then certified closed over
 Q.  When no certificate is found, the elimination over Fractions runs: a rank
 mod p is never reported on its own.
+
+A dual pair (A, B) of commuting families takes one sandwich certificate for
+all four of its dimensions instead (`dual_pair_dimensions`).  Since each a
+commutes with each b, alg(A) lies in Comm(B).  Words independent mod p are
+independent over Q, and a rank mod p is at most the rank over Q, so one pass
+mod p gives r_A <= dim alg(A) <= dim Comm(B) <= u_B: the closure count below,
+the Sylvester nullity mod p above.  When r_A = u_B and r_B = u_A, all four
+are exact, at any prime and whatever the height of the entries; no kernel is
+lifted.  When the bounds do not meet, each dimension is taken on its own.
 """
 
 from __future__ import annotations
@@ -838,31 +847,18 @@ def _insert_mod(basis, vec, p):
     return True
 
 
-def _certified_algebra_dimension(gens):
-    """Dimension of the algebra generated by Fraction matrices, or None.
+def _integer_matrix(g):
+    """g scaled by the lcm of its denominators, over the integers (unit 1):
+    it generates the same unital algebra and has the same commutant."""
+    den = lcm(*(v.denominator for v in g.entries.values()))
+    e = {k: v.numerator * (den // v.denominator) for k, v in g.entries.items()}
+    return ExactMatrix(g.nrows, g.ncols, e, 1)
 
-    Each generator is scaled by the lcm of its denominators to an integer
-    matrix G, which generates the same algebra.  The closure of span(I)
-    under right multiplication runs mod a prime p that divides no
-    denominator, recording each new word as (parent word, generator).  The
-    r words independent mod p are independent over Q, so dim >= r.  The
-    words and their products by each G are rebuilt over Z, each divided by
-    its content; `_certified_rank` of them all = r shows span_Q(words)
-    closed, so dim <= r.
-    """
-    n = gens[0].nrows
-    dens = set()
-    grows = []
-    for g in gens:
-        den = lcm(*(v.denominator for v in g.entries.values()))
-        dens.add(den)
-        rows = [{} for _ in range(n)]
-        for (r, c), v in g.entries.items():
-            rows[r][c] = v.numerator * (den // v.denominator)
-        grows.append(rows)
-    p = next((p for p in _PRIMES if all(d % p for d in dens)), None)
-    if p is None:
-        return None
+
+def _closure_mod(grows, n, p):
+    """The closure of span(I) under right multiplication by integer n x n
+    matrices (given by their rows), run mod p: the words found independent
+    mod p, as (parent word, generator), the identity (None, None) first."""
     ident = {i * n + i: 1 for i in range(n)}
     basis = {}
     _insert_mod(basis, dict(ident), p)
@@ -879,7 +875,27 @@ def _certified_algebra_dimension(gens):
                     residues.append(prod)
                     new.append(len(words) - 1)
         frontier = new
-    zwords = [ident]
+    return words
+
+
+def _certified_algebra_dimension(gens):
+    """Dimension of the algebra generated by Fraction matrices, or None.
+
+    Each generator is scaled to an integer matrix G (`_integer_matrix`).
+    The closure runs mod a prime p that divides no denominator
+    (`_closure_mod`); the r words independent mod p are independent over Q,
+    so dim >= r.  The words and their products by each G are rebuilt over
+    Z, each divided by its content; `_certified_rank` of them all = r shows
+    span_Q(words) closed, so dim <= r.
+    """
+    n = gens[0].nrows
+    dens = {v.denominator for g in gens for v in g.entries.values()}
+    p = next((p for p in _PRIMES if all(d % p for d in dens)), None)
+    if p is None:
+        return None
+    grows = [_integer_matrix(g).rows() for g in gens]
+    words = _closure_mod(grows, n, p)
+    zwords = [{i * n + i: 1 for i in range(n)}]
     for parent, gi in words[1:]:
         zwords.append(_primitive(_times(zwords[parent], grows[gi], n)))
     made = set(words)
@@ -890,3 +906,37 @@ def _certified_algebra_dimension(gens):
         if (i, gi) not in made
     ]
     return len(words) if _certified_rank(rows, n * n) == len(words) else None
+
+
+def dual_pair_dimensions(gens_a, gens_b):
+    """(dim alg(A), dim Comm(A), dim alg(B), dim Comm(B)) of two commuting
+    families of Fraction matrices, by the sandwich certificate; or None.
+
+    Each generator is scaled to an integer matrix.  Every a commutes with
+    every b (checked exactly), so alg(A) lies in Comm(B).  The closure of A
+    mod p finds r_A words independent mod p, hence over Q: r_A <= dim
+    alg(A).  The Sylvester system of B has rank_p <= rank_Q, so
+    dim Comm(B) <= u_B = N^2 - rank_p.  Thus r_A <= dim alg(A) <=
+    dim Comm(B) <= u_B, and r_A = u_B makes all three exact; the same with A
+    and B swapped.  Any prime does, whatever the height of the entries.
+    None when the pair does not commute or a bound falls short (the pair is
+    no double centralizer, or p is unlucky), and for other fields.
+    """
+    if not isinstance(gens_a[0].one, Fraction):
+        return None
+    ints_a = [_integer_matrix(g) for g in gens_a]
+    ints_b = [_integer_matrix(g) for g in gens_b]
+    if any(a * b != b * a for a in ints_a for b in ints_b):
+        return None
+    n = gens_a[0].nrows
+    p = _PRIMES[0]
+    dims = []
+    for ints, other in ((ints_a, ints_b), (ints_b, ints_a)):
+        r = len(_closure_mod([g.rows() for g in ints], n, p))
+        s = _sylvester(other, other)
+        # the rank of the transpose: its elimination runs faster here
+        red = [{i: v % p for i, v in col.items() if v % p} for col in s.columns()]
+        if r != s.ncols - len(_eliminate_mod(red, s.nrows, p)):
+            return None
+        dims.append(r)
+    return dims[0], dims[1], dims[1], dims[0]

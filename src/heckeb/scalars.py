@@ -29,10 +29,11 @@ RationalFunction.laurent() gives the equal Laurent polynomial when the
 denominator is a unit monomial Q^a q^b and raises ArithmeticError otherwise.
 A LaurentPoly2 is canonical too (no zero coefficient is stored), so its
 structural equality is also mathematical.  Across the two types, equality
-goes through RationalFunction: LaurentPoly2.__eq__ leaves any other type to
-it, and it coerces, so L == R and R == L agree.  Hashes agree with that
-equality: a RationalFunction with a unit-monomial denominator hashes as its
-Laurent polynomial.
+goes through RationalFunction: LaurentPoly2.__eq__ leaves any type but int to
+it, and it coerces, so L == R and R == L agree.  An int equals the constant
+of either type.  Hashes agree with that equality: a constant LaurentPoly2
+hashes as its int, and a RationalFunction with a unit-monomial denominator
+hashes as its Laurent polynomial, so {RF_ONE, LP_ONE, 1} has one element.
 """
 
 from __future__ import annotations
@@ -354,15 +355,21 @@ class LaurentPoly2:
         return out
 
     def __eq__(self, other):
-        # any other type decides through its own __eq__ (RationalFunction
-        # coerces), so L == R and R == L agree
+        # an int is the constant it names; any other type decides through its
+        # own __eq__ (RationalFunction coerces), so L == R and R == L agree
         if isinstance(other, LaurentPoly2):
             return self.terms == other.terms
+        if isinstance(other, int):
+            return self.terms == ({(0, 0): other} if other else {})
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            t = self.terms
+            if t.keys() <= {(0, 0)}:  # a constant hashes as its int
+                self._hash = hash(t.get((0, 0), 0))
+            else:
+                self._hash = hash(frozenset(t.items()))
         return self._hash
 
     def evaluate(self, vq, vqq):

@@ -48,6 +48,7 @@ from .exactlinalg import (
     ExactMatrix,
     Subspace,
     commutant_dimension,
+    dual_pair_dimensions,
     hstack,
     intertwiner_dimension,
     matrix_algebra_dimension,
@@ -120,6 +121,14 @@ DOUBLE_CENTRALIZER_MAX_RANK = {True: 3, False: 4}
 # d; they cap N * d.  In the same sweep the slowest accepted input took ~3 s
 # (n 2, d 6); n 4, d 4 (N d = 1,024) took 19 s, n 2, d 8 over 30 s
 SPECTRA_MAX_WIDTH = 800
+# the largest bit length of a numerator or denominator of Q and q at a point,
+# checked first: entries grow with the height of the point, and at
+# Q = 10^1000000 even dims --n 2 --d 2 ran over 60 s.  It holds 10^300 (997
+# bits).  In a sweep at 2^1024 - 1 (as Q, then q) every row but spectra took
+# at most 6.5 s (verify all n 3, d 3, e 1); that row took 9 s at Q = 10^1000
+# and over 60 s at 10^3000.  Spectra grows faster with height than this
+# bounds: n 2, d 6 ran over 60 s at Q = 10^150
+POINT_MAX_BITS = 1024
 
 
 def check_budget(n, d, bk):
@@ -375,15 +384,25 @@ def irreducibility_report(n, d, bk, shapes=None):
 def verify_double_centralizer(n, d, bk):
     """Both centralizer dimensions of the dual pair on V_n^{(x) d}:
     the commutant of the Hecke action and the commutant of the coideal
-    action, each computed from the generating matrices."""
+    action, each computed from the generating matrices.
+
+    At a point all four dimensions come from one sandwich certificate
+    (exactlinalg.dual_pair_dimensions): the two actions commute, so each
+    algebra lies in the other's commutant, and a closure mod p bounds each
+    algebra from below while a Sylvester rank mod p bounds the commutant
+    from above; when the bounds meet, all four are exact.  Otherwise, and
+    symbolically, each dimension is computed on its own."""
     hecke_gens = [generator_matrix(n, d, i, bk) for i in range(d)]
     # at n = 1 there is no coideal generator; the identity generates the same
     # unital algebra and has the same commutant
     coideal = list(coideal_generators(n, d, bk).values()) or [ExactMatrix.identity(n**d, bk.one)]
-    schur_dim = commutant_dimension(hecke_gens)
-    coideal_alg_dim = matrix_algebra_dimension(coideal)
-    hecke_commutant_of_coideal = commutant_dimension(coideal)
-    hecke_alg_dim = matrix_algebra_dimension(hecke_gens)
+    dims = dual_pair_dimensions(coideal, hecke_gens) or (
+        matrix_algebra_dimension(coideal),
+        commutant_dimension(coideal),
+        matrix_algebra_dimension(hecke_gens),
+        commutant_dimension(hecke_gens),
+    )
+    coideal_alg_dim, hecke_commutant_of_coideal, hecke_alg_dim, schur_dim = dims
     return {
         "schur_dim": schur_dim,
         "coideal_algebra_dim": coideal_alg_dim,

@@ -236,6 +236,22 @@ class TestErrors:
                 ["verify", "--suite", "double-centralizer", "--n", "1", "--d", "17"],
                 "Hecke rank 17 exceeds the double-centralizer budget 16",
             ),
+            # a point of huge height, refused before 10^e is built: both ran
+            # over 60 s
+            (
+                ["dims", "--n", "2", "--d", "2", "--backend", "Q=1e1000000,q=3"],
+                "decimal exponent of Q 1000000 exceeds the point height budget",
+            ),
+            (
+                ["verify", "--suite", "double-centralizer", "--n", "3", "--d", "3",
+                 "--backend", "Q=1e100000,q=3"],
+                "decimal exponent of Q 100000 exceeds the point height budget",
+            ),
+            # and by the bit length of the value itself
+            (
+                ["dims", "--n", "2", "--d", "2", "--backend", "Q=2,q=1/%d" % 2**1024],
+                "bit length of q 1025 exceeds the point height budget 1024",
+            ),
         ],
         ids=[
             "dims",
@@ -253,6 +269,9 @@ class TestErrors:
             "double-centralizer-rank",
             "double-centralizer-width",
             "double-centralizer-n1",
+            "point-height-dims",
+            "point-height-double-centralizer",
+            "point-height-bits",
         ],
     )
     def test_budget_exits_2(self, capsys, argv, message):

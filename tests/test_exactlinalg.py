@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeb import exactlinalg
+from heckeb import exactlinalg, schur
 from heckeb.cli import main, parse_backend
 from heckeb.exactlinalg import (
     ExactMatrix,
     ShapeMismatch,
     Subspace,
     commutant_dimension,
+    dual_pair_dimensions,
     hstack,
     intertwiner_dimension,
     matrix_algebra_dimension,
@@ -32,7 +33,8 @@ from heckeb.exactlinalg import (
     _closure_dimension,
     _sylvester,
 )
-from heckeb.rep import coideal_generators, generator_matrix
+from heckeb.rep import SYMBOLIC, coideal_generators, generator_matrix
+from heckeb.schur import verify_double_centralizer
 
 ONE = Fraction(1)
 
@@ -330,3 +332,79 @@ class TestCertifiedRank:
         coideal = list(coideal_generators(3, 2, bk).values())
         assert _certified_algebra_dimension(coideal) == _closure_dimension(coideal) == 15
         assert len(primes_used) >= 2
+
+
+# ---------------------------------------------------------------------------
+# the sandwich certificate of a dual pair
+
+
+def per_quantity(gens_a, gens_b):
+    return (
+        matrix_algebra_dimension(gens_a),
+        commutant_dimension(gens_a),
+        matrix_algebra_dimension(gens_b),
+        commutant_dimension(gens_b),
+    )
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def polynomial_pairs(draw, size=3):
+    """A = {p(M), ...} against B = {M}: every a commutes with M."""
+    m = dense([[draw(fractions) for _ in range(size)] for _ in range(size)])
+    polys = draw(st.lists(st.lists(fractions, min_size=1, max_size=3), min_size=1, max_size=2))
+    return [poly_eval_matrix(p, m) for p in polys], [m]
+
+
+class TestDualPairDimensions:
+    @given(polynomial_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_none_or_the_per_quantity_values(self, pair):
+        a, b = pair
+        got = dual_pair_dimensions(a, b)
+        assert got is None or got == per_quantity(a, b)
+
+    def test_cyclic_matrix_closes(self):
+        # M is cyclic, so Comm(M) = alg(M), and M^2 + M generates it too
+        m = dense([[0, 0, 6], [1, 0, -11], [0, 1, 6]])
+        a = [poly_eval_matrix([0, 1, 1], m)]
+        assert dual_pair_dimensions(a, [m]) == per_quantity(a, [m]) == (3, 3, 3, 3)
+
+    @pytest.mark.parametrize(
+        "gens_a,gens_b",
+        [
+            # they commute, but alg(I) = 1 < 2 = dim Comm(diag(1, 2))
+            ([dense([[1, 0], [0, 1]])], [dense([[1, 0], [0, 2]])]),
+            # they do not commute
+            ([dense([[0, 1], [0, 0]])], [dense([[1, 0], [0, 2]])]),
+        ],
+        ids=["bounds-apart", "not-commuting"],
+    )
+    def test_falls_back_to_the_per_quantity_route(self, monkeypatch, gens_a, gens_b):
+        assert dual_pair_dimensions(gens_a, gens_b) is None
+        monkeypatch.setattr(schur, "coideal_generators", lambda n, d, bk: {"a": gens_a[0]})
+        monkeypatch.setattr(schur, "generator_matrix", lambda n, d, i, bk: gens_b[i])
+        alg_a, comm_a, alg_b, comm_b = per_quantity(gens_a, gens_b)
+        assert verify_double_centralizer(2, 1, parse_backend("Q=2,q=3")) == {
+            "schur_dim": comm_b,
+            "coideal_algebra_dim": alg_a,
+            "hecke_algebra_dim": alg_b,
+            "commutant_of_coideal": comm_a,
+            "double_centralizer": comm_b == alg_a and alg_b == comm_a,
+        }
+
+    def test_symbolic_entries_take_no_certificate(self):
+        gens = [generator_matrix(2, 2, i, SYMBOLIC) for i in range(2)]
+        assert dual_pair_dimensions(gens, gens) is None
+
+    @pytest.mark.parametrize("point", ["Q=%d,q=3" % _PRIMES[0], "Q=1e300,q=3"])
+    def test_large_height_closes_without_a_rank(self, monkeypatch, point):
+        # Q = 0 mod the first prime, and Q of 997 bits: no kernel lift runs
+        def refuse(rows, ncols):
+            raise AssertionError("the sandwich did not close")
+
+        monkeypatch.setattr(exactlinalg, "_certified_rank", refuse)
+        argv = ["verify", "--suite", "double-centralizer", "--n", "3", "--d", "3"]
+        assert main(argv + ["--backend", point]) == 0

@@ -28,7 +28,7 @@ from heckeb.rep import (
     verify_rho_relations,
     verify_rk_equations,
 )
-from heckeb.scalars import LaurentPoly2, Specialization, default_specialization
+from heckeb.scalars import LaurentPoly2, Specialization, default_specialization, specialize
 from heckeb.schur import restrict_to_subspace
 from heckeb.weylcomb import all_elements, shift_center, shift_outward
 
@@ -136,6 +136,30 @@ class TestBlocksSymbolicAgainstSpecialized:
             assert verify_rk_equations(n, e, bk, sabotage) == verify_rk_equations(
                 n, e, SYMBOLIC, sabotage
             )
+
+
+class TestGeneratorsSymbolicAgainstSpecialized:
+    """Every symbolic entry of the Hecke and coideal generators, evaluated at
+    a point, gives the matrix the specialized backend builds there."""
+
+    @staticmethod
+    def evaluated(m, bk):
+        e = {k: specialize(v, bk.spec) for k, v in m.entries.items()}
+        return ExactMatrix(m.nrows, m.ncols, e, bk.one)
+
+    @pytest.mark.parametrize("bk", BENCH_POINTS, ids=repr)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_generators(self, bk, n, d):
+        for i in range(d):
+            assert self.evaluated(generator_matrix(n, d, i, SYMBOLIC), bk) == generator_matrix(
+                n, d, i, bk
+            )
+        symbolic = coideal_generators(n, d, SYMBOLIC)
+        specialized = coideal_generators(n, d, bk)
+        assert symbolic.keys() == specialized.keys()
+        for name, m in symbolic.items():
+            assert self.evaluated(m, bk) == specialized[name]
 
 
 class TestPermutationModules:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from heckeb.scalars import (
     DivisionByZero,
     InvalidSpecialization,
+    LP_ONE,
     LaurentPoly2,
     PoleAtSpecialization,
     RF_ONE,
@@ -195,6 +196,22 @@ class TestRingBoundary:
         assert hash(p) == hash(r)
         assert p != RationalFunction(p + LaurentPoly2.from_int(1))
         assert RationalFunction(p + LaurentPoly2.from_int(1)) != p
+
+    @given(laurent_polys(), st.integers(-10**30, 10**30))
+    @settings(max_examples=80, deadline=None)
+    def test_constants_equal_and_hash_as_their_int(self, p, c):
+        assert len({RF_ONE, LP_ONE, 1}) == 1
+        lp, rf = LaurentPoly2.from_int(c), RationalFunction(c)
+        assert lp == c == rf and c == lp and rf == lp
+        assert hash(lp) == hash(c) == hash(rf)
+        assert len({lp, rf, c}) == 1
+        # any value: equal ones hash alike across the three types
+        values = [p, RationalFunction(p), c, lp, rf]
+        for x in values:
+            for y in values:
+                if x == y:
+                    assert y == x and hash(x) == hash(y)
+        assert (p == c) == (RationalFunction(p) == c) == (c == p)
 
     def test_laurent_rejects_a_proper_denominator(self):
         Q_plus_one = LaurentPoly2.monomial(1, 1, 0) + LaurentPoly2.from_int(1)

@@ -13,6 +13,7 @@ from heckeb.exactlinalg import ExactMatrix
 from heckeb.rep import SYMBOLIC, BudgetExceeded, PermutationModule, SpecializedBackend, rho
 from heckeb.scalars import RF_ONE, RF_Q, Specialization, default_specialization
 from heckeb.schur import (
+    LEDGER_MAX_RANK,
     PM_KINDS,
     check_budget,
     e_hecke_rank1_eigenvalue_count,
@@ -37,6 +38,10 @@ from heckeb.weylcomb import (
 )
 
 SPEC = SpecializedBackend(default_specialization())
+# the four points of the benchmark (perfbench/workloads.json)
+BENCH_POINTS = [
+    SpecializedBackend(Specialization(Q, q)) for Q, q in ((2, 3), (3, 2), (5, 3), (3, 7))
+]
 
 
 class TestSignedPowers:
@@ -288,6 +293,18 @@ class TestDecomposition:
         assert led["sum_dimL_sq"] == led["schur_algebra_dim"]
         for row in led["rows"]:
             assert row["dimL"] == row["dimL_formula"]
+
+    @pytest.mark.parametrize(
+        "n,d",
+        [(n, d) for d in range(1, LEDGER_MAX_RANK + 1) for n in range(1, 28) if n**d <= 27],
+    )
+    def test_ledger_symbolic_against_each_point(self, n, d):
+        def dims(led):
+            return [(r["shape"], r["dimL"]) for r in led["rows"]], led["schur_algebra_dim"]
+
+        expected = dims(schur_weyl_decompose(n, d, SYMBOLIC))
+        for bk in BENCH_POINTS:
+            assert dims(schur_weyl_decompose(n, d, bk)) == expected
 
     def test_ledger_takes_no_commutant(self, monkeypatch, capsys):
         # the Schur algebra dimension comes from the orbit route alone
