@@ -1,16 +1,26 @@
 """
-Field-agnostic sparse exact linear algebra.
+Sparse exact linear algebra over Q and over the rational function field.
 
 Matrices are stored as {(row, col): entry} with structurally nonzero entries
 only.  Entries may be any exact field elements supporting +, -, *, /, bool and
-equality (Fraction and RationalFunction both qualify); each matrix carries its
-multiplicative unit so code never has to guess the field.
+equality (Fraction and RationalFunction both qualify), or Python ints standing
+for rationals; each matrix carries its multiplicative unit so code never has
+to guess the field.  An int unit means Z inside Q: every elimination over such
+a matrix runs over Q, never in floating point.
 
 Subspaces are kept in reduced column echelon form, which is a canonical
 representative: two subspaces are equal iff their stored bases are equal.
 Elimination is plain sparse Gaussian elimination with a sparsity-aware pivot
-choice; the canonicalizing scalar arithmetic keeps expression swell in check.
-A rank only eliminates forward; kernels and subspaces are fully reduced.
+choice; over the rational function field the canonicalizing scalar arithmetic
+keeps expression swell in check.  A rank only eliminates forward; kernels and
+subspaces are fully reduced.
+
+Over Q (Fraction or int entries) a rank and a column space run on Python ints
+(`integer_echelon`): a span does not change when a vector is scaled by a
+nonzero rational, so each vector is cleared of denominators, reduced
+fraction-free (Bareiss 1968) and divided by its content.  A column space
+builds its canonical Subspace over Fraction from the independent integer
+vectors that remain.
 
 Over Fractions, `intertwiner_dimension` and `matrix_algebra_dimension` take a
 certified modular route instead (Wang 1981; Monagan 2004).  The rank is
@@ -18,8 +28,9 @@ computed mod 61-bit primes that divide no denominator, which gives a lower
 bound, and a kernel basis mod p is lifted by CRT and rational reconstruction
 and checked exactly over Q, which makes the bound exact.  The algebra closure
 runs mod p, and the span of the words it finds is then certified closed over
-Q.  When no certificate is found, the elimination over Fractions runs: a rank
-mod p is never reported on its own.
+Q.  When no certificate is found, the rank is taken over the integers as
+above and the closure over Fractions: a rank mod p is never reported on its
+own.
 
 A dual pair (A, B) of commuting families takes one sandwich certificate for
 all four of its dimensions instead (`dual_pair_dimensions`).  Since each a
@@ -45,6 +56,11 @@ class ShapeMismatch(ValueError):
 def _term_count(x):
     f = getattr(x, "term_count", None)
     return f() if f is not None else 1
+
+
+def _field_one(one):
+    """The unit of the field an elimination divides in: Q for an int unit."""
+    return Fraction(one) if isinstance(one, int) else one
 
 
 def _sub_multiple(dst, f, src):
@@ -209,6 +225,7 @@ class ExactMatrix:
 
         With full=False the pivot column is cleared from the rows still live
         only, not from the pivot rows already done: enough for a rank."""
+        one = _field_one(self.one)
         rows = self.rows()
         live = [i for i in range(self.nrows) if rows[i]]
         pivots = []
@@ -220,8 +237,8 @@ class ExactMatrix:
             row = rows[i]
             pc = min(row, key=lambda c: (_term_count(row[c]), c))
             pv = row[pc]
-            if not (pv == self.one):
-                inv = self.one / pv
+            if not (pv == one):
+                inv = one / pv
                 rows[i] = row = {c: inv * v for c, v in row.items()}
             for j in list(live) + done if full else list(live):
                 f = rows[j].get(pc)
@@ -234,6 +251,10 @@ class ExactMatrix:
         return pivots, rows
 
     def rank(self):
+        """Forward elimination only: over Q the rows go through
+        `integer_echelon`, over any other field `_row_echelon`."""
+        if isinstance(self.one, (Fraction, int)):
+            return len(integer_echelon(_over_z(self.rows())))
         return len(self._row_echelon(full=False)[0])
 
     def nullity(self):
@@ -260,7 +281,12 @@ class ExactMatrix:
         return Subspace(self.ncols, self.kernel_basis(), self.one)
 
     def column_space(self):
-        return Subspace(self.nrows, self.columns(), self.one)
+        """Over Q the columns are first cut to independent integer vectors
+        (`integer_echelon`), so the canonical basis is reduced from those."""
+        cols = self.columns()
+        if isinstance(self.one, (Fraction, int)):
+            cols = integer_echelon(_over_z(cols))
+        return Subspace(self.nrows, cols, self.one)
 
     def __repr__(self):
         return "ExactMatrix(%d x %d, %d nonzero)" % (self.nrows, self.ncols, len(self.entries))
@@ -306,7 +332,7 @@ class Subspace:
 
     def __init__(self, ambient, vectors=(), one=Fraction(1)):
         self.ambient = ambient
-        self.one = one
+        self.one = _field_one(one)
         self.pivots = {}  # pivot row -> reduced vector
         for v in vectors:
             self.insert(v)
@@ -368,6 +394,48 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim %d of %d)" % (self.dim, self.ambient)
+
+
+def integer_echelon(vectors):
+    """Independent primitive integer vectors with the span of the given
+    integer vectors {index: int}, one per pivot (its minimal index), sorted
+    by pivot.
+
+    Forward fraction-free elimination: while the pivot of v is taken by a
+    basis vector w, v <- a v - b w, with a, b the pivot entries of w and v
+    divided by their gcd.  A vector that survives is divided by its content
+    and joins the basis."""
+    basis = {}
+    for vec in vectors:
+        vec = {k: v for k, v in vec.items() if v}
+        while vec:
+            p = min(vec)
+            w = basis.get(p)
+            if w is None:
+                basis[p] = _primitive(vec)
+                break
+            a, b = w[p], vec[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                vec = {k: a * v for k, v in vec.items()}
+            for k, v in w.items():
+                x = vec.get(k, 0) - b * v
+                if x:
+                    vec[k] = x
+                else:
+                    del vec[k]
+    return [basis[p] for p in sorted(basis)]
+
+
+def _over_z(vectors):
+    """Rational vectors (int or Fraction entries) as integer vectors with the
+    same spans: each is scaled by the lcm of its denominators."""
+    out = []
+    for vec in vectors:
+        den = lcm(*{v.denominator for v in vec.values()})
+        out.append({k: v.numerator * (den // v.denominator) for k, v in vec.items()})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +540,7 @@ def minimal_polynomial(m: ExactMatrix):
     if m.nrows != m.ncols:
         raise ShapeMismatch("minimal polynomial of a non-square matrix")
     n = m.nrows
-    one = m.one
+    one = _field_one(m.one)
     zero = one - one
     if n == 0:
         return [one]
@@ -710,10 +778,9 @@ def _certified_rank(rows, ncols):
         else:
             if int_cols is None:
                 int_cols = [[] for _ in range(ncols)]
-                for i, row in enumerate(rows):
-                    den = lcm(*(v.denominator for v in row.values()))
+                for i, row in enumerate(_over_z(rows)):
                     for c, v in row.items():
-                        int_cols[c].append((i, v.numerator * (den // v.denominator)))
+                        int_cols[c].append((i, v))
             if all(_annihilates(int_cols, x) for x in lifted):
                 return rank
     return None

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .exactlinalg import (
     ExactMatrix,
@@ -185,12 +186,21 @@ def rho_basis(n, d, w, bk):
 @functools.cache
 def rho(elem, n, bk=SYMBOLIC):
     """Matrix of a Hecke element acting on V_n^{(x) d} (d = elem.d); cached,
-    so each distinct factor of a bipartition element is built once."""
-    d = elem.d
-    out = ExactMatrix.zeros(n**d, n**d, bk.one)
-    for w, c in elem.terms.items():
-        out = out + rho_basis(n, d, w, bk).scale(bk.of(c))
-    return out
+    so each distinct factor of a bipartition element is built once.  At a
+    point the terms are summed over Z under one common denominator, and one
+    Fraction is built per output entry."""
+    N = n**elem.d
+    terms = [(rho_basis(n, elem.d, w, bk), bk.of(c)) for w, c in elem.terms.items()]
+    if not isinstance(bk.one, Fraction):
+        return sum((m.scale(c) for m, c in terms), ExactMatrix.zeros(N, N, bk.one))
+    den_c = lcm(*(c.denominator for _, c in terms))
+    den_m = lcm(*{v.denominator for m, _ in terms for v in m.entries.values()})
+    acc = {}
+    for m, c in terms:
+        a = c.numerator * (den_c // c.denominator)
+        for k, v in m.entries.items():
+            acc[k] = acc.get(k, 0) + a * v.numerator * (den_m // v.denominator)
+    return ExactMatrix(N, N, {k: Fraction(v, den_c * den_m) for k, v in acc.items()}, bk.one)
 
 
 # ---------------------------------------------------------------------------

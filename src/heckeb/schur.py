@@ -30,9 +30,11 @@ the count of semistandard bitableaux.  rho is an anti-homomorphism, so the
 image is the column space of rho(f_k) ... rho(f_1) (the diagram route), never
 expanding e' in the algebra: a basis matrix starts as rho(f_1), is replaced
 by the sparse product rho(f) * basis at each later factor, and is cut back to
-an echelon basis after each factor that is not a basis element.  Shapes of
-one (|lam|, |mu|) share their leading factors, so the ledger and the
-irreducibility report hold the path of the previous shape (a chain) and
+an echelon basis after each factor that is not a basis element.  At a point
+the factors are scaled to integer matrices and the cut-back is fraction-free
+(exactlinalg.integer_echelon), so only the final Subspace is over Fraction.
+Shapes of one (|lam|, |mu|) share their leading factors, so the ledger and
+the irreducibility report hold the path of the previous shape (a chain) and
 multiply only past the common prefix: the ten bipartitions of 3 have 52
 non-identity factors but 30 distinct prefix products.  rep.rho is cached, so
 each of the 15 distinct factor matrices is built once per process.  The schur
@@ -42,14 +44,17 @@ command also expands e' (the element route) and compares the two images.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 from .exactlinalg import (
     ExactMatrix,
     Subspace,
+    _integer_matrix,
     commutant_dimension,
     dual_pair_dimensions,
     hstack,
+    integer_echelon,
     intertwiner_dimension,
     matrix_algebra_dimension,
     minimal_polynomial,
@@ -260,7 +265,8 @@ def schur_algebra_dimension_orbit(n, d, bk=SYMBOLIC):
 
 
 def schur_functor_subspace(shape, n, bk=SYMBOLIC) -> Subspace:
-    """Image of rho(e'_{lam,mu}) inside V_n^{(x) d}."""
+    """Image of rho(e'_{lam,mu}) inside V_n^{(x) d} (the element route); at a
+    point rho sums e' over Z and the column space is cut back over Z."""
     return rho(bipartition_element(shape), n, bk).column_space()
 
 
@@ -269,7 +275,15 @@ def product_image(factors, n, bk=SYMBOLIC, chain=None) -> Subspace:
     product: rho is an anti-homomorphism, so it is the column space of
     rho(f_k) ... rho(f_1).  The basis is kept as one matrix, starting from
     rho(f_1) and replaced by rho(f) * basis at each later factor: one sparse
-    product, whose cost is its multiply-adds.
+    product, whose cost is its multiply-adds.  After each factor that is not
+    a basis element T_w (invertible) the basis is cut back to independent
+    columns: symbolically to the canonical basis of a Subspace.
+
+    At a point the chain runs over Z, since an image does not change when a
+    factor matrix or a basis vector is scaled by a nonzero rational: each
+    factor is rho(f) cleared of denominators, the basis is an integer matrix
+    and the cut-back is exactlinalg.integer_echelon.  The returned Subspace is
+    the only one built over Fraction.
 
     chain, if given, is a caller-owned list of (factor, basis after it) pairs
     holding the path of the previous call: the longest common prefix with
@@ -287,16 +301,20 @@ def product_image(factors, n, bk=SYMBOLIC, chain=None) -> Subspace:
     d = factors[0].d
     N = n**d
     one = HeckeElement.one(d)
+    if isinstance(bk.one, Fraction):
+        unit, scaled, cut = 1, _integer_matrix, lambda m: integer_echelon(m.columns())
+    else:
+        unit, scaled, cut = bk.one, lambda m: m, lambda m: m.column_space().basis()
     basis = chain[-1][1] if chain else None
     for f in factors[k:]:
         if f != one:
-            m = rho(f, n, bk)
+            m = scaled(rho(f, n, bk))
             basis = m if basis is None else m * basis
-            if f.support_size() > 1:  # a basis element T_w is invertible: nothing to reduce
-                basis = ExactMatrix.from_columns(N, basis.column_space().basis(), bk.one)
+            if f.support_size() > 1:
+                basis = ExactMatrix.from_columns(N, cut(basis), unit)
         chain.append((f, basis))
     if basis is None:
-        basis = ExactMatrix.identity(N, bk.one)
+        basis = ExactMatrix.identity(N, unit)
     return basis.column_space()
 
 

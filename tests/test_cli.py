@@ -388,13 +388,15 @@ WORKLOADS = json.loads(
 
 class TestBenchWorkloads:
     """Each benchmark workload still prints the results its reference digest
-    names, symbolic or at the first point, digested as perfbench/run.py does."""
+    names, symbolic or at every point of the list, digested as
+    perfbench/run.py does."""
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS["workloads"]))
     def test_results_digest(self, capsys, name):
         workload = WORKLOADS["workloads"][name]
-        backend = "symbolic" if workload["backend"] == "symbolic" else WORKLOADS["points"][0]
-        code, out = run(capsys, [*workload["argv"], "--backend", backend, "--output", "json"])
-        assert code == 0
-        blob = json.dumps(json.loads(out)["results"], sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(blob.encode()).hexdigest() == workload["results_sha256"]
+        points = ["symbolic"] if workload["backend"] == "symbolic" else WORKLOADS["points"]
+        for backend in points:
+            code, out = run(capsys, [*workload["argv"], "--backend", backend, "--output", "json"])
+            assert code == 0, backend
+            blob = json.dumps(json.loads(out)["results"], sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(blob.encode()).hexdigest() == workload["results_sha256"], backend

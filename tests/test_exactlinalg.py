@@ -1,6 +1,7 @@
 """Sparse exact matrices, canonical subspaces, and minimal polynomials."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -31,7 +32,9 @@ from heckeb.exactlinalg import (
     _certified_algebra_dimension,
     _certified_rank,
     _closure_dimension,
+    _integer_matrix,
     _sylvester,
+    integer_echelon,
 )
 from heckeb.rep import SYMBOLIC, coideal_generators, generator_matrix
 from heckeb.schur import verify_double_centralizer
@@ -137,6 +140,60 @@ class TestSubspace:
         assert s.coordinates({0: ONE}) is None
 
 
+integer_vectors = st.dictionaries(
+    st.integers(0, 5),
+    st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**61), 2**61)),
+    max_size=6,
+)
+
+
+@st.composite
+def integer_vector_lists(draw):
+    """Integer vectors, with zero vectors, duplicates and multiples planted."""
+    vecs = draw(st.lists(integer_vectors, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        if vecs:
+            v = draw(st.sampled_from(vecs))
+            c = draw(st.sampled_from([1, -1, 2, 2**61 - 1]))
+            vecs.insert(draw(st.integers(0, len(vecs))), {k: c * x for k, x in v.items()})
+    return vecs + draw(st.lists(st.just({}), max_size=1)) + [{0: 0, 3: 0}]
+
+
+def no_float(vectors):
+    return all(type(x) in (int, Fraction) for v in vectors for x in v.values())
+
+
+class TestIntegerEchelon:
+    @given(integer_vector_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_against_fraction_elimination(self, vecs):
+        out = integer_echelon(vecs)
+        m = ExactMatrix.from_columns(6, [{k: Fraction(x) for k, x in v.items()} for v in vecs])
+        assert len(out) == len(m._row_echelon(full=False)[0])
+        assert Subspace(6, out) == Subspace(6, vecs)
+        pivots = [min(v) for v in out]
+        assert pivots == sorted(set(pivots))
+        for v in out:
+            assert all(type(x) is int and x for x in v.values())
+            assert math.gcd(*v.values()) == 1
+
+    def test_int_unit_has_no_float(self):
+        """A matrix over Z (an int unit) eliminates over Q: 1 / p in floating
+        point once lost the rank of this unimodular matrix."""
+        p = 2**61 - 1
+        m = ExactMatrix(2, 2, {(0, 0): p, (0, 1): p + 1, (1, 0): p - 1, (1, 1): p}, 1)
+        assert m.rank() == 2
+        assert len(m._row_echelon()[0]) == 2
+        assert m.kernel_basis() == [] and m.kernel().dim == 0
+        space = m.column_space()
+        assert space.dim == 2 and no_float(space.basis())
+        assert space == Subspace(2, [{0: 1}, {1: 1}], 1)
+        singular = ExactMatrix(2, 2, {(0, 0): p, (0, 1): p * 3, (1, 0): 2, (1, 1): 6}, 1)
+        assert singular.rank() == 1
+        assert no_float(singular.kernel_basis()) and no_float(singular.column_space().basis())
+        assert no_float(singular.kernel().basis())
+
+
 class TestPolynomials:
     def test_divmod(self):
         # (x^2 - 1) = (x + 1)(x - 1)
@@ -206,22 +263,30 @@ fractions_small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
 sparse_entries = st.one_of(st.just(Fraction(0)), fractions_small)
 
 
+# numerators up to 2^61 in size over denominators that differ entry by entry
+HEIGHT = 2**61
+fractions_mixed = st.one_of(
+    fractions_small,
+    st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.sampled_from([1, 2, 3, 7, 12, HEIGHT - 1])),
+)
+
+
 @st.composite
-def planted_matrices(draw):
+def planted_matrices(draw, entries=sparse_entries, factors=fractions_small):
     """Sparse rational matrices with dependent columns, then rows, planted
     as combinations of two earlier ones."""
     nrows = draw(st.integers(1, 6))
     ncols = draw(st.integers(1, 6))
-    rows = [[draw(sparse_entries) for _ in range(ncols)] for _ in range(nrows)]
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
-        a, b = draw(fractions_small), draw(fractions_small)
+        a, b = draw(factors), draw(factors)
         for row in rows:
             row.append(a * row[i] + b * row[j])
         ncols += 1
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
-        a, b = draw(fractions_small), draw(fractions_small)
+        a, b = draw(factors), draw(factors)
         rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
         nrows += 1
     return dense(rows)
@@ -272,8 +337,18 @@ class TestCertifiedRank:
     def test_matches_fraction_elimination(self, m):
         expected = len(m._row_echelon()[0])
         assert m.rank() == expected
+        assert _integer_matrix(m).rank() == expected
         assert _certified_rank(m.rows(), m.ncols) == expected
         assert _certified_rank(m.transpose().rows(), m.nrows) == expected
+
+    @given(planted_matrices(st.one_of(st.just(Fraction(0)), fractions_mixed), fractions_mixed))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_with_mixed_denominators(self, m):
+        """Large heights, where the certificate may fail: the rank over Z
+        alone, on the Fraction matrix and on its integer multiple."""
+        expected = len(m._row_echelon()[0])
+        assert len(m._row_echelon(full=False)[0]) == expected
+        assert m.rank() == _integer_matrix(m).rank() == expected
 
     def test_primes_are_prime(self):
         assert [is_prime(n) for n in (2, 37, 41, 561, 2**31 - 1, 2**61 + 1)] == [

@@ -1,5 +1,6 @@
 """Signed powers, Schur functors, centralizer algebras, decompositions."""
 
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from heckeb import schur
 from heckeb.cli import main
 from heckeb.hecke import HeckeElement, bipartition_factors, jucys_murphy, shuffle_t, u_minus, u_plus
-from heckeb.exactlinalg import ExactMatrix
+from heckeb.exactlinalg import ExactMatrix, Subspace
 from heckeb.rep import SYMBOLIC, BudgetExceeded, PermutationModule, SpecializedBackend, rho
 from heckeb.scalars import RF_ONE, RF_Q, Specialization, default_specialization
 from heckeb.schur import (
@@ -168,7 +169,18 @@ def prefix_sharing_lists(draw, max_rank, max_len, small_shifts):
 
 
 def expanded_image(factors, n, bk):
-    return rho(prod(factors[1:], start=factors[0]), n, bk).column_space()
+    """The element route's image, reduced by Subspace.insert over the entry
+    field: at a point no integer elimination is involved."""
+    m = rho(prod(factors[1:], start=factors[0]), n, bk)
+    return Subspace(m.nrows, m.columns(), m.one)
+
+
+# the four bench points, one whose denominators must be cleared, and one of
+# height 2^61 - 1
+POINTS = [
+    SpecializedBackend(Specialization(Q, q))
+    for Q, q in [(2, 3), (3, 2), (5, 3), (3, 7), (Fraction(1, 2), Fraction(2, 3)), (2**61 - 1, 3)]
+]
 
 
 class TestProductRoute:
@@ -187,13 +199,13 @@ class TestProductRoute:
         assert (len(factors), len(set(factors)), len(prefixes)) == (52, 15, 30)
         assert (built.misses, built.hits) == (15, 15)
 
-    @given(lists=prefix_sharing_lists(3, 4, small_shifts=True))
+    @given(lists=prefix_sharing_lists(3, 4, small_shifts=True), bk=st.sampled_from(POINTS))
     @settings(max_examples=40, deadline=None)
-    def test_shared_chain_at_a_point(self, lists):
+    def test_shared_chain_at_a_point(self, lists, bk):
         n = 3 if lists[0][0].d < 3 else 2
         chain = []
         for factors in lists:
-            assert product_image(factors, n, SPEC, chain) == product_image(factors, n, SPEC)
+            assert product_image(factors, n, bk, chain) == product_image(factors, n, bk)
 
     @given(lists=prefix_sharing_lists(2, 3, small_shifts=False))
     @settings(max_examples=20, deadline=None)
@@ -225,11 +237,11 @@ class TestProductRoute:
             chains.append(seen[0][0])
         assert not any(a is b for i, a in enumerate(chains) for b in chains[i + 1 :])
 
-    @given(factors=factor_lists(3, 4, small_shifts=True))
+    @given(factors=factor_lists(3, 4, small_shifts=True), bk=st.sampled_from(POINTS))
     @settings(max_examples=40, deadline=None)
-    def test_matches_the_expanded_product_at_a_point(self, factors):
+    def test_matches_the_expanded_product_at_a_point(self, factors, bk):
         n = 3 if factors[0].d < 3 else 2
-        assert product_image(factors, n, SPEC) == expanded_image(factors, n, SPEC)
+        assert product_image(factors, n, bk) == expanded_image(factors, n, bk)
 
     # Eliminating the expanded matrix symbolically is the slow side: at rank
     # 3, or with integer shifts, one 8x8 column space can take tens of seconds
