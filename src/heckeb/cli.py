@@ -58,6 +58,7 @@ from .schur import (
     LEDGER_MAX_RANK,
     PM_KINDS,
     POINT_MAX_BITS,
+    SPECTRA_MAX_HEIGHT,
     SPECTRA_MAX_WIDTH,
     SYLVESTER_MAX_WIDTH,
     check_budget,
@@ -399,8 +400,16 @@ def shape_size(a):
 
 def spectra_caps(a, bk):
     """The spectra budget (spectra suite, eigen command): N * d over the d
-    Jucys-Murphy matrices, N x N with N = n^d."""
-    return [("Jucys-Murphy width n^d * d", a.n**a.d * a.d, SPECTRA_MAX_WIDTH, "spectra")]
+    Jucys-Murphy matrices, N x N with N = n^d, and min(n, 2d) * N * d^3 * h
+    at a point of height h = b_Q + d b_q, b_x the bit length of x
+    (SPECTRA_MAX_HEIGHT)."""
+    s = bk.spec
+    bQ, bq = (max(map(int.bit_length, x.as_integer_ratio())) for x in (s.valueQ, s.valueq))
+    cost = min(a.n, 2 * a.d) * a.n**a.d * a.d**3 * (bQ + a.d * bq)
+    return [
+        ("Jucys-Murphy width n^d * d", a.n**a.d * a.d, SPECTRA_MAX_WIDTH, "spectra"),
+        ("Jucys-Murphy height min(n, 2d) * n^d * d^3 * h", cost, SPECTRA_MAX_HEIGHT, "spectra"),
+    ]
 
 
 def double_centralizer_caps(a, bk):

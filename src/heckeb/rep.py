@@ -18,7 +18,8 @@ and T_0 acts on the first factor by the K-matrix
     v_i  |->  v_{-i} + (1/Q - Q) v_i      i < 0.
 
 Everything can run either symbolically over the rational function field or at
-an exact rational specialization point.
+an exact rational specialization point; there the integral twin of a backend
+builds every Hecke matrix over Z, as a stated positive multiple (rho).
 """
 
 from __future__ import annotations
@@ -28,11 +29,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .exactlinalg import (
-    ExactMatrix,
-    minimal_polynomial,
-    poly_divmod,
-)
+from .exactlinalg import ExactMatrix, minimal_polynomial
 from .scalars import (
     LP_ONE,
     RF_ONE,
@@ -88,12 +85,17 @@ class SymbolicBackend(_Backend):
 
 
 class SpecializedBackend(_Backend):
+    """Q at a point (unit Fraction(1)), or with integral=True its twin over Z
+    (unit 1, its own key), which builds the Hecke matrices with integer
+    entries: see _coeffs and rho.  bk.integral is the twin of either."""
+
     is_symbolic = False
 
-    def __init__(self, spec: Specialization):
+    def __init__(self, spec: Specialization, integral=False):
         self.spec = spec
-        self.one = Fraction(1)
-        self.key = ("specialized", spec.valueQ, spec.valueq)
+        self.one = 1 if integral else Fraction(1)
+        self.key = ("integral" if integral else "specialized", spec.valueQ, spec.valueq)
+        self.integral = self if integral else SpecializedBackend(spec, True)
 
     def of(self, rf):
         return specialize(rf, self.spec)
@@ -103,7 +105,8 @@ class SpecializedBackend(_Backend):
         return x
 
     def __repr__(self):
-        return "SpecializedBackend(Q=%s, q=%s)" % (self.spec.valueQ, self.spec.valueq)
+        twin = ", integral" if self.integral is self else ""
+        return "SpecializedBackend(Q=%s, q=%s%s)" % (self.spec.valueQ, self.spec.valueq, twin)
 
 
 SYMBOLIC = SymbolicBackend()
@@ -124,12 +127,16 @@ def tensor_tuples(n, d):
     return tups, {t: k for k, t in enumerate(tups)}
 
 
-def _coeffs(bk):
-    qinv = bk.of(RF_q.inverse())
-    qdif = bk.of(RF_q.inverse() - RF_q)
-    Qinv = bk.of(RF_Q.inverse())
-    Qdif = bk.of(RF_Q.inverse() - RF_Q)
-    return qinv, qdif, Qinv, Qdif
+def _coeffs(bk, i):
+    """The entries (1, 1/x, 1/x - x) of rho(T_i), x = Q for i = 0 and q
+    otherwise.  Over Z (the integral twin) each is times s_i, the lcm of
+    their denominators: s_0 for T_0, s_1 for every other T_i."""
+    x = RF_Q if i == 0 else RF_q
+    c = (bk.one, bk.of(x.inverse()), bk.of(x.inverse() - x))
+    if isinstance(bk.one, int):
+        s = lcm(c[1].denominator, c[2].denominator)
+        c = tuple(int(v * s) for v in c)
+    return c
 
 
 def action_matrix_on(tuples, index, i, bk):
@@ -138,35 +145,34 @@ def action_matrix_on(tuples, index, i, bk):
     The tuple list must be closed under the move (it always is for full tensor
     spaces and for orbits).
     """
-    qinv, qdif, Qinv, Qdif = _coeffs(bk)
-    one = bk.one
+    one, inv, dif = _coeffs(bk, i)
     e = {}
     for col, a in enumerate(tuples):
         if i == 0:
             x = a[0]
             if x == 0:
-                e[(col, col)] = Qinv
+                e[(col, col)] = inv
             else:
                 b = (-x,) + a[1:]
                 e[(index[b], col)] = one
                 if x < 0:
-                    e[(col, col)] = Qdif
+                    e[(col, col)] = dif
         else:
             x, y = a[i - 1], a[i]
             if x == y:
-                e[(col, col)] = qinv
+                e[(col, col)] = inv
             else:
                 b = a[: i - 1] + (y, x) + a[i + 1 :]
                 e[(index[b], col)] = one
                 if x > y:
-                    e[(col, col)] = qdif
+                    e[(col, col)] = dif
     m = len(tuples)
-    return ExactMatrix(m, m, e, one)
+    return ExactMatrix(m, m, e, bk.one)
 
 
 @functools.cache
 def generator_matrix(n, d, i, bk):
-    """rho(T_i) on V_n^{(x) d}."""
+    """rho(T_i) on V_n^{(x) d}; s_i rho(T_i) over Z (_coeffs)."""
     tups, index = tensor_tuples(n, d)
     return action_matrix_on(tups, index, i, bk)
 
@@ -174,7 +180,9 @@ def generator_matrix(n, d, i, bk):
 @functools.cache
 def rho_basis(n, d, w, bk):
     """rho(T_w) = rho(T_s) rho(T_{ws}) for the last letter s of a reduced word
-    of w: one product on the cached matrix of the shorter prefix."""
+    of w: one product on the cached matrix of the shorter prefix.  Over Z it
+    is sigma(w) rho(T_w), sigma(w) = s_0^{l_0} s_1^{l_1} over the letters of
+    the word (SignedPermutation.length_split)."""
     word = w.reduced_word()
     if not word:
         return ExactMatrix.identity(n**d, bk.one)
@@ -187,20 +195,28 @@ def rho_basis(n, d, w, bk):
 def rho(elem, n, bk=SYMBOLIC):
     """Matrix of a Hecke element acting on V_n^{(x) d} (d = elem.d); cached,
     so each distinct factor of a bipartition element is built once.  At a
-    point the terms are summed over Z under one common denominator, and one
-    Fraction is built per output entry."""
+    point each c_w rho_basis(w) of the integral twin is summed over Z times
+    L / (den(c_w) sigma(w)), L = lcm(den(c_w) sigma(w)) > 0: over Z rho is
+    that sum, L rho(elem), and over Q that sum divided once by L."""
     N = n**elem.d
-    terms = [(rho_basis(n, elem.d, w, bk), bk.of(c)) for w, c in elem.terms.items()]
-    if not isinstance(bk.one, Fraction):
-        return sum((m.scale(c) for m, c in terms), ExactMatrix.zeros(N, N, bk.one))
-    den_c = lcm(*(c.denominator for _, c in terms))
-    den_m = lcm(*{v.denominator for m, _ in terms for v in m.entries.values()})
+    if bk.is_symbolic:
+        terms = (rho_basis(n, elem.d, w, bk).scale(c) for w, c in elem.terms.items())
+        return sum(terms, ExactMatrix.zeros(N, N, bk.one))
+    zk = bk.integral
+    s0, s1 = _coeffs(zk, 0)[0], _coeffs(zk, 1)[0]
+    terms = []
+    for w, c in elem.terms.items():
+        c, (l0, l1) = zk.of(c), w.length_split()
+        terms.append((rho_basis(n, elem.d, w, zk), c.numerator, c.denominator * s0**l0 * s1**l1))
+    den = lcm(*(t[2] for t in terms))
     acc = {}
-    for m, c in terms:
-        a = c.numerator * (den_c // c.denominator)
+    for m, a, t in terms:
+        a *= den // t
         for k, v in m.entries.items():
-            acc[k] = acc.get(k, 0) + a * v.numerator * (den_m // v.denominator)
-    return ExactMatrix(N, N, {k: Fraction(v, den_c * den_m) for k, v in acc.items()}, bk.one)
+            acc[k] = acc.get(k, 0) + a * v
+    if bk is zk:
+        return ExactMatrix(N, N, acc, 1)
+    return ExactMatrix(N, N, {k: Fraction(v, den) for k, v in acc.items() if v}, bk.one)
 
 
 # ---------------------------------------------------------------------------
@@ -581,25 +597,35 @@ def central_candidate_eigenvalues(d, s: Specialization):
     return out
 
 
+def _deflate(c, a, b):
+    """c / (b t - a) for integer coefficients c (constant first) if a/b, in
+    lowest terms with b > 0, is a root, else None: by Gauss's lemma the
+    quotient is integral, so a remainder at any step shows a/b is no root."""
+    r = [0] * len(c)
+    for k in range(len(c) - 1, 0, -1):
+        r[k - 1], rem = divmod(c[k] + a * r[k], b)
+        if rem:
+            return None
+    return r[:-1] if c[0] + a * r[0] == 0 else None
+
+
 def eigenvalue_multiplicities(m: ExactMatrix, candidates):
-    """Deflate the minimal polynomial by candidate roots.
+    """Deflate the minimal polynomial, cleared once to integer coefficients,
+    by candidate roots over Z (_deflate): no Fraction per candidate.
 
     Returns {eigenvalue: multiplicity in the minimal polynomial}; raises
     UnclassifiedEigenvalue if a nonconstant factor remains.
     """
     mp = minimal_polynomial(m)
-    one = m.one
+    den = lcm(*(v.denominator for v in mp))
+    c = [v.numerator * (den // v.denominator) for v in mp]
     mults = {}
     for lam in candidates:
-        while len(mp) > 1:
-            quot, rem = poly_divmod(mp, [-lam, one])
-            if rem:
-                break
+        while len(c) > 1 and (r := _deflate(c, lam.numerator, lam.denominator)) is not None:
             mults[lam] = mults.get(lam, 0) + 1
-            mp = quot
-    if len(mp) > 1:
+            c = r
+    if len(c) > 1:
         raise UnclassifiedEigenvalue(
             "minimal polynomial has a factor outside the candidate set"
         )
     return mults
-

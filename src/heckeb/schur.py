@@ -31,8 +31,9 @@ image is the column space of rho(f_k) ... rho(f_1) (the diagram route), never
 expanding e' in the algebra: a basis matrix starts as rho(f_1), is replaced
 by the sparse product rho(f) * basis at each later factor, and is cut back to
 an echelon basis after each factor that is not a basis element.  At a point
-the factors are scaled to integer matrices and the cut-back is fraction-free
-(exactlinalg.integer_echelon), so only the final Subspace is over Fraction.
+the factors are integer matrices, L rho(f) with L > 0 from the integral
+backend, and the cut-back is fraction-free (exactlinalg.integer_echelon), so
+only the final Subspace is over Fraction.
 Shapes of one (|lam|, |mu|) share their leading factors, so the ledger and
 the irreducibility report hold the path of the previous shape (a chain) and
 multiply only past the common prefix: the ten bipartitions of 3 have 52
@@ -44,13 +45,11 @@ command also expands e' (the element route) and compares the two images.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb
 
 from .exactlinalg import (
     ExactMatrix,
     Subspace,
-    _integer_matrix,
     commutant_dimension,
     dual_pair_dimensions,
     hstack,
@@ -126,13 +125,18 @@ DOUBLE_CENTRALIZER_MAX_RANK = {True: 3, False: 4}
 # d; they cap N * d.  In the same sweep the slowest accepted input took ~3 s
 # (n 2, d 6); n 4, d 4 (N d = 1,024) took 19 s, n 2, d 8 over 30 s
 SPECTRA_MAX_WIDTH = 800
+# Their Krylov powers grow with the height h = b_Q + d b_q of the point (b_x
+# the bit length of x) and with the eigenvalue count, which grows with n up
+# to n = 2d: they cap min(n, 2d) N d^3 h, which holds verify all n 3, d 3 at
+# Q = 2^1024 - 1, q = 3.  In a sweep of every row at the largest h it takes
+# (as Q, then q) the slowest took 17 s (spectra n 2, d 6 at b_Q = 69)
+SPECTRA_MAX_HEIGHT = 3 * 27 * 3**3 * (1024 + 3 * 2)
 # the largest bit length of a numerator or denominator of Q and q at a point,
 # checked first: entries grow with the height of the point, and at
 # Q = 10^1000000 even dims --n 2 --d 2 ran over 60 s.  It holds 10^300 (997
 # bits).  In a sweep at 2^1024 - 1 (as Q, then q) every row but spectra took
-# at most 6.5 s (verify all n 3, d 3, e 1); that row took 9 s at Q = 10^1000
-# and over 60 s at 10^3000.  Spectra grows faster with height than this
-# bounds: n 2, d 6 ran over 60 s at Q = 10^150
+# at most 6.5 s (verify all n 3, d 3, e 1); spectra, which grows faster with
+# height, takes SPECTRA_MAX_HEIGHT
 POINT_MAX_BITS = 1024
 
 
@@ -281,9 +285,9 @@ def product_image(factors, n, bk=SYMBOLIC, chain=None) -> Subspace:
 
     At a point the chain runs over Z, since an image does not change when a
     factor matrix or a basis vector is scaled by a nonzero rational: each
-    factor is rho(f) cleared of denominators, the basis is an integer matrix
-    and the cut-back is exactlinalg.integer_echelon.  The returned Subspace is
-    the only one built over Fraction.
+    factor is rho(f, n, bk.integral) = L rho(f), L > 0, built over Z, the
+    basis is an integer matrix and the cut-back is exactlinalg.integer_echelon.
+    The returned Subspace is the only one built over Fraction.
 
     chain, if given, is a caller-owned list of (factor, basis after it) pairs
     holding the path of the previous call: the longest common prefix with
@@ -301,20 +305,20 @@ def product_image(factors, n, bk=SYMBOLIC, chain=None) -> Subspace:
     d = factors[0].d
     N = n**d
     one = HeckeElement.one(d)
-    if isinstance(bk.one, Fraction):
-        unit, scaled, cut = 1, _integer_matrix, lambda m: integer_echelon(m.columns())
+    if bk.is_symbolic:
+        cut = lambda m: m.column_space().basis()
     else:
-        unit, scaled, cut = bk.one, lambda m: m, lambda m: m.column_space().basis()
+        bk, cut = bk.integral, lambda m: integer_echelon(m.columns())
     basis = chain[-1][1] if chain else None
     for f in factors[k:]:
         if f != one:
-            m = scaled(rho(f, n, bk))
+            m = rho(f, n, bk)
             basis = m if basis is None else m * basis
             if f.support_size() > 1:
-                basis = ExactMatrix.from_columns(N, cut(basis), unit)
+                basis = ExactMatrix.from_columns(N, cut(basis), bk.one)
         chain.append((f, basis))
     if basis is None:
-        basis = ExactMatrix.identity(N, unit)
+        basis = ExactMatrix.identity(N, bk.one)
     return basis.column_space()
 
 

@@ -252,6 +252,16 @@ class TestErrors:
                 ["dims", "--n", "2", "--d", "2", "--backend", "Q=2,q=1/%d" % 2**1024],
                 "bit length of q 1025 exceeds the point height budget 1024",
             ),
+            # spectra grows with the height of the point (Q of 499 bits):
+            # without a height term these ran over 60 s and 19.6 s
+            (
+                ["verify", "--suite", "spectra", "--n", "2", "--d", "6", "--backend", "Q=1e150,q=3"],
+                "height min(n, 2d) * n^d * d^3 * h 14128128 exceeds the spectra budget",
+            ),
+            (
+                ["verify", "--suite", "spectra", "--n", "3", "--d", "4", "--backend", "Q=1e150,q=3"],
+                "height min(n, 2d) * n^d * d^3 * h 7884864 exceeds the spectra budget",
+            ),
         ],
         ids=[
             "dims",
@@ -272,11 +282,24 @@ class TestErrors:
             "point-height-dims",
             "point-height-double-centralizer",
             "point-height-bits",
+            "spectra-height-n2-d6",
+            "spectra-height-n3-d4",
         ],
     )
     def test_budget_exits_2(self, capsys, argv, message):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "point", ["Q=2,q=3", "Q=3,q=2", "Q=5,q=3", "Q=3,q=7", "Q=%d,q=3" % (2**1024 - 1)]
+    )
+    def test_spectra_budget_holds_the_suite_at_n3_d3(self, point):
+        """The height term still accepts verify all at n 3, d 3 at the bench
+        points and at the largest height the point budget takes."""
+        argv = ["verify", "--suite", "all", "--n", "3", "--d", "3", "--backend", point]
+        args = cli.build_parser().parse_args(argv)
+        for cap in cli.spectra_caps(args, cli.parse_backend(point)):
+            cli.check_cap(*cap)
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,14 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeb.cli import semisimple
-from heckeb.exactlinalg import ExactMatrix, minimal_polynomial, poly_is_squarefree
+from heckeb.exactlinalg import ExactMatrix, minimal_polynomial, poly_divmod, poly_is_squarefree, poly_mul
 from heckeb.hecke import HeckeElement, central_element, jucys_murphy, u_minus, u_plus
 from heckeb.rep import (
     SYMBOLIC,
     PermutationModule,
     SpecializedBackend,
+    UnclassifiedEigenvalue,
     barv_map,
     central_candidate_eigenvalues,
     coideal_generators,
@@ -214,6 +217,11 @@ class TestCoideal:
         assert "t" in names_even
 
 
+# candidate roots: signs, denominators, a root and its negative, and a large
+# height
+ROOTS = [Fraction(v) for v in (2, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 9), 5, 2**61 - 1)]
+
+
 class TestSpectra:
     s = default_specialization()
 
@@ -233,6 +241,39 @@ class TestSpectra:
         assert mults == {two: 2}
         assert not poly_is_squarefree(minimal_polynomial(m), m.one)
         assert not semisimple(mults)
+
+    @given(
+        roots=st.lists(st.tuples(st.sampled_from(ROOTS), st.integers(1, 3)), max_size=4),
+        extra=st.sampled_from([[], [2, 0, 1], [-2, 0, 1], [Fraction(-1, 7), 1]]),
+        cands=st.lists(st.sampled_from(ROOTS), unique=True, max_size=len(ROOTS)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_deflation_matches_the_fraction_loop(self, roots, extra, cands):
+        """The integer deflation gives the multiplicities (and the failure)
+        of the Fraction loop it replaced, on companion matrices whose minimal
+        polynomial is a product of candidate and other factors."""
+        p = [Fraction(1)]
+        for lam, k in roots:
+            for _ in range(k):
+                p = poly_mul(p, [-lam, Fraction(1)])
+        p = poly_mul(p, [Fraction(c) for c in extra] or [Fraction(1)])
+        deg = len(p) - 1
+        e = {(i + 1, i): Fraction(1) for i in range(deg - 1)}
+        e.update({(i, deg - 1): -c / p[-1] for i, c in enumerate(p[:-1])})
+        m = ExactMatrix(deg, deg, e)
+        mp, expected = minimal_polynomial(m), {}
+        for lam in cands:
+            while len(mp) > 1:
+                quot, rem = poly_divmod(mp, [-lam, Fraction(1)])
+                if rem:
+                    break
+                expected[lam] = expected.get(lam, 0) + 1
+                mp = quot
+        try:
+            got = eigenvalue_multiplicities(m, dict.fromkeys(cands))
+        except UnclassifiedEigenvalue:
+            got = None
+        assert got == (expected if len(mp) == 1 else None)
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
     def test_central_eigenvalues_classified(self, n, d):

@@ -1,7 +1,7 @@
 """Signed powers, Schur functors, centralizer algebras, decompositions."""
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,15 @@ from heckeb import schur
 from heckeb.cli import main
 from heckeb.hecke import HeckeElement, bipartition_factors, jucys_murphy, shuffle_t, u_minus, u_plus
 from heckeb.exactlinalg import ExactMatrix, Subspace
-from heckeb.rep import SYMBOLIC, BudgetExceeded, PermutationModule, SpecializedBackend, rho
+from heckeb.rep import (
+    SYMBOLIC,
+    BudgetExceeded,
+    PermutationModule,
+    SpecializedBackend,
+    generator_matrix,
+    rho,
+    rho_basis,
+)
 from heckeb.scalars import RF_ONE, RF_Q, Specialization, default_specialization
 from heckeb.schur import (
     LEDGER_MAX_RANK,
@@ -159,7 +167,7 @@ def prefix_sharing_lists(draw, max_rank, max_len, small_shifts):
             nxt = prev[: draw(st.integers(1, len(prev)))]
         elif move == "tail":
             cut = draw(st.integers(0, len(prev)))
-            nxt = prev[:cut] + draw(st.lists(elements, min_size=1, max_size=max_len - cut or 1))
+            nxt = prev[:cut] + draw(st.lists(elements, min_size=1, max_size=max(max_len - cut, 1)))
         elif move == "first":
             nxt = [draw(elements.filter(lambda f: f != prev[0]))] + prev[1:]
         else:
@@ -251,6 +259,75 @@ class TestProductRoute:
         assert product_image(factors, 2, SYMBOLIC) == expanded_image(factors, 2, SYMBOLIC)
 
 
+def scales(bk):
+    """(s_0, s_1): the lcm of the denominators of 1/x and 1/x - x, for x = Q
+    and x = q."""
+    out = []
+    for x in (bk.spec.valueQ, bk.spec.valueq):
+        out.append(lcm((1 / x).denominator, (1 / x - x).denominator))
+    return tuple(out)
+
+
+def fraction_rho(elem, n, bk):
+    """rho over Fraction from its definition, sum of c_w rho_basis(w)."""
+    N = n**elem.d
+    terms = (rho_basis(n, elem.d, w, bk).scale(bk.of(c)) for w, c in elem.terms.items())
+    return sum(terms, ExactMatrix.zeros(N, N, bk.one))
+
+
+def assert_integral_multiple(got, expected, scale):
+    assert scale > 0
+    assert all(type(v) is int for v in got.entries.values())
+    assert got.one == 1 and type(got.one) is int
+    assert got.entries == {k: scale * v for k, v in expected.entries.items()}
+
+
+class TestIntegralRoute:
+    """The integral twin of a point builds s_i rho(T_i), sigma(w) rho(T_w) and
+    L rho(elem) over Z, with int entries only."""
+
+    @pytest.mark.parametrize("bk", POINTS, ids=str)
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 1), (2, 3), (3, 2)])
+    def test_generator_matrix(self, bk, n, d):
+        s = scales(bk)
+        for i in range(d):
+            got = generator_matrix(n, d, i, bk.integral)
+            assert_integral_multiple(got, generator_matrix(n, d, i, bk), s[min(i, 1)])
+
+    @pytest.mark.parametrize("bk", POINTS, ids=str)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rho_basis(self, bk, d):
+        s0, s1 = scales(bk)
+        for w in all_elements(d):
+            l0, l1 = w.length_split()
+            got = rho_basis(2, d, w, bk.integral)
+            assert_integral_multiple(got, rho_basis(2, d, w, bk), s0**l0 * s1**l1)
+
+    @staticmethod
+    def check_rho(elem, n, bk):
+        s0, s1 = scales(bk)
+        dens = []
+        for w, c in elem.terms.items():
+            l0, l1 = w.length_split()
+            dens.append(bk.of(c).denominator * s0**l0 * s1**l1)
+        expected = fraction_rho(elem, n, bk)
+        assert_integral_multiple(rho(elem, n, bk.integral), expected, lcm(*dens))
+        assert rho(elem, n, bk) == expected
+        assert all(type(v) is Fraction for v in rho(elem, n, bk).entries.values())
+
+    @given(elem=st.integers(1, 3).flatmap(lambda d: factor_elements(d, True)), bk=st.sampled_from(POINTS))
+    @settings(max_examples=60, deadline=None)
+    def test_rho_of_hecke_elements(self, elem, bk):
+        self.check_rho(elem, 2, bk)
+
+    @pytest.mark.parametrize("bk", POINTS, ids=str)
+    def test_rho_of_every_ledger_factor(self, bk):
+        for d in (1, 2, 3):
+            for shape in bipartitions(d):
+                for f in bipartition_factors(shape):
+                    self.check_rho(f, 2, bk)
+
+
 class TestSchurAlgebra:
     @pytest.mark.parametrize("n,d,expected", [(3, 1, 5), (3, 2, 15), (5, 2, 91), (7, 2, 325)])
     def test_dimension_two_ways(self, n, d, expected):
@@ -315,7 +392,8 @@ class TestDecomposition:
             return [(r["shape"], r["dimL"]) for r in led["rows"]], led["schur_algebra_dim"]
 
         expected = dims(schur_weyl_decompose(n, d, SYMBOLIC))
-        for bk in BENCH_POINTS:
+        # the bench points and two whose scales s_0 and s_1 differ
+        for bk in POINTS:
             assert dims(schur_weyl_decompose(n, d, bk)) == expected
 
     def test_ledger_takes_no_commutant(self, monkeypatch, capsys):
