@@ -128,8 +128,8 @@ SPECTRA_MAX_WIDTH = 800
 # Their Krylov powers grow with the height h = b_Q + d b_q of the point (b_x
 # the bit length of x) and with the eigenvalue count, which grows with n up
 # to n = 2d: they cap min(n, 2d) N d^3 h, which holds verify all n 3, d 3 at
-# Q = 2^1024 - 1, q = 3.  In a sweep of every row at the largest h it takes
-# (as Q, then q) the slowest took 17 s (spectra n 2, d 6 at b_Q = 69)
+# Q = 2^1024 - 1, q = 3.  In a sweep of every (n, d) at the largest h it
+# takes (as Q, then q) the slowest took 17 s (n 2, d 6 at b_Q = 69)
 SPECTRA_MAX_HEIGHT = 3 * 27 * 3**3 * (1024 + 3 * 2)
 # the largest bit length of a numerator or denominator of Q and q at a point,
 # checked first: entries grow with the height of the point, and at
