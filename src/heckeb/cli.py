@@ -61,6 +61,7 @@ from .schur import (
     SPECTRA_MAX_HEIGHT,
     SPECTRA_MAX_WIDTH,
     SYLVESTER_MAX_WIDTH,
+    YANG_BAXTER_MAX_CABLE,
     check_budget,
     check_cap,
     check_rank,
@@ -457,6 +458,10 @@ SUITES = {
         # V^{(x) d} for the central element, V^{(x) 2e} for the R and K blocks
         spaces=lambda a: [(a.n, a.d), (a.n, 2 * a.e)],
         rank=lambda a: (max(a.d, 2 * a.e),),
+        # Yang-Baxter on V^{(x) 3e}
+        caps=lambda a, bk: [
+            ("Yang-Baxter cable width e", a.e if a.n > 1 else 0, YANG_BAXTER_MAX_CABLE, "rk-equations")
+        ],
     ),
     "cylinder": Row(
         lambda a, bk: {"cylinder_identity": cylinder_identity_holds(a.d, a.e)},

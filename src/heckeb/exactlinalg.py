@@ -22,31 +22,26 @@ fraction-free (Bareiss 1968) and divided by its content.  A column space
 builds its canonical Subspace over Fraction from the independent integer
 vectors that remain.
 
-Over Fractions, `intertwiner_dimension` and `matrix_algebra_dimension` take a
-certified modular route instead (Wang 1981; Monagan 2004).  The rank is
-computed mod 61-bit primes that divide no denominator, which gives a lower
-bound, and a kernel basis mod p is lifted by CRT and rational reconstruction
-and checked exactly over Q, which makes the bound exact.  The algebra closure
-runs mod p, and the span of the words it finds is then certified closed over
-Q.  When no certificate is found, the rank is taken over the integers as
-above and the closure over Fractions: a rank mod p is never reported on its
-own.
+`intertwiner_dimension` is the nullity of one Sylvester system, so over Q it
+is an integer rank as above.  `matrix_algebra_dimension` grows the closure of
+span(I) under the generators in a Subspace over the entry field.
 
 A dual pair (A, B) of commuting families takes one sandwich certificate for
 all four of its dimensions instead (`dual_pair_dimensions`).  Since each a
 commutes with each b, alg(A) lies in Comm(B).  Words independent mod p are
 independent over Q, and a rank mod p is at most the rank over Q, so one pass
-mod p gives r_A <= dim alg(A) <= dim Comm(B) <= u_B: the closure count below,
-the Sylvester nullity mod p above.  When r_A = u_B and r_B = u_A, all four
-are exact, at any prime and whatever the height of the entries; no kernel is
-lifted.  When the bounds do not meet, each dimension is taken on its own.
+mod the prime p = 2^61 - 1 gives r_A <= dim alg(A) <= dim Comm(B) <= u_B: the
+closure count below, the Sylvester nullity mod p above.  When r_A = u_B and
+r_B = u_A, all four are exact, whatever the height of the entries.  When the
+bounds do not meet, each dimension is taken by the exact routes above: a rank
+mod p is never reported alone.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 
 class ShapeMismatch(ValueError):
@@ -594,20 +589,10 @@ def minimal_polynomial(m: ExactMatrix):
 
 
 # ---------------------------------------------------------------------------
-# certified modular rank over Q
+# elimination mod p
 
-# 2^61 - 1 and the next primes below it, fixed here so that no prime is
-# searched for at import.
-_PRIMES = (
-    2305843009213693951,
-    2305843009213693921,
-    2305843009213693907,
-    2305843009213693723,
-    2305843009213693693,
-    2305843009213693669,
-    2305843009213693613,
-    2305843009213693561,
-)
+# the prime the sandwich of `dual_pair_dimensions` runs at
+_P = 2**61 - 1
 
 
 def _eliminate_mod(rows, ncols, p):
@@ -657,24 +642,6 @@ def _eliminate_mod(rows, ncols, p):
     return pivots
 
 
-def _kernel_mod(pivots, ncols, p):
-    """Reduced kernel basis mod p from the pivots of `_eliminate_mod`, as
-    {free col: vector}: each vector is 1 at its own free column and 0 at the
-    other free columns, so the vectors are independent."""
-    reduced = {}
-    for pc, row in reversed(pivots):
-        # clear the later pivot columns, whose rows are already reduced
-        for c in [c for c in row if c != pc and c in reduced]:
-            _sub_multiple_mod(row, row[c], reduced[c], p)
-        reduced[pc] = row
-    kernel = {f: {f: 1} for f in range(ncols) if f not in reduced}
-    for pc, row in reduced.items():
-        for c, v in row.items():
-            if c != pc:
-                kernel[c][pc] = -v % p
-    return kernel
-
-
 def _sub_multiple_mod(dst, f, src, p):
     """dst -= f * src mod p for sparse vectors of residues, in place."""
     for k, v in src.items():
@@ -683,107 +650,6 @@ def _sub_multiple_mod(dst, f, src, p):
             dst[k] = w
         else:
             dst.pop(k, None)
-
-
-def _rational(u, m, bound):
-    """(a, b) with a = b u mod m, |a| <= bound and 0 < b <= bound, or None:
-    Wang's rational reconstruction."""
-    if u <= bound:
-        return u, 1
-    if m - u <= bound:
-        return u - m, 1
-    r0, r1, t0, t1 = m, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
-def _lift(vec, m):
-    """An integer multiple of the rational vector congruent to vec mod m, or
-    None when some entry has no reconstruction."""
-    bound = isqrt(m >> 1)
-    pairs = {}
-    for c, u in vec.items():
-        ab = _rational(u, m, bound)
-        if ab is None:
-            return None
-        pairs[c] = ab
-    den = lcm(*(b for _, b in pairs.values()))
-    return {c: a * (den // b) for c, (a, b) in pairs.items() if a}
-
-
-def _annihilates(int_cols, x):
-    """A x == 0, for A given by its integer columns [(row, entry)]."""
-    acc = {}
-    for c, xc in x.items():
-        for i, a in int_cols[c]:
-            acc[i] = acc.get(i, 0) + a * xc
-    return not any(acc.values())
-
-
-def _certified_rank(rows, ncols):
-    """Rank over Q of sparse rows {col: Fraction or int}, or None.
-
-    Works on whichever of the matrix and its transpose has fewer columns.  A
-    prime that divides no denominator gives rank_p <= rank_Q, so rank_p equal
-    to the number of columns is exact.  Otherwise the reduced kernel basis
-    mod p is lifted by CRT over the primes so far and rational
-    reconstruction, and each lifted vector is checked to lie in the kernel
-    over Q, in integer arithmetic: ncols - rank_p independent kernel vectors
-    make rank_p exact.  None when no prime of `_PRIMES` gives a certificate;
-    a rank mod p is never returned on its own.
-    """
-    if len(rows) < ncols:
-        cols = [{} for _ in range(ncols)]
-        for i, row in enumerate(rows):
-            for c, v in row.items():
-                cols[c][i] = v
-        rows, ncols = cols, len(rows)
-    dens = {v.denominator for row in rows for v in row.values()}
-    int_cols = None
-    lifting = None  # (rank, modulus, kernel residues) over the primes so far
-    for p in _PRIMES:
-        if any(d % p == 0 for d in dens):
-            continue
-        inv = {d: pow(d, -1, p) for d in dens}
-        red = [{c: r for c, v in row.items() if (r := v.numerator * inv[v.denominator] % p)} for row in rows]
-        pivots = _eliminate_mod(red, ncols, p)
-        rank = len(pivots)
-        if rank == ncols:
-            return rank
-        kernel = _kernel_mod(pivots, ncols, p)
-        if lifting is None or rank > lifting[0]:
-            lifting = (rank, p, kernel)
-        elif rank < lifting[0] or kernel.keys() != lifting[2].keys():
-            continue  # p lost rank, or chose other pivots: no CRT with it
-        else:
-            m, old = lifting[1], lifting[2]
-            minv = pow(m, -1, p)
-            for f, vec in kernel.items():
-                acc = old[f]
-                for c in acc.keys() | vec.keys():
-                    a = acc.get(c, 0)
-                    acc[c] = a + m * ((vec.get(c, 0) - a) * minv % p)
-            lifting = (rank, m * p, old)
-        lifted = []
-        for vec in lifting[2].values():
-            x = _lift(vec, lifting[1])
-            if x is None:
-                break
-            lifted.append(x)
-        else:
-            if int_cols is None:
-                int_cols = [[] for _ in range(ncols)]
-                for i, row in enumerate(_over_z(rows)):
-                    for c, v in row.items():
-                        int_cols[c].append((i, v))
-            if all(_annihilates(int_cols, x) for x in lifted):
-                return rank
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -823,15 +689,9 @@ def _sylvester(gens_u, gens_w):
 
 
 def intertwiner_dimension(gens_u, gens_w):
-    """dim of {phi : phi g_u = g_w phi for all generator pairs}, by rank.
-
-    `_sylvester` is the one place the system is built.  Over Fractions the
-    rank is `_certified_rank`; elimination runs only when that finds no
-    certificate, and for every other field.
-    """
-    m = _sylvester(gens_u, gens_w)
-    rank = _certified_rank(m.rows(), m.ncols) if isinstance(m.one, Fraction) else None
-    return m.ncols - (m.rank() if rank is None else rank)
+    """dim of {phi : phi g_u = g_w phi for all generator pairs}: the nullity
+    of the one system `_sylvester` builds, over Q an integer rank."""
+    return _sylvester(gens_u, gens_w).nullity()
 
 
 def commutant_dimension(gens):
@@ -843,21 +703,9 @@ def matrix_algebra_dimension(gens):
     """Dimension of the unital algebra generated by the given matrices.
 
     A span that holds I and is closed under right multiplication by every
-    generator holds every word, so it is the algebra.  Over Fractions the
-    closure runs mod p and is certified over Q
-    (`_certified_algebra_dimension`); otherwise, or when the certificate
-    fails, `_closure_dimension` runs it over the entry field.
-    """
-    if isinstance(gens[0].one, Fraction):
-        r = _certified_algebra_dimension(gens)
-        if r is not None:
-            return r
-    return _closure_dimension(gens)
-
-
-def _closure_dimension(gens):
-    """The closure of span(I) under right multiplication, grown over the
-    entry field in a Subspace of the vec'd (row-major) matrices."""
+    generator holds every word, so it is the algebra: the closure of span(I),
+    grown over the entry field in a Subspace of the vec'd (row-major)
+    matrices."""
     n = gens[0].nrows
     one = gens[0].one
     span = Subspace(n * n, (), one)
@@ -945,43 +793,13 @@ def _closure_mod(grows, n, p):
     return words
 
 
-def _certified_algebra_dimension(gens):
-    """Dimension of the algebra generated by Fraction matrices, or None.
-
-    Each generator is scaled to an integer matrix G (`_integer_matrix`).
-    The closure runs mod a prime p that divides no denominator
-    (`_closure_mod`); the r words independent mod p are independent over Q,
-    so dim >= r.  The words and their products by each G are rebuilt over
-    Z, each divided by its content; `_certified_rank` of them all = r shows
-    span_Q(words) closed, so dim <= r.
-    """
-    n = gens[0].nrows
-    dens = {v.denominator for g in gens for v in g.entries.values()}
-    p = next((p for p in _PRIMES if all(d % p for d in dens)), None)
-    if p is None:
-        return None
-    grows = [_integer_matrix(g).rows() for g in gens]
-    words = _closure_mod(grows, n, p)
-    zwords = [{i * n + i: 1 for i in range(n)}]
-    for parent, gi in words[1:]:
-        zwords.append(_primitive(_times(zwords[parent], grows[gi], n)))
-    made = set(words)
-    rows = zwords + [
-        _primitive(_times(w, grow, n))
-        for i, w in enumerate(zwords)
-        for gi, grow in enumerate(grows)
-        if (i, gi) not in made
-    ]
-    return len(words) if _certified_rank(rows, n * n) == len(words) else None
-
-
 def dual_pair_dimensions(gens_a, gens_b):
     """(dim alg(A), dim Comm(A), dim alg(B), dim Comm(B)) of two commuting
     families of Fraction matrices, by the sandwich certificate; or None.
 
     Each generator is scaled to an integer matrix.  Every a commutes with
     every b (checked exactly), so alg(A) lies in Comm(B).  The closure of A
-    mod p finds r_A words independent mod p, hence over Q: r_A <= dim
+    mod p = _P finds r_A words independent mod p, hence over Q: r_A <= dim
     alg(A).  The Sylvester system of B has rank_p <= rank_Q, so
     dim Comm(B) <= u_B = N^2 - rank_p.  Thus r_A <= dim alg(A) <=
     dim Comm(B) <= u_B, and r_A = u_B makes all three exact; the same with A
@@ -996,14 +814,13 @@ def dual_pair_dimensions(gens_a, gens_b):
     if any(a * b != b * a for a in ints_a for b in ints_b):
         return None
     n = gens_a[0].nrows
-    p = _PRIMES[0]
     dims = []
     for ints, other in ((ints_a, ints_b), (ints_b, ints_a)):
-        r = len(_closure_mod([g.rows() for g in ints], n, p))
+        r = len(_closure_mod([g.rows() for g in ints], n, _P))
         s = _sylvester(other, other)
         # the rank of the transpose: its elimination runs faster here
-        red = [{i: v % p for i, v in col.items() if v % p} for col in s.columns()]
-        if r != s.ncols - len(_eliminate_mod(red, s.nrows, p)):
+        red = [{i: v % _P for i, v in col.items() if v % _P} for col in s.columns()]
+        if r != s.ncols - len(_eliminate_mod(red, s.nrows, _P)):
             return None
         dims.append(r)
     return dims[0], dims[1], dims[1], dims[0]

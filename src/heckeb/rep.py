@@ -127,6 +127,7 @@ def tensor_tuples(n, d):
     return tups, {t: k for k, t in enumerate(tups)}
 
 
+@functools.cache
 def _coeffs(bk, i):
     """The entries (1, 1/x, 1/x - x) of rho(T_i), x = Q for i = 0 and q
     otherwise.  Over Z (the integral twin) each is times s_i, the lcm of

@@ -138,6 +138,12 @@ SPECTRA_MAX_HEIGHT = 3 * 27 * 3**3 * (1024 + 3 * 2)
 # at most 6.5 s (verify all n 3, d 3, e 1); spectra, which grows faster with
 # height, takes SPECTRA_MAX_HEIGHT
 POINT_MAX_BITS = 1024
+# the rk-equations suite checks Yang-Baxter on three cables of width e, on
+# V_n^{(x) 3e}, which the tensor budgets on n^d and n^(2e) do not bound: at
+# n 2, e 4 (V^{(x) 12}) it took 12 s at Q = 2, q = 3 and 25 s at
+# Q = 2^1024 - 1, q = 3, while every other accepted (n, e) took at most 2.4 s
+# (2-vCPU Xeon).  It caps e at n >= 2; at n = 1 every block is 1 x 1
+YANG_BAXTER_MAX_CABLE = 3
 
 
 def check_budget(n, d, bk):

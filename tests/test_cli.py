@@ -133,6 +133,22 @@ class TestCommands:
         assert code == 0
         assert "15" in out
 
+    @pytest.mark.parametrize(
+        "point",
+        ["Q=2,q=3", "Q=%d,q=3" % (2**61 - 1), "Q=%d,q=3" % (2**1024 - 1)],
+        ids=["Q=2", "Q=2^61-1", "Q=2^1024-1"],
+    )
+    @pytest.mark.parametrize("n,d,dim", [(3, 3, 35), (5, 2, 91)])
+    def test_centralizer_command_at_a_point(self, capsys, n, d, dim, point):
+        """At a point the commutant method is an integer rank; it must agree
+        with the orbit method up to the largest height the budget takes."""
+        code, out = run(capsys, ["centralizer", "--n", str(n), "--d", str(d), "--backend", point])
+        assert code == 0
+        assert out.splitlines() == [
+            "Schur algebra dim (orbit method): %d" % dim,
+            "Schur algebra dim (commutant method): %d" % dim,
+        ]
+
     def test_centralizer_at_high_degree(self, capsys):
         # n^d = 1 at n = 1, so any d is within budget; no recursion over d
         code, out = run(capsys, ["centralizer", "--n", "1", "--d", "1200"])
@@ -262,6 +278,12 @@ class TestErrors:
                 ["verify", "--suite", "spectra", "--n", "3", "--d", "4", "--backend", "Q=1e150,q=3"],
                 "height min(n, 2d) * n^d * d^3 * h 7884864 exceeds the spectra budget",
             ),
+            # Yang-Baxter on V^{(x) 12}: 12 s at this point, 25 s at 2^1024 - 1
+            (
+                ["verify", "--suite", "rk-equations", "--n", "2", "--d", "1", "--e", "4",
+                 "--backend", "Q=2,q=3"],
+                "Yang-Baxter cable width e 4 exceeds the rk-equations budget 3",
+            ),
         ],
         ids=[
             "dims",
@@ -284,6 +306,7 @@ class TestErrors:
             "point-height-bits",
             "spectra-height-n2-d6",
             "spectra-height-n3-d4",
+            "rk-yang-baxter-cable",
         ],
     )
     def test_budget_exits_2(self, capsys, argv, message):
@@ -299,6 +322,24 @@ class TestErrors:
         argv = ["verify", "--suite", "all", "--n", "3", "--d", "3", "--backend", point]
         args = cli.build_parser().parse_args(argv)
         for cap in cli.spectra_caps(args, cli.parse_backend(point)):
+            cli.check_cap(*cap)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "3", "--d", "2", "--e", "2"],
+            ["--n", "2", "--d", "1", "--e", "3", "--backend", "Q=2,q=3"],
+            ["--n", "4", "--d", "1", "--e", "2", "--backend", "Q=2,q=3"],
+            ["--n", "1", "--d", "1", "--e", "8", "--backend", "Q=2,q=3"],
+        ],
+        ids=["rk-symbolic", "n2-e3", "n4-e2", "n1-e8"],
+    )
+    def test_yang_baxter_budget_holds_the_fast_cables(self, argv):
+        """The cable cap still accepts the rk-symbolic workload and every
+        cable that took at most 2.4 s."""
+        args = cli.build_parser().parse_args(["verify", "--suite", "rk-equations", *argv])
+        row = cli.SUITES["rk-equations"]
+        for cap in row.caps(args, cli.parse_backend(args.backend)):
             cli.check_cap(*cap)
 
     @pytest.mark.parametrize(

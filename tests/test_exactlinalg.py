@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeb import exactlinalg, schur
+from heckeb import schur
 from heckeb.cli import main, parse_backend
 from heckeb.exactlinalg import (
     ExactMatrix,
@@ -28,10 +28,7 @@ from heckeb.exactlinalg import (
     poly_lcm,
     poly_mul,
     vstack,
-    _PRIMES,
-    _certified_algebra_dimension,
-    _certified_rank,
-    _closure_dimension,
+    _P,
     _integer_matrix,
     _sylvester,
     integer_echelon,
@@ -255,7 +252,7 @@ class TestAlgebraDimensions:
 
 
 # ---------------------------------------------------------------------------
-# the certified modular route against elimination over Fractions
+# ranks over Q by integer elimination against elimination over Fractions
 
 POINTS = ["Q=2,q=3", "Q=3,q=2", "Q=5,q=3", "Q=3,q=7"]
 
@@ -317,20 +314,6 @@ def is_prime(n):
     return True
 
 
-@pytest.fixture
-def primes_used(monkeypatch):
-    """The primes each modular elimination runs at, in order."""
-    used = []
-    eliminate = exactlinalg._eliminate_mod
-
-    def recording(rows, ncols, p):
-        used.append(p)
-        return eliminate(rows, ncols, p)
-
-    monkeypatch.setattr(exactlinalg, "_eliminate_mod", recording)
-    return used
-
-
 class TestCertifiedRank:
     @given(planted_matrices())
     @settings(max_examples=60, deadline=None)
@@ -338,14 +321,12 @@ class TestCertifiedRank:
         expected = len(m._row_echelon()[0])
         assert m.rank() == expected
         assert _integer_matrix(m).rank() == expected
-        assert _certified_rank(m.rows(), m.ncols) == expected
-        assert _certified_rank(m.transpose().rows(), m.nrows) == expected
 
     @given(planted_matrices(st.one_of(st.just(Fraction(0)), fractions_mixed), fractions_mixed))
     @settings(max_examples=60, deadline=None)
     def test_rank_with_mixed_denominators(self, m):
-        """Large heights, where the certificate may fail: the rank over Z
-        alone, on the Fraction matrix and on its integer multiple."""
+        """Large heights: the rank over Z, on the Fraction matrix and on its
+        integer multiple."""
         expected = len(m._row_echelon()[0])
         assert len(m._row_echelon(full=False)[0]) == expected
         assert m.rank() == _integer_matrix(m).rank() == expected
@@ -353,39 +334,24 @@ class TestCertifiedRank:
     def test_primes_are_prime(self):
         assert [is_prime(n) for n in (2, 37, 41, 561, 2**31 - 1, 2**61 + 1)] == [
             True, True, True, False, True, False]
-        assert _PRIMES[0] == 2**61 - 1
-        assert len(set(_PRIMES)) == len(_PRIMES)
-        assert all(p.bit_length() == 61 and is_prime(p) for p in _PRIMES)
+        assert _P.bit_length() == 61 and is_prime(_P)
 
     def test_primes_are_prime_by_sympy(self):
         sympy = pytest.importorskip("sympy")
-        assert all(sympy.isprime(p) for p in _PRIMES)
-
-    def test_denominator_forces_the_next_prime(self, primes_used):
-        # the first two rows are proportional, so the rank needs a certificate
-        big = _PRIMES[0]
-        rows = [
-            {0: Fraction(1, big), 1: Fraction(2)},
-            {0: Fraction(2, big), 1: Fraction(4)},
-            {0: ONE, 2: ONE},
-        ]
-        assert _certified_rank(rows, 3) == 2
-        assert primes_used[0] == _PRIMES[1]
+        assert sympy.isprime(_P)
 
     def test_point_at_the_first_prime_end_to_end(self, capsys):
         argv = ["verify", "--suite", "double-centralizer", "--n", "2", "--d", "2",
-                "--backend", "Q=%d,q=3" % _PRIMES[0], "--output", "json"]
+                "--backend", "Q=%d,q=3" % _P, "--output", "json"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
-    def test_unreconstructible_kernel_falls_back(self, primes_used):
-        # the kernel is spanned by (2^400, 1): no CRT over the primes holds it
+    def test_kernel_entry_of_400_bits(self):
+        # the kernel is spanned by (2^400, 1)
         big = 2**400
         m = dense([[1, -big], [2, -2 * big]])
-        assert _certified_rank(m.rows(), 2) is None
-        assert primes_used == list(_PRIMES)
-        # a Sylvester system whose kernel holds the same vector: its
-        # dimension comes from the elimination over Fractions
+        assert m.rank() == len(m._row_echelon()[0]) == 1
+        # a Sylvester system whose kernel holds the same vector
         assert intertwiner_dimension([dense([[0, big], [0, 0]])], [dense([[0, 1], [0, 0]])]) == 2
 
     @pytest.mark.parametrize("point", POINTS)
@@ -395,18 +361,15 @@ class TestCertifiedRank:
         hecke = [generator_matrix(n, 2, i, bk) for i in range(2)]
         coideal = list(coideal_generators(n, 2, bk).values())
         for gens in (hecke, coideal):
-            closure = _closure_dimension(gens)
-            assert _certified_algebra_dimension(gens) == closure
-            assert matrix_algebra_dimension(gens) == closure
             s = _sylvester(gens, gens)
-            assert _certified_rank(s.rows(), s.ncols) == s.rank()
-            assert commutant_dimension(gens) == s.ncols - s.rank()
+            assert commutant_dimension(gens) == s.ncols - len(s._row_echelon()[0])
+        # the per-quantity route against the sandwich
+        assert per_quantity(coideal, hecke) == dual_pair_dimensions(coideal, hecke)
 
-    def test_coideal_closure_needs_two_primes(self, primes_used):
+    def test_coideal_closure_at_Q3_q7(self):
         bk = parse_backend("Q=3,q=7")
         coideal = list(coideal_generators(3, 2, bk).values())
-        assert _certified_algebra_dimension(coideal) == _closure_dimension(coideal) == 15
-        assert len(primes_used) >= 2
+        assert matrix_algebra_dimension(coideal) == 15
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +437,14 @@ class TestDualPairDimensions:
         gens = [generator_matrix(2, 2, i, SYMBOLIC) for i in range(2)]
         assert dual_pair_dimensions(gens, gens) is None
 
-    @pytest.mark.parametrize("point", ["Q=%d,q=3" % _PRIMES[0], "Q=1e300,q=3"])
+    @pytest.mark.parametrize("point", ["Q=%d,q=3" % _P, "Q=1e300,q=3"])
     def test_large_height_closes_without_a_rank(self, monkeypatch, point):
-        # Q = 0 mod the first prime, and Q of 997 bits: no kernel lift runs
-        def refuse(rows, ncols):
+        # Q = 0 mod the prime, and Q of 997 bits: no dimension is taken on
+        # its own
+        def refuse(gens):
             raise AssertionError("the sandwich did not close")
 
-        monkeypatch.setattr(exactlinalg, "_certified_rank", refuse)
+        monkeypatch.setattr(schur, "matrix_algebra_dimension", refuse)
+        monkeypatch.setattr(schur, "commutant_dimension", refuse)
         argv = ["verify", "--suite", "double-centralizer", "--n", "3", "--d", "3"]
         assert main(argv + ["--backend", point]) == 0
