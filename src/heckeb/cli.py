@@ -179,42 +179,36 @@ def all_semisimple(n, d, bk):
 # output handling
 
 
-def emit(payload, args):
-    lines = []
+def emit(args, results, text, tsv, ok):
+    """Write the report of a command: its text lines, its tsv rows, or the
+    JSON document {tool, version, command, params, results, pass}, whose
+    params are the command's own parsed arguments."""
     if args.output == "json":
-        doc = {k: v for k, v in payload.items() if not k.startswith("results_")}
-        lines.append(json.dumps(doc, indent=2, sort_keys=True, default=str))
+        params = {k: v for k, v in vars(args).items() if k not in ("command", "output", "out")}
+        doc = {
+            "tool": "heckeb",
+            "version": __version__,
+            "command": args.command,
+            "params": params,
+            "results": results,
+            "pass": bool(ok),
+        }
+        lines = [json.dumps(doc, indent=2, sort_keys=True, default=str)]
     elif args.output == "tsv":
-        for row in payload.get("results_tsv", []):
-            lines.append("\t".join(str(x) for x in row))
+        lines = ["\t".join(str(x) for x in row) for row in tsv]
     else:
-        for line in payload.get("results_text", []):
-            lines.append(line)
-    text = "\n".join(lines) + "\n"
+        lines = text
+    report = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write(report)
     else:
-        sys.stdout.write(text)
-
-
-def payload_base(command, params, results, ok):
-    clean = {k: v for k, v in results.items() if not k.startswith("results_")}
-    out = {
-        "tool": "heckeb",
-        "version": __version__,
-        "command": command,
-        "params": params,
-        "results": clean,
-        "pass": bool(ok),
-    }
-    out["results_text"] = results.get("results_text", [])
-    out["results_tsv"] = results.get("results_tsv", [])
-    return out
+        sys.stdout.write(report)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (results, text, tsv, ok), the JSON results object,
+# the text lines, the tsv rows and whether every check passed
 
 
 def cmd_verify(args, bk, rows):
@@ -222,17 +216,10 @@ def cmd_verify(args, bk, rows):
     for row in rows:
         checks.update(row.run(args, bk))
     ok = all(checks.values())
-    text = ["%s: %s" % (k, "PASS" if v else "FAIL") for k, v in sorted(checks.items())]
+    tsv = [(k, "PASS" if v else "FAIL") for k, v in sorted(checks.items())]
+    text = ["%s: %s" % row for row in tsv]
     text.append("overall: %s" % ("PASS" if ok else "FAIL"))
-    results = dict(checks)
-    results["results_text"] = text
-    results["results_tsv"] = [[k, "PASS" if v else "FAIL"] for k, v in sorted(checks.items())]
-    return payload_base(
-        "verify",
-        {"suite": args.suite, "n": args.n, "d": args.d, "e": args.e, "backend": args.backend},
-        results,
-        ok,
-    ), ok
+    return checks, text, tsv, ok
 
 
 def cmd_dims(args, bk):
@@ -247,51 +234,25 @@ def cmd_dims(args, bk):
     results = {
         "dims": {"%s_%s" % (k, f): g for k, f, g, _ in rows},
         "expected": {k: expected_pm_dimension(k, args.n, args.d) for k in PM_KINDS},
-        "results_text": ["%s %s: %d (expected %d)" % r for r in rows],
-        "results_tsv": [list(r) for r in rows],
     }
-    return payload_base(
-        "dims", {"n": args.n, "d": args.d, "backend": args.backend}, results, ok
-    ), ok
+    text = ["%s %s: %d (expected %d)" % r for r in rows]
+    return results, text, rows, ok
 
 
 def cmd_decompose(args, bk):
     led = schur_weyl_decompose(args.n, args.d, bk)
-    text = []
-    tsv = []
-    for r in led["rows"]:
-        text.append(
-            "%-12s dimL=%-4d dimM=%-4d (formula %d)"
-            % (fmt_shape(r["shape"]), r["dimL"], r["dimM"], r["dimL_formula"])
-        )
-        tsv.append([fmt_shape(r["shape"]), r["dimL"], r["dimM"], r["dimL_formula"]])
-    text.append(
-        "sum dimL*dimM = %d (tensor dim %d)" % (led["sum_dimL_dimM"], led["tensor_dim"])
-    )
-    text.append(
-        "sum dimL^2 = %d (Schur algebra dim %d)"
-        % (led["sum_dimL_sq"], led["schur_algebra_dim"])
-    )
-    results = {
-        "rows": [
-            {
-                "shape": fmt_shape(r["shape"]),
-                "dimL": r["dimL"],
-                "dimM": r["dimM"],
-                "dimL_formula": r["dimL_formula"],
-            }
-            for r in led["rows"]
-        ],
-        "sum_dimL_dimM": led["sum_dimL_dimM"],
-        "tensor_dim": led["tensor_dim"],
-        "sum_dimL_sq": led["sum_dimL_sq"],
-        "schur_algebra_dim": led["schur_algebra_dim"],
-        "results_text": text,
-        "results_tsv": tsv,
-    }
-    return payload_base(
-        "decompose", {"n": args.n, "d": args.d, "backend": args.backend}, results, led["pass"]
-    ), led["pass"]
+    rows = [dict(r, shape=fmt_shape(r["shape"])) for r in led["rows"]]
+    text = [
+        "%(shape)-12s dimL=%(dimL)-4d dimM=%(dimM)-4d (formula %(dimL_formula)d)" % r
+        for r in rows
+    ]
+    text.append("sum dimL*dimM = %(sum_dimL_dimM)d (tensor dim %(tensor_dim)d)" % led)
+    text.append("sum dimL^2 = %(sum_dimL_sq)d (Schur algebra dim %(schur_algebra_dim)d)" % led)
+    tsv = [[r["shape"], r["dimL"], r["dimM"], r["dimL_formula"]] for r in rows]
+    totals = ("sum_dimL_dimM", "tensor_dim", "sum_dimL_sq", "schur_algebra_dim")
+    results = {k: led[k] for k in totals}
+    results["rows"] = rows
+    return results, text, tsv, led["pass"]
 
 
 def cmd_schur(args, bk):
@@ -308,25 +269,22 @@ def cmd_schur(args, bk):
         "diagram_dim": dia.dim,
         "routes_equal": routes_equal,
         "dimM": standard_bitableaux_count(shape),
-        "results_text": [
-            "schur functor %s on V_%d: dim %d (formula %d)"
-            % (fmt_shape(shape), args.n, sub.dim, formula),
-            "diagram route dim %d, images %s"
-            % (dia.dim, "equal" if routes_equal else "DIFFER"),
-            "multiplicity space dim %d" % standard_bitableaux_count(shape),
-        ],
-        "results_tsv": [[fmt_shape(shape), sub.dim, formula, dia.dim, int(routes_equal)]],
     }
-    return payload_base(
-        "schur", {"shape": args.shape, "n": args.n, "backend": args.backend}, results, ok
-    ), ok
+    text = [
+        "schur functor %s on V_%d: dim %d (formula %d)"
+        % (fmt_shape(shape), args.n, sub.dim, formula),
+        "diagram route dim %d, images %s" % (dia.dim, "equal" if routes_equal else "DIFFER"),
+        "multiplicity space dim %d" % results["dimM"],
+    ]
+    tsv = [[fmt_shape(shape), sub.dim, formula, dia.dim, int(routes_equal)]]
+    return results, text, tsv, ok
 
 
 def cmd_eigen(args, bk):
     text = []
     tsv = []
     data = {}
-    results = {}
+    results = {"spectra": data}
     ok = True
     try:
         spectra = jm_spectra(args.n, args.d, bk)
@@ -346,28 +304,20 @@ def cmd_eigen(args, bk):
         )
         for v in vals:
             tsv.append([name, str(v), mults[v]])
-    results.update(spectra=data, results_text=text, results_tsv=tsv)
-    return payload_base(
-        "eigen", {"n": args.n, "d": args.d, "backend": args.backend}, results, ok
-    ), ok
+    return results, text, tsv, ok
 
 
 def cmd_centralizer(args, bk):
     orbit = schur_algebra_dimension_orbit(args.n, args.d, bk)
     results = {"orbit_method": orbit}
+    text = ["Schur algebra dim (orbit method): %d" % orbit]
     ok = True
     if args.n ** args.d <= COMMUTANT_MAX_DIM:
         comm = schur_algebra_dimension_commutant(args.n, args.d, bk)
         results["commutant_method"] = comm
+        text.append("Schur algebra dim (commutant method): %d" % comm)
         ok = comm == orbit
-    text = ["Schur algebra dim (orbit method): %d" % orbit]
-    if "commutant_method" in results:
-        text.append("Schur algebra dim (commutant method): %d" % results["commutant_method"])
-    results["results_text"] = text
-    results["results_tsv"] = [[k, v] for k, v in sorted(results.items()) if isinstance(v, int)]
-    return payload_base(
-        "centralizer", {"n": args.n, "d": args.d, "backend": args.backend}, results, ok
-    ), ok
+    return results, text, [[k, v] for k, v in sorted(results.items())], ok
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +330,7 @@ class Row(NamedTuple):
     globals, so that rebinding those names (monkeypatch, a tracer) reaches the
     table too."""
 
-    run: Callable  # (a, bk) -> {check: bool} for a suite, (payload, ok) for a command
+    run: Callable  # (a, bk) -> {check: bool} for a suite, (results, text, tsv, ok) for a command
     spaces: Callable = lambda a: [(a.n, a.d)]  # (base, exponent) of each tensor space built
     degree: Callable = lambda a: a.d  # rank of the Hecke algebra the point must be valid to
     # why it cannot run at all: a usage error when named alone, a skip in 'all'
@@ -491,7 +441,8 @@ SUITES = {
 }
 
 COMMANDS = {
-    "dims": Row(lambda a, bk: cmd_dims(a, bk)),
+    # at n = 1, where n^d = 1 bounds no d, the Hecke rank d bounds dims and centralizer
+    "dims": Row(lambda a, bk: cmd_dims(a, bk), rank=lambda a: (a.d,)),
     "decompose": Row(
         lambda a, bk: cmd_decompose(a, bk), rank=lambda a: (a.d, LEDGER_MAX_RANK, "ledger")
     ),
@@ -508,7 +459,7 @@ COMMANDS = {
         rank=lambda a: (a.d,),
         caps=spectra_caps,
     ),
-    "centralizer": Row(lambda a, bk: cmd_centralizer(a, bk)),
+    "centralizer": Row(lambda a, bk: cmd_centralizer(a, bk), rank=lambda a: (a.d,)),
 }
 
 
@@ -598,14 +549,14 @@ def main(argv=None):
         if degree > 6:  # parse_backend checked the point up to degree 6
             bk = parse_backend(args.backend, degree)
         if args.command == "verify":
-            payload, ok = cmd_verify(args, bk, rows)
+            results, text, tsv, ok = cmd_verify(args, bk, rows)
         else:
-            payload, ok = rows[0].run(args, bk)
+            results, text, tsv, ok = rows[0].run(args, bk)
     except (UsageError, BudgetExceeded) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     try:
-        emit(payload, args)
+        emit(args, results, text, tsv, ok)
     except OSError as exc:
         sys.stderr.write("error: cannot write %s: %s\n" % (args.out, exc.strerror))
         return 2

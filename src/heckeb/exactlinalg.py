@@ -24,7 +24,8 @@ vectors that remain.
 
 `intertwiner_dimension` is the nullity of one Sylvester system, so over Q it
 is an integer rank as above.  `matrix_algebra_dimension` grows the closure of
-span(I) under the generators in a Subspace over the entry field.
+span(I) under the generators in a Subspace over the entry field; the same
+closure (`_closure`) grows it mod p for the sandwich below.
 
 A dual pair (A, B) of commuting families takes one sandwich certificate for
 all four of its dimensions instead (`dual_pair_dimensions`).  Since each a
@@ -700,40 +701,48 @@ def commutant_dimension(gens):
 
 
 def matrix_algebra_dimension(gens):
-    """Dimension of the unital algebra generated by the given matrices.
-
-    A span that holds I and is closed under right multiplication by every
-    generator holds every word, so it is the algebra: the closure of span(I),
-    grown over the entry field in a Subspace of the vec'd (row-major)
-    matrices."""
+    """Dimension of the unital algebra generated by the given matrices: the
+    words `_closure` finds, grown in a Subspace over the entry field."""
     n = gens[0].nrows
-    one = gens[0].one
-    span = Subspace(n * n, (), one)
-    frontier = [ExactMatrix.identity(n, one)]
-    span.insert(_vec(frontier[0]))
+    span = Subspace(n * n, (), gens[0].one)
+    return len(_closure([g.rows() for g in gens], n, gens[0].one, span.insert, lambda x: x))
+
+
+def _closure(grows, n, one, insert, reduce):
+    """The closure of span(I) under right multiplication by n x n matrices,
+    given by their rows: it holds every word, so it is the unital algebra
+    they generate.  Each product is vec'd (row-major), its entries reduced
+    (zeros dropped) and offered to insert(vec) -> grew.  Returns the words
+    that grew it, as (parent word, generator), the identity (None, None)
+    first."""
+    ident = {i * n + i: one for i in range(n)}
+    insert(ident)
+    words = [(None, None)]
+    vecs = [ident]
+    frontier = [0]
     while frontier:
         new = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                if span.insert(_vec(prod)):
-                    new.append(prod)
+        for i in frontier:
+            for gi, grow in enumerate(grows):
+                prod = {k: r for k, x in _times(vecs[i], grow, n).items() if (r := reduce(x))}
+                if insert(prod):
+                    words.append((i, gi))
+                    vecs.append(prod)
+                    new.append(len(words) - 1)
         frontier = new
-    return span.dim
-
-
-def _vec(m):
-    n = m.ncols
-    return {r * n + c: v for (r, c), v in m.entries.items()}
+    return words
 
 
 def _times(vec, grows, n):
-    """vec(M G) from vec(M) of an n x n M and the rows of G (integers)."""
+    """vec(M G) from vec(M) of an n x n M and the rows of G.  A sum that is
+    still zero takes the next product as it is: over RationalFunction, 0 + x
+    canonicalises x."""
     out = {}
     for idx, a in vec.items():
         base = idx - idx % n
         for c, b in grows[idx % n].items():
-            out[base + c] = out.get(base + c, 0) + a * b
+            v = out.get(base + c)
+            out[base + c] = v + a * b if v else a * b
     return out
 
 
@@ -746,7 +755,8 @@ def _primitive(vec):
 
 def _insert_mod(basis, vec, p):
     """Subspace.insert mod p: add vec to the reduced echelon basis
-    {pivot index: vector}; True if it grew."""
+    {pivot index: vector}; True if it grew.  vec itself is left as it is."""
+    vec = dict(vec)
     for q in [q for q in vec if q in basis]:
         _sub_multiple_mod(vec, vec[q], basis[q], p)
     if not vec:
@@ -765,32 +775,8 @@ def _insert_mod(basis, vec, p):
 def _integer_matrix(g):
     """g scaled by the lcm of its denominators, over the integers (unit 1):
     it generates the same unital algebra and has the same commutant."""
-    den = lcm(*(v.denominator for v in g.entries.values()))
-    e = {k: v.numerator * (den // v.denominator) for k, v in g.entries.items()}
-    return ExactMatrix(g.nrows, g.ncols, e, 1)
-
-
-def _closure_mod(grows, n, p):
-    """The closure of span(I) under right multiplication by integer n x n
-    matrices (given by their rows), run mod p: the words found independent
-    mod p, as (parent word, generator), the identity (None, None) first."""
-    ident = {i * n + i: 1 for i in range(n)}
-    basis = {}
-    _insert_mod(basis, dict(ident), p)
-    words = [(None, None)]
-    residues = [ident]
-    frontier = [0]
-    while frontier:
-        new = []
-        for i in frontier:
-            for gi, grow in enumerate(grows):
-                prod = {k: r for k, v in _times(residues[i], grow, n).items() if (r := v % p)}
-                if _insert_mod(basis, dict(prod), p):
-                    words.append((i, gi))
-                    residues.append(prod)
-                    new.append(len(words) - 1)
-        frontier = new
-    return words
+    (entries,) = _over_z([g.entries])
+    return ExactMatrix(g.nrows, g.ncols, entries, 1)
 
 
 def dual_pair_dimensions(gens_a, gens_b):
@@ -816,7 +802,9 @@ def dual_pair_dimensions(gens_a, gens_b):
     n = gens_a[0].nrows
     dims = []
     for ints, other in ((ints_a, ints_b), (ints_b, ints_a)):
-        r = len(_closure_mod([g.rows() for g in ints], n, _P))
+        basis = {}
+        grows = [g.rows() for g in ints]
+        r = len(_closure(grows, n, 1, lambda v: _insert_mod(basis, v, _P), lambda x: x % _P))
         s = _sylvester(other, other)
         # the rank of the transpose: its elimination runs faster here
         red = [{i: v % _P for i, v in col.items() if v % _P} for col in s.columns()]

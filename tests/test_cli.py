@@ -8,7 +8,8 @@ import pytest
 
 from heckeb import cli
 from heckeb.cli import main, parse_backend, parse_shape, UsageError
-from heckeb.rep import UnclassifiedEigenvalue
+from heckeb.rep import SYMBOLIC, UnclassifiedEigenvalue
+from heckeb.schur import schur_algebra_dimension_commutant, schur_algebra_dimension_orbit
 
 
 def run(capsys, argv):
@@ -150,8 +151,11 @@ class TestCommands:
         ]
 
     def test_centralizer_at_high_degree(self, capsys):
-        # n^d = 1 at n = 1, so any d is within budget; no recursion over d
-        code, out = run(capsys, ["centralizer", "--n", "1", "--d", "1200"])
+        # n^d = 1 at n = 1: neither method recurses over d, and the command
+        # takes d up to the Hecke rank cap
+        assert schur_algebra_dimension_orbit(1, 1200, SYMBOLIC) == 1
+        assert schur_algebra_dimension_commutant(1, 1200, SYMBOLIC) == 1
+        code, out = run(capsys, ["centralizer", "--n", "1", "--d", "16"])
         assert code == 0
         assert "Schur algebra dim (orbit method): 1" in out
 
@@ -231,6 +235,16 @@ class TestErrors:
                 ["verify", "--suite", "hecke-relations", "--n", "1", "--d", "5000"],
                 "Hecke rank 5000 exceeds the Hecke algebra budget",
             ),
+            # without the rank cap these took 9.3 s and 6.7 s on a 2-vCPU Xeon,
+            # and centralizer at d 20,000 ran out of memory
+            (
+                ["dims", "--n", "1", "--d", "20000"],
+                "Hecke rank 20000 exceeds the Hecke algebra budget 16",
+            ),
+            (
+                ["centralizer", "--n", "1", "--d", "5000"],
+                "Hecke rank 5000 exceeds the Hecke algebra budget 16",
+            ),
             # within the tensor budget but far over 30 s: spectra at N d =
             # 2,048, and the double centralizer at rank 5 or width 6,561
             (
@@ -297,6 +311,8 @@ class TestErrors:
             "rk-rank-e",
             "e-hecke-n1",
             "hecke-relations-n1",
+            "dims-n1",
+            "centralizer-n1",
             "all-spectra-width",
             "double-centralizer-rank",
             "double-centralizer-width",
@@ -443,6 +459,37 @@ class TestErrors:
 
     def test_even_permutation_suite_exits_2(self, capsys):
         assert main(["verify", "--suite", "permutation", "--n", "4", "--d", "2"]) == 2
+
+
+# stdout of each argv in every output format, as tests/golden/<name>.<format>
+GOLDEN = {
+    "verify-all-n3-d2-e1": ["verify", "--suite", "all", "--n", "3", "--d", "2", "--e", "1"],
+    "verify-all-n3-d3-e1-point": [
+        "verify", "--suite", "all", "--n", "3", "--d", "3", "--e", "1", "--backend", "Q=2,q=3"
+    ],
+    "dims-n5-d2": ["dims", "--n", "5", "--d", "2"],
+    "decompose-n5-d2": ["decompose", "--n", "5", "--d", "2"],
+    "decompose-n7-d3-point": ["decompose", "--n", "7", "--d", "3", "--backend", "Q=5,q=3"],
+    "schur-21-1-n3-point": ["schur", "--shape", "2,1|1", "--n", "3", "--backend", "Q=2,q=3"],
+    "schur-empty-3-n2": ["schur", "--shape=-|3", "--n", "2"],
+    "eigen-n3-d2-point": ["eigen", "--n", "3", "--d", "2", "--backend", "Q=2,q=3"],
+    "centralizer-n5-d2": ["centralizer", "--n", "5", "--d", "2"],
+    # no commutant line: n^d = 49 is over the commutant cap
+    "centralizer-n7-d2-point": ["centralizer", "--n", "7", "--d", "2", "--backend", "Q=2,q=3"],
+}
+
+
+class TestGolden:
+    """Each command prints its recorded stdout byte for byte: the text lines,
+    the tsv rows and the JSON document with its params."""
+
+    @pytest.mark.parametrize("output", ["text", "tsv", "json"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_stdout_matches_golden(self, capsys, name, output):
+        code, out = run(capsys, [*GOLDEN[name], "--output", output])
+        assert code == 0
+        golden = Path(__file__).resolve().parent / "golden" / ("%s.%s" % (name, output))
+        assert out == golden.read_text()
 
 
 WORKLOADS = json.loads(

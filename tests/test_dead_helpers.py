@@ -1,7 +1,9 @@
-"""Every module-level private function of heckeb is used somewhere in heckeb.
+"""Every module-level function of heckeb is used somewhere.
 
 A private helper (a leading underscore, not a dunder) is no API: when nothing
-in the package refers to it outside its own definition, it is dead code.
+in the package refers to it outside its own definition, it is dead code.  A
+public function is dead when nothing in the package or its tests refers to
+it; a reference implementation that only the tests call counts as used.
 """
 
 import ast
@@ -10,6 +12,7 @@ from pathlib import Path
 import heckeb
 
 SRC = Path(heckeb.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _referenced(node):
@@ -21,23 +24,46 @@ def _referenced(node):
             yield sub.attr
 
 
-def test_no_dead_private_helpers():
-    statements = [
+def _statements(directory):
+    """(module, statement, the names it reads) for each top-level statement of
+    the Python files in directory."""
+    return [
         (path.name, stmt, set(_referenced(stmt)))
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted(directory.glob("*.py"))
         for stmt in ast.parse(path.read_text(), filename=str(path)).body
     ]
-    helpers = [
+
+
+def _functions(statements, keep):
+    """The module-level functions whose name keep accepts, with their module."""
+    return [
         (module, stmt)
         for module, stmt, _ in statements
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and stmt.name.startswith("_")
-        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and keep(stmt.name)
     ]
-    assert any(stmt.name == "_eliminate_mod" for _, stmt in helpers)  # the scan sees heckeb
-    dead = [
-        "%s:%d %s" % (module, helper.lineno, helper.name)
-        for module, helper in helpers
-        if not any(helper.name in names for _, stmt, names in statements if stmt is not helper)
+
+
+def _dead(functions, statements):
+    """The functions that no statement but their own definition reads."""
+    return [
+        "%s:%d %s" % (module, fn.lineno, fn.name)
+        for module, fn in functions
+        if not any(fn.name in names for _, stmt, names in statements if stmt is not fn)
     ]
-    assert dead == []
+
+
+def test_no_dead_private_helpers():
+    statements = _statements(SRC)
+    helpers = _functions(
+        statements,
+        lambda name: name.startswith("_") and not (name.startswith("__") and name.endswith("__")),
+    )
+    assert any(fn.name == "_eliminate_mod" for _, fn in helpers)  # the scan sees heckeb
+    assert _dead(helpers, statements) == []
+
+
+def test_no_dead_public_functions():
+    statements = _statements(SRC)
+    public = _functions(statements, lambda name: not name.startswith("_"))
+    assert any(fn.name == "main" for _, fn in public)  # the scan sees heckeb
+    assert _dead(public, statements + _statements(TESTS)) == []
