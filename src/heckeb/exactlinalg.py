@@ -12,8 +12,7 @@ Subspaces are kept in reduced column echelon form, which is a canonical
 representative: two subspaces are equal iff their stored bases are equal.
 Elimination is plain sparse Gaussian elimination with a sparsity-aware pivot
 choice; over the rational function field the canonicalizing scalar arithmetic
-keeps expression swell in check.  A rank only eliminates forward; kernels and
-subspaces are fully reduced.
+keeps expression swell in check.  A rank only eliminates forward.
 
 Over Q (Fraction or int entries) a rank and a column space run on Python ints
 (`integer_echelon`): a span does not change when a vector is scaled by a
@@ -216,16 +215,14 @@ class ExactMatrix:
 
     # -- elimination
 
-    def _row_echelon(self, full=True):
-        """Sparse row echelon; returns (pivot list [(row, col)], rows).
-
-        With full=False the pivot column is cleared from the rows still live
-        only, not from the pivot rows already done: enough for a rank."""
+    def _row_echelon(self):
+        """Sparse forward elimination; returns the pivots [(row, col)].  Each
+        pivot column is cleared from the rows still live only: enough for a
+        rank."""
         one = _field_one(self.one)
         rows = self.rows()
         live = [i for i in range(self.nrows) if rows[i]]
         pivots = []
-        done = []
         while live:
             # pivot: sparsest row, then simplest entry in it
             bi = min(range(len(live)), key=lambda k: len(rows[live[k]]))
@@ -235,46 +232,26 @@ class ExactMatrix:
             pv = row[pc]
             if not (pv == one):
                 inv = one / pv
-                rows[i] = row = {c: inv * v for c, v in row.items()}
-            for j in list(live) + done if full else list(live):
+                row = {c: inv * v for c, v in row.items()}
+            for j in list(live):
                 f = rows[j].get(pc)
                 if f:
                     _sub_multiple(rows[j], f, row)
-                    if j in live and not rows[j]:
+                    if not rows[j]:
                         live.remove(j)
             pivots.append((i, pc))
-            done.append(i)
-        return pivots, rows
+        return pivots
 
     def rank(self):
         """Forward elimination only: over Q the rows go through
         `integer_echelon`, over any other field `_row_echelon`."""
         if isinstance(self.one, (Fraction, int)):
             return len(integer_echelon(_over_z(self.rows())))
-        return len(self._row_echelon(full=False)[0])
+        return len(self._row_echelon())
 
     def nullity(self):
         """dim of {x : A x = 0}, counted by rank without building a basis."""
         return self.ncols - self.rank()
-
-    def kernel_basis(self):
-        """Basis of {x : A x = 0} as sparse column vectors."""
-        pivots, rows = self._row_echelon()
-        pivot_cols = {c: i for i, c in pivots}
-        basis = []
-        for c in range(self.ncols):
-            if c in pivot_cols:
-                continue
-            vec = {c: self.one}
-            for pc, pi in pivot_cols.items():
-                v = rows[pi].get(c)
-                if v:
-                    vec[pc] = -v
-            basis.append(vec)
-        return basis
-
-    def kernel(self):
-        return Subspace(self.ncols, self.kernel_basis(), self.one)
 
     def column_space(self):
         """Over Q the columns are first cut to independent integer vectors
@@ -497,22 +474,14 @@ def poly_lcm(p, r):
     return poly_monic(poly_mul(poly_divmod(p, g)[0], r))
 
 
-def poly_derivative(p, one):
-    return poly_trim([p[i] * _int_in_field(i, one) for i in range(1, len(p))])
+def poly_derivative(p):
+    return poly_trim([p[i] * i for i in range(1, len(p))])
 
 
-def _int_in_field(n, one):
-    zero = one - one
-    out = zero
-    for _ in range(n):
-        out = out + one
-    return out
-
-
-def poly_is_squarefree(p, one):
+def poly_is_squarefree(p):
     if len(p) <= 2:
         return True
-    g = poly_gcd_monic(p, poly_derivative(p, one))
+    g = poly_gcd_monic(p, poly_derivative(p))
     return len(g) == 1
 
 

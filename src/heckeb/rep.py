@@ -513,8 +513,9 @@ def qg_iterated(n, d, kind, di, bk=SYMBOLIC):
     return total
 
 
+@functools.cache
 def coideal_generators(n, d, bk=SYMBOLIC):
-    """The coideal generators acting on V_n^{(x) d}, as {name: matrix}.
+    """The coideal generators on V_n^{(x) d}, as {name: matrix} (cached: no caller changes it).
 
     For every positive index i the Cartan products d_i act; away from the
     middle of the diagram the pairs e_i, f_i take the generic twisted form.

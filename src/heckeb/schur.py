@@ -30,16 +30,18 @@ the count of semistandard bitableaux.  rho is an anti-homomorphism, so the
 image is the column space of rho(f_k) ... rho(f_1) (the diagram route), never
 expanding e' in the algebra: a basis matrix starts as rho(f_1), is replaced
 by the sparse product rho(f) * basis at each later factor, and is cut back to
-an echelon basis after each factor that is not a basis element.  At a point
-the factors are integer matrices, L rho(f) with L > 0 from the integral
-backend, and the cut-back is fraction-free (exactlinalg.integer_echelon), so
-only the final Subspace is over Fraction.
-Shapes of one (|lam|, |mu|) share their leading factors, so the ledger and
-the irreducibility report hold the path of the previous shape (a chain) and
-multiply only past the common prefix: the ten bipartitions of 3 have 52
-non-identity factors but 30 distinct prefix products.  rep.rho is cached, so
-each of the 15 distinct factor matrices is built once per process.  The schur
-command also expands e' (the element route) and compares the two images.
+independent columns after each factor that is not a nonzero multiple of one
+T_w.  Its width is then the dimension of the image, which the ledger reads
+with no final elimination.  At a point the factors are integer matrices,
+L rho(f) with L > 0 from the integral backend, and the cut-back is
+fraction-free (exactlinalg.integer_echelon).
+Shapes of one (|lam|, |mu|) share their leading factors: product_images takes
+all the factor lists of the ledger or of the irreducibility report, holds the
+path of the previous list (a chain) and multiplies only past the common
+prefix, so the ten bipartitions of 3 have 52 non-identity factors but 30
+distinct prefix products.  rep.rho is cached, so each of the 15 distinct
+factor matrices is built once per process.  The schur command also expands
+e' (the element route) and compares the two images.
 """
 
 from __future__ import annotations
@@ -280,59 +282,54 @@ def schur_functor_subspace(shape, n, bk=SYMBOLIC) -> Subspace:
     return rho(bipartition_element(shape), n, bk).column_space()
 
 
-def product_image(factors, n, bk=SYMBOLIC, chain=None) -> Subspace:
-    """Image of rho(f_1 ... f_k) inside V_n^{(x) d}, without expanding the
-    product: rho is an anti-homomorphism, so it is the column space of
-    rho(f_k) ... rho(f_1).  The basis is kept as one matrix, starting from
-    rho(f_1) and replaced by rho(f) * basis at each later factor: one sparse
-    product, whose cost is its multiply-adds.  After each factor that is not
-    a basis element T_w (invertible) the basis is cut back to independent
-    columns: symbolically to the canonical basis of a Subspace.
+def product_images(factor_lists, n, bk=SYMBOLIC):
+    """For each list f_1, ..., f_k of Hecke elements of one rank d, a matrix
+    whose columns are a basis of the image of rho(f_1 ... f_k) inside
+    V_n^{(x) d}: its width is the dimension of the image.
 
-    At a point the chain runs over Z, since an image does not change when a
-    factor matrix or a basis vector is scaled by a nonzero rational: each
-    factor is rho(f, n, bk.integral) = L rho(f), L > 0, built over Z, the
-    basis is an integer matrix and the cut-back is exactlinalg.integer_echelon.
-    The returned Subspace is the only one built over Fraction.
+    rho is an anti-homomorphism, so the image is the column space of
+    rho(f_k) ... rho(f_1).  The basis starts as rho(f_1) and is replaced by
+    the sparse product rho(f) * basis at each later factor.  A multiple of
+    one T_w is invertible and keeps the columns independent, unless its
+    coefficient vanishes at the point; after any other factor the basis is
+    cut back, symbolically to the canonical basis of a Subspace.  At a point
+    the chain runs over Z, since scaling a factor or a column by a nonzero
+    rational keeps the image: each factor is rho(f, n, bk.integral) =
+    L rho(f), L > 0, and the cut-back is exactlinalg.integer_echelon.
 
-    chain, if given, is a caller-owned list of (factor, basis after it) pairs
-    holding the path of the previous call: the longest common prefix with
-    factors is kept, the rest dropped, and only the new tail is multiplied and
-    reduced (None stands for the identity basis).  A chain belongs to one
-    (n, bk); pass a fresh list for any other."""
-    if chain is None:
-        chain = []
-    k = 0
-    for (g, _), f in zip(chain, factors):
-        if g != f:
-            break
-        k += 1
-    del chain[k:]
-    d = factors[0].d
-    N = n**d
-    one = HeckeElement.one(d)
+    The generator holds the path of the previous list as (factor, basis
+    after it) pairs, None for the identity basis, and multiplies only past
+    the longest common prefix."""
     if bk.is_symbolic:
         cut = lambda m: m.column_space().basis()
     else:
         bk, cut = bk.integral, lambda m: integer_echelon(m.columns())
-    basis = chain[-1][1] if chain else None
-    for f in factors[k:]:
-        if f != one:
-            m = rho(f, n, bk)
-            basis = m if basis is None else m * basis
-            if f.support_size() > 1:
-                basis = ExactMatrix.from_columns(N, cut(basis), bk.one)
-        chain.append((f, basis))
-    if basis is None:
-        basis = ExactMatrix.identity(N, bk.one)
-    return basis.column_space()
+    chain = []
+    for factors in factor_lists:
+        k = 0
+        for (g, _), f in zip(chain, factors):
+            if g != f:
+                break
+            k += 1
+        del chain[k:]
+        N, one = n ** factors[0].d, HeckeElement.one(factors[0].d)
+        basis = chain[-1][1] if chain else None
+        for f in factors[k:]:
+            if f != one:
+                m = rho(f, n, bk)
+                basis = m if basis is None else m * basis
+                if f.support_size() != 1 or m.is_zero():
+                    basis = ExactMatrix.from_columns(N, cut(basis), bk.one)
+            chain.append((f, basis))
+        yield ExactMatrix.identity(N, bk.one) if basis is None else basis
 
 
-def schur_functor_diagram_subspace(shape, n, bk=SYMBOLIC, chain=None) -> Subspace:
+def schur_functor_diagram_subspace(shape, n, bk=SYMBOLIC) -> Subspace:
     """The same space built factor by factor, not from one algebra product:
-    the product_image of hecke.bipartition_factors(shape), each factor matrix
-    built once per process (rep.rho is cached); chain as in product_image."""
-    return product_image(bipartition_factors(shape), n, bk, chain)
+    the product_images basis of hecke.bipartition_factors(shape), each factor
+    matrix built once per process (rep.rho is cached)."""
+    (basis,) = product_images([bipartition_factors(shape)], n, bk)
+    return basis.column_space()
 
 
 def schur_weyl_decompose(n, d, bk=SYMBOLIC):
@@ -344,14 +341,14 @@ def schur_weyl_decompose(n, d, bk=SYMBOLIC):
     sum(dimL * dimM) = n^d and sum(dimL^2) = dim of the Schur algebra.
     """
     check_budget(n, d, bk)
+    shapes = bipartitions(d)
+    bases = product_images([bipartition_factors(s) for s in shapes], n, bk)
     rows = []
-    chain = []
-    for shape in bipartitions(d):
-        dim_l = schur_functor_diagram_subspace(shape, n, bk, chain).dim
+    for shape, basis in zip(shapes, bases):
         rows.append(
             {
                 "shape": shape,
-                "dimL": dim_l,
+                "dimL": basis.ncols,
                 "dimL_formula": semistandard_bitableaux_count(shape, n)
                 if bipartition_fits(shape, n)
                 else 0,
@@ -398,9 +395,9 @@ def irreducibility_report(n, d, bk, shapes=None):
         shapes = [s for s in bipartitions(d) if bipartition_fits(s, n)]
     coideal = list(coideal_generators(n, d, bk).values())
     restricted = {}
-    chain = []
-    for s in shapes:
-        sub = schur_functor_diagram_subspace(s, n, bk, chain)
+    bases = product_images([bipartition_factors(s) for s in shapes], n, bk)
+    for s, basis in zip(shapes, bases):
+        sub = basis.column_space()
         restricted[s] = [restrict_to_subspace(g, sub) for g in coideal]
     report = {}
     for s1 in shapes:
@@ -477,5 +474,5 @@ def e_hecke_rank1_eigenvalue_count(n, e, s: Specialization):
     bk = SpecializedBackend(s)
     m = rho(central_element(e), n, bk)
     mp = minimal_polynomial(m)
-    g = poly_gcd_monic(mp, poly_derivative(mp, m.one))
+    g = poly_gcd_monic(mp, poly_derivative(mp))
     return len(mp) - len(g)

@@ -99,7 +99,7 @@ def test_03_spectra_classified():
             ok = ok and all(mults and set(mults.values()) == {1} for mults in spectra.values())
             # the gcd route: the minimal polynomial of c_K is squarefree
             mc = rho(central_element(d), n, SPEC)
-            ok = ok and poly_is_squarefree(minimal_polynomial(mc), mc.one)
+            ok = ok and poly_is_squarefree(minimal_polynomial(mc))
     report(3, "JM and central spectra at (2, 3)", ok)
 
 

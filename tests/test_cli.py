@@ -8,7 +8,7 @@ import pytest
 
 from heckeb import cli
 from heckeb.cli import main, parse_backend, parse_shape, UsageError
-from heckeb.rep import SYMBOLIC, UnclassifiedEigenvalue
+from heckeb.rep import SYMBOLIC, UnclassifiedEigenvalue, coideal_generators
 from heckeb.schur import schur_algebra_dimension_commutant, schur_algebra_dimension_orbit
 
 
@@ -158,6 +158,16 @@ class TestCommands:
         code, out = run(capsys, ["centralizer", "--n", "1", "--d", "16"])
         assert code == 0
         assert "Schur algebra dim (orbit method): 1" in out
+
+    def test_double_centralizer_builds_the_coideal_once(self, capsys):
+        """The row checks the double centralizer and the commutation, and
+        both read one cached build of the coideal generators."""
+        coideal_generators.cache_clear()
+        argv = ["verify", "--suite", "double-centralizer", "--n", "3", "--d", "2",
+                "--backend", "Q=2,q=3"]
+        assert run(capsys, argv)[0] == 0
+        built = coideal_generators.cache_info()
+        assert (built.misses, built.hits) == (1, 1)
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "dims.json"

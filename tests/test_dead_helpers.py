@@ -3,7 +3,9 @@
 A private helper (a leading underscore, not a dunder) is no API: when nothing
 in the package refers to it outside its own definition, it is dead code.  A
 public function is dead when nothing in the package or its tests refers to
-it; a reference implementation that only the tests call counts as used.
+it.  A public function that only the tests call is a reference implementation
+or test set-up, and must be named in REFERENCE; the package reads none of
+those.
 """
 
 import ast
@@ -13,6 +15,25 @@ import heckeb
 
 SRC = Path(heckeb.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+
+# the public functions only the tests call: reference implementations the
+# tests compare against, the two acceptance claims no CLI row runs yet (08 and
+# 12), and acceptance-test set-up
+REFERENCE = {
+    "u_plus",
+    "u_minus",
+    "young_idempotent",
+    "all_elements",
+    "from_word",
+    "poly_eval_matrix",
+    "poly_is_squarefree",
+    "irreducibility_report",
+    "e_hecke_rank1_eigenvalue_count",
+    "default_specialization",
+    "dominant_representative",
+    "composition_to_index",
+    "shift_center",
+}
 
 
 def _referenced(node):
@@ -67,3 +88,22 @@ def test_no_dead_public_functions():
     public = _functions(statements, lambda name: not name.startswith("_"))
     assert any(fn.name == "main" for _, fn in public)  # the scan sees heckeb
     assert _dead(public, statements + _statements(TESTS)) == []
+
+
+def test_test_only_functions_are_named():
+    statements = _statements(SRC)
+    public = _functions(statements, lambda name: not name.startswith("_"))
+    assert REFERENCE <= {fn.name for _, fn in public}
+    test_only = {entry.split()[-1] for entry in _dead(public, statements)}
+    assert test_only - REFERENCE == set()
+
+
+def test_package_reads_no_reference_function():
+    statements = _statements(SRC)
+    reads = [
+        "%s:%d %s" % (module, stmt.lineno, name)
+        for module, stmt, names in statements
+        for name in sorted(names & REFERENCE)
+        if getattr(stmt, "name", None) != name
+    ]
+    assert reads == []

@@ -67,18 +67,6 @@ class TestExactMatrix:
         ident = ExactMatrix.identity(3, ONE)
         assert a * ident == a and ident * a == a
 
-    @given(matrices())
-    @settings(max_examples=30, deadline=None)
-    def test_rank_matches_kernel(self, a):
-        assert a.rank() + a.kernel().dim == a.ncols
-        assert a.nullity() == a.kernel().dim
-
-    @given(matrices())
-    @settings(max_examples=30, deadline=None)
-    def test_kernel_vectors_annihilate(self, a):
-        for vec in a.kernel_basis():
-            assert not a.apply(vec)
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             dense([[1, 2]]) * dense([[1, 2]])
@@ -166,7 +154,7 @@ class TestIntegerEchelon:
     def test_against_fraction_elimination(self, vecs):
         out = integer_echelon(vecs)
         m = ExactMatrix.from_columns(6, [{k: Fraction(x) for k, x in v.items()} for v in vecs])
-        assert len(out) == len(m._row_echelon(full=False)[0])
+        assert len(out) == len(m._row_echelon())
         assert Subspace(6, out) == Subspace(6, vecs)
         pivots = [min(v) for v in out]
         assert pivots == sorted(set(pivots))
@@ -180,15 +168,14 @@ class TestIntegerEchelon:
         p = 2**61 - 1
         m = ExactMatrix(2, 2, {(0, 0): p, (0, 1): p + 1, (1, 0): p - 1, (1, 1): p}, 1)
         assert m.rank() == 2
-        assert len(m._row_echelon()[0]) == 2
-        assert m.kernel_basis() == [] and m.kernel().dim == 0
+        assert len(m._row_echelon()) == 2 and m.nullity() == 0
         space = m.column_space()
         assert space.dim == 2 and no_float(space.basis())
         assert space == Subspace(2, [{0: 1}, {1: 1}], 1)
         singular = ExactMatrix(2, 2, {(0, 0): p, (0, 1): p * 3, (1, 0): 2, (1, 1): 6}, 1)
         assert singular.rank() == 1
-        assert no_float(singular.kernel_basis()) and no_float(singular.column_space().basis())
-        assert no_float(singular.kernel().basis())
+        assert len(singular._row_echelon()) == 1
+        assert no_float(singular.column_space().basis())
 
 
 class TestPolynomials:
@@ -208,8 +195,8 @@ class TestPolynomials:
 
     def test_squarefree(self):
         sq = poly_mul([ONE, ONE], [ONE, ONE])
-        assert not poly_is_squarefree(sq, ONE)
-        assert poly_is_squarefree([Fraction(-1), Fraction(0), ONE], ONE)
+        assert not poly_is_squarefree(sq)
+        assert poly_is_squarefree([Fraction(-1), Fraction(0), ONE])
 
 
 class TestMinimalPolynomial:
@@ -318,7 +305,7 @@ class TestCertifiedRank:
     @given(planted_matrices())
     @settings(max_examples=60, deadline=None)
     def test_matches_fraction_elimination(self, m):
-        expected = len(m._row_echelon()[0])
+        expected = len(m._row_echelon())
         assert m.rank() == expected
         assert _integer_matrix(m).rank() == expected
 
@@ -327,8 +314,7 @@ class TestCertifiedRank:
     def test_rank_with_mixed_denominators(self, m):
         """Large heights: the rank over Z, on the Fraction matrix and on its
         integer multiple."""
-        expected = len(m._row_echelon()[0])
-        assert len(m._row_echelon(full=False)[0]) == expected
+        expected = len(m._row_echelon())
         assert m.rank() == _integer_matrix(m).rank() == expected
 
     def test_primes_are_prime(self):
@@ -350,7 +336,7 @@ class TestCertifiedRank:
         # the kernel is spanned by (2^400, 1)
         big = 2**400
         m = dense([[1, -big], [2, -2 * big]])
-        assert m.rank() == len(m._row_echelon()[0]) == 1
+        assert m.rank() == len(m._row_echelon()) == 1
         # a Sylvester system whose kernel holds the same vector
         assert intertwiner_dimension([dense([[0, big], [0, 0]])], [dense([[0, 1], [0, 0]])]) == 2
 
@@ -362,7 +348,7 @@ class TestCertifiedRank:
         coideal = list(coideal_generators(n, 2, bk).values())
         for gens in (hecke, coideal):
             s = _sylvester(gens, gens)
-            assert commutant_dimension(gens) == s.ncols - len(s._row_echelon()[0])
+            assert commutant_dimension(gens) == s.ncols - len(s._row_echelon())
         # the per-quantity route against the sandwich
         assert per_quantity(coideal, hecke) == dual_pair_dimensions(coideal, hecke)
 

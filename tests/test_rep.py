@@ -231,15 +231,15 @@ class TestSpectra:
             m = rho(jucys_murphy(d, i), n, SPEC)
             mults = eigenvalue_multiplicities(m, jm_candidate_eigenvalues(i, self.s))
             assert mults
-            assert poly_is_squarefree(minimal_polynomial(m), m.one)
-            assert semisimple(mults) == poly_is_squarefree(minimal_polynomial(m), m.one)
+            assert poly_is_squarefree(minimal_polynomial(m))
+            assert semisimple(mults) == poly_is_squarefree(minimal_polynomial(m))
 
     def test_jordan_block_not_semisimple(self):
         two = Fraction(2)
         m = ExactMatrix(2, 2, {(0, 0): two, (0, 1): Fraction(1), (1, 1): two})
         mults = eigenvalue_multiplicities(m, {two: "double root"})
         assert mults == {two: 2}
-        assert not poly_is_squarefree(minimal_polynomial(m), m.one)
+        assert not poly_is_squarefree(minimal_polynomial(m))
         assert not semisimple(mults)
 
     @given(
@@ -280,7 +280,7 @@ class TestSpectra:
         m = rho(central_element(d), n, SPEC)
         mults = eigenvalue_multiplicities(m, central_candidate_eigenvalues(d, self.s))
         assert mults
-        assert poly_is_squarefree(minimal_polynomial(m), m.one)
+        assert poly_is_squarefree(minimal_polynomial(m))
 
     def test_u_images_are_eigenspaces(self):
         # im rho(u_d^+) lies in the positive generalized eigenspace of every

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckeb import schur
@@ -29,7 +29,7 @@ from heckeb.schur import (
     expected_pm_dimension,
     irreducibility_report,
     pm_power_dimension,
-    product_image,
+    product_images,
     schur_algebra_dimension_commutant,
     schur_algebra_dimension_orbit,
     schur_functor_diagram_subspace,
@@ -39,6 +39,7 @@ from heckeb.schur import (
     verify_e_hecke,
 )
 from heckeb.weylcomb import (
+    SignedPermutation,
     all_elements,
     bipartition_fits,
     bipartitions,
@@ -176,6 +177,31 @@ def prefix_sharing_lists(draw, max_rank, max_len, small_shifts):
     return lists
 
 
+@st.composite
+def width_lists(draw, max_rank, max_len):
+    """factor_lists with zero factors and multiples c T_w, c != 1, among the
+    factors; c = Q - 2 vanishes at Q = 2."""
+    d = draw(st.integers(1, max_rank))
+    c = st.sampled_from([2 * RF_ONE, -RF_ONE, RF_Q, -RF_Q.inverse(), RF_Q - 2])
+    w = st.sampled_from(sorted(all_elements(d), key=lambda w: w.images))
+    elements = st.one_of(
+        factor_elements(d, True),
+        st.just(HeckeElement(d)),
+        st.builds(lambda w, c: HeckeElement.basis(d, w, c), w, c),
+    )
+    return draw(st.lists(elements, min_size=1, max_size=max_len))
+
+
+# s_0 s_1, of length 2
+S0S1 = SignedPermutation.generator(2, 0) * SignedPermutation.generator(2, 1)
+
+
+def image_basis(factors, n, bk):
+    """The basis product_images yields for one factor list alone."""
+    (basis,) = product_images([factors], n, bk)
+    return basis
+
+
 def expanded_image(factors, n, bk):
     """The element route's image, reduced by Subspace.insert over the entry
     field: at a point no integer elimination is involved."""
@@ -210,53 +236,66 @@ class TestProductRoute:
     @given(lists=prefix_sharing_lists(3, 4, small_shifts=True), bk=st.sampled_from(POINTS))
     @settings(max_examples=40, deadline=None)
     def test_shared_chain_at_a_point(self, lists, bk):
+        """One call on all the lists, whose chain shares their prefixes, gives
+        the bases of one call per list."""
         n = 3 if lists[0][0].d < 3 else 2
-        chain = []
-        for factors in lists:
-            assert product_image(factors, n, bk, chain) == product_image(factors, n, bk)
+        shared = list(product_images(lists, n, bk))
+        assert shared == [image_basis(factors, n, bk) for factors in lists]
 
     @given(lists=prefix_sharing_lists(2, 3, small_shifts=False))
     @settings(max_examples=20, deadline=None)
     def test_shared_chain_symbolic(self, lists):
-        chain = []
-        for factors in lists:
-            assert product_image(factors, 2, SYMBOLIC, chain) == product_image(factors, 2, SYMBOLIC)
-
-    def test_each_ledger_call_takes_a_fresh_chain(self, monkeypatch):
-        seen = []
-        route = schur.product_image
-
-        def record(factors, n, bk=SYMBOLIC, chain=None):
-            seen.append((chain, len(chain)))
-            return route(factors, n, bk, chain)
-
-        monkeypatch.setattr(schur, "product_image", record)
-        calls = [
-            lambda: schur_weyl_decompose(3, 2, SPEC),
-            lambda: schur_weyl_decompose(3, 2, SPEC),
-            lambda: irreducibility_report(3, 2, SPEC),
-        ]
-        chains = []
-        for call in calls:
-            del seen[:]
-            call()
-            assert seen[0][1] == 0
-            assert all(chain is seen[0][0] for chain, _ in seen)
-            chains.append(seen[0][0])
-        assert not any(a is b for i, a in enumerate(chains) for b in chains[i + 1 :])
+        shared = list(product_images(lists, 2, SYMBOLIC))
+        assert shared == [image_basis(factors, 2, SYMBOLIC) for factors in lists]
 
     @given(factors=factor_lists(3, 4, small_shifts=True), bk=st.sampled_from(POINTS))
     @settings(max_examples=40, deadline=None)
     def test_matches_the_expanded_product_at_a_point(self, factors, bk):
         n = 3 if factors[0].d < 3 else 2
-        assert product_image(factors, n, bk) == expanded_image(factors, n, bk)
+        assert image_basis(factors, n, bk).column_space() == expanded_image(factors, n, bk)
 
     # Eliminating the expanded matrix symbolically is the slow side: at rank
     # 3, or with integer shifts, one 8x8 column space can take tens of seconds
     @given(factors=factor_lists(2, 2, small_shifts=False))
     @settings(max_examples=25, deadline=None)
     def test_matches_the_expanded_product_symbolic(self, factors):
-        assert product_image(factors, 2, SYMBOLIC) == expanded_image(factors, 2, SYMBOLIC)
+        image = image_basis(factors, 2, SYMBOLIC).column_space()
+        assert image == expanded_image(factors, 2, SYMBOLIC)
+
+    @given(factors=width_lists(3, 4), bk=st.sampled_from(POINTS))
+    @settings(max_examples=60, deadline=None)
+    @example(factors=[HeckeElement(2), HeckeElement.generator(2, 1)], bk=POINTS[0])
+    @example(factors=[HeckeElement.generator(2, 0), HeckeElement.basis(2, S0S1, RF_Q - 2)],
+             bk=POINTS[0])
+    @example(factors=[HeckeElement.basis(2, S0S1, -RF_Q), jucys_murphy(2, 2) - HeckeElement.one(2)],
+             bk=POINTS[1])
+    def test_width_is_the_rank_at_a_point(self, factors, bk):
+        """Each yielded basis has as many columns as the expanded product has
+        rank, also after a zero factor or a multiple c T_w, c != 1, whose c
+        may vanish at the point (Q - 2 at Q = 2)."""
+        n = 3 if factors[0].d < 3 else 2
+        expanded = rho(prod(factors[1:], start=factors[0]), n, bk)
+        assert image_basis(factors, n, bk).ncols == expanded.rank()
+
+    @given(factors=width_lists(2, 2))
+    @settings(max_examples=20, deadline=None)
+    @example(factors=[HeckeElement.basis(2, S0S1, RF_Q - 2), HeckeElement(2)])
+    def test_width_is_the_rank_symbolic(self, factors):
+        expanded = rho(prod(factors[1:], start=factors[0]), 2, SYMBOLIC)
+        assert image_basis(factors, 2, SYMBOLIC).ncols == expanded.rank()
+
+    @pytest.mark.parametrize(
+        "n,d,bk,built", [(7, 3, SpecializedBackend(Specialization(2, 3)), 0), (5, 2, SYMBOLIC, 10)]
+    )
+    def test_ledger_builds_no_final_subspace(self, monkeypatch, n, d, bk, built):
+        """The ledger reads each image's width: at a point it builds no
+        Subspace, symbolically only its cut-backs (15 with a final Subspace
+        per shape)."""
+        count = []
+        init = Subspace.__init__
+        monkeypatch.setattr(Subspace, "__init__", lambda *a: count.append(1) or init(*a))
+        assert schur_weyl_decompose(n, d, bk)["pass"]
+        assert len(count) == built
 
 
 def scales(bk):
