@@ -244,9 +244,12 @@ class ExactMatrix:
 
     def rank(self):
         """Forward elimination only: over Q the rows go through
-        `integer_echelon`, over any other field `_row_echelon`."""
+        `integer_echelon`, or the columns when there are fewer of them
+        (rank(A) = rank(A^T), and a tall Sylvester system reduces faster
+        by its columns); over any other field `_row_echelon`."""
         if isinstance(self.one, (Fraction, int)):
-            return len(integer_echelon(_over_z(self.rows())))
+            vectors = self.columns() if self.ncols < self.nrows else self.rows()
+            return len(integer_echelon(_over_z(vectors)))
         return len(self._row_echelon())
 
     def nullity(self):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .exactlinalg import ExactMatrix, minimal_polynomial
 from .scalars import (
@@ -80,6 +80,27 @@ class SymbolicBackend(_Backend):
             return ExactMatrix(x.nrows, x.ncols, e, LP_ONE)
         return x.laurent()
 
+    def kronecker(self, blocks, pairs):
+        """Integer images of LaurentPoly2 blocks {key: matrix} that decide the
+        comparisons pairs {name: (left keys, right keys)} of their products:
+        ({key: image}, {name: (left unit, right unit)}).  A product of images
+        times its side's unit equals the other side's exactly when the two
+        Laurent products are equal (_kronecker_point)."""
+        k, W, shift, comp = _kronecker_point(blocks, pairs)
+
+        def phi(a, b):  # Q^a q^b |-> 2^phi(a, b)
+            return k * (a * (W + 1) + b)
+
+        images = {}
+        for key, m in blocks.items():
+            A, B = shift[key]
+            e = {
+                at: sum(c << phi(a + A, b + B) for (a, b), c in v.terms.items())
+                for at, v in m.entries.items()
+            }
+            images[key] = ExactMatrix(m.nrows, m.ncols, e, 1)
+        return images, {name: tuple(1 << phi(a, b) for a, b in c) for name, c in comp.items()}
+
     def __repr__(self):
         return "SymbolicBackend()"
 
@@ -103,6 +124,10 @@ class SpecializedBackend(_Backend):
     def laurent(self, x):
         """At a point the ring is Q itself: x unchanged."""
         return x
+
+    def kronecker(self, blocks, pairs):
+        """At a point the blocks are over Q already: unchanged, every unit 1."""
+        return blocks, {name: (1, 1) for name in pairs}
 
     def __repr__(self):
         twin = ", integral" if self.integral is self else ""
@@ -242,8 +267,15 @@ def r_block(a, b, n, bk=SYMBOLIC):
 
     The blocks are images of the Hecke algebra over ZZ[Q^{+-1}, q^{+-1}], so
     the symbolic backend builds them in that ring: every entry is a
-    LaurentPoly2 and no product canonicalises.  At a point they are over
-    Fraction as everywhere else."""
+    LaurentPoly2 and no product canonicalises.  verify_rk_equations compares
+    their products over Z: each block M as phi(Q^A q^B M), Q^A q^B clearing
+    its negative exponents and phi the evaluation at Q = Y^(W+1), q = Y,
+    Y = 2^k.  The range: W is at least every q-degree of a compared product.
+    The bound: 2^k exceeds, for each comparison, the sum of its two sides'
+    products of row norms.  phi is a ring map, one-to-one on polynomials of
+    that range and bound, so equal images mean equal products, exactly
+    (_kronecker_point).  At a point they are over Fraction as everywhere
+    else."""
     if a == 1 and b == 1:
         return bk.laurent(generator_matrix(n, 2, 1, bk))
     if a > 1:
@@ -259,12 +291,70 @@ def r_block(a, b, n, bk=SYMBOLIC):
 def k_block(d, n, bk=SYMBOLIC):
     """K_{V^{(x) d}} by the cylinder rule
     K_{VW} = (K_V (x) 1) R_{W,V} (K_W (x) 1) R_{V,W} with V the first factor;
-    LaurentPoly2 entries in the symbolic backend, as for r_block."""
+    LaurentPoly2 entries in the symbolic backend, whose products
+    verify_rk_equations compares over Z at the point phi of r_block, in the
+    same range and bound, so just as exactly."""
     if d == 1:
         return bk.laurent(generator_matrix(n, 1, 0, bk))
     kv = embed_factors(k_block(1, n, bk), n, 0, d - 1)
     kw = embed_factors(k_block(d - 1, n, bk), n, 0, 1)
     return kv * r_block(d - 1, 1, n, bk) * kw * r_block(1, d - 1, n, bk)
+
+
+def _kronecker_point(blocks, pairs):
+    """The Kronecker point at which integer images decide the comparisons
+    pairs {name: (left keys, right keys)} of products of the LaurentPoly2
+    blocks {key: matrix}: (k, W, shift, comp).
+
+    Q^A q^B, (A, B) = shift[key] >= 0 least, clears the negative exponents of
+    a block; phi evaluates at Q = Y^(W+1), q = Y with Y = 2^k.  phi is a ring
+    map Z[Q, q] -> Z, so the product of the blocks' images phi(Q^A q^B M) is
+    the image of the shifted product.  The shifts of two sides may differ
+    (K_{2e} against the cylinder product): comp[name] gives the monomial
+    Q^a q^b by which each side is multiplied to bring its shift up to the
+    larger one, so both sides are images of one multiple Q^A' q^B' of their
+    Laurent products, and their difference D has exponents >= 0.
+
+    The range: every q-degree of D is at most W, the largest over all sides
+    of the sum of the factors' shifted q-degrees plus that side's b.  The
+    bound: a row norm (the largest row sum of the entries' coefficient
+    1-norms) is submultiplicative, and embedding a block by an identity
+    (embed_factors) leaves it unchanged, so every coefficient of D is at most
+    the sum over its two sides of the product of their factors' row norms,
+    which is less than 2^k.  Then Q^a q^b |-> Y^(a(W+1)+b) is one-to-one on
+    the monomials of D, and its lowest term d Y^t with 0 < |d| < Y is not
+    divisible by Y^(t+1): phi(D) = 0 only when D = 0.  So the images are
+    equal exactly when the products are, with no probability and no float.
+    """
+    shift, deg, norm = {}, {}, {}
+    for key, m in blocks.items():
+        exps = [t for v in m.entries.values() for t in v.terms] or [(0, 0)]
+        A = max(0, -min(a for a, _ in exps))
+        B = max(0, -min(b for _, b in exps))
+        rows = {}
+        for (r, _), v in m.entries.items():
+            rows[r] = rows.get(r, 0) + sum(map(abs, v.terms.values()))
+        shift[key], deg[key] = (A, B), max(b for _, b in exps) + B
+        norm[key] = max(rows.values(), default=0)
+    k = W = 0
+    comp = {}
+    for name, sides in pairs.items():
+        As = [sum(shift[x][0] for x in side) for side in sides]
+        Bs = [sum(shift[x][1] for x in side) for side in sides]
+        comp[name] = [(max(As) - a, max(Bs) - b) for a, b in zip(As, Bs)]
+        for side, (_, b) in zip(sides, comp[name]):
+            W = max(W, sum(deg[x] for x in side) + b)
+        k = max(k, sum(prod(norm[x] for x in side) for side in sides).bit_length())
+    return k, W, shift, comp
+
+
+# the two products of the blocks R, K and K2 = K_{2e} that each equation of
+# verify_rk_equations compares, as lists of factors (embeddings aside)
+_RK_PAIRS = {
+    "yang_baxter": ("RRR", "RRR"),
+    "reflection": ("KRKR", "RKRK"),
+    "k_consistency": ("KRKR", ("K2",)),
+}
 
 
 def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):
@@ -277,22 +367,37 @@ def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):
     run already checks it.  The reflection-side consistency then fails for
     n >= 2, which serves as a negative control on the whole setup.
 
-    Every matrix here is over the ring of the blocks (r_block), so the
-    symbolic run multiplies LaurentPoly2 entries only.
+    Symbolically no Laurent product is formed for the three block equations:
+    R, K and K_{2e} are each mapped once to the integer matrix
+    phi(Q^A q^B M) at one Kronecker point (bk.kronecker, r_block).  W covers
+    the q-degree of every product compared and 2^k exceeds the sum of the
+    two sides' products of row norms, so phi is one-to-one on every difference
+    and the products' images, each side times its unit phi(Q^a q^b), are
+    equal exactly when the products are (_kronecker_point): a deterministic
+    decision with no float.  k_quadratic, on the n x n base K, stays over
+    LaurentPoly2.  At a point the blocks are compared over Fraction as they
+    are.
     """
     rb = r_block(e, e, n, bk)
     one = rb.one
     kb = ExactMatrix.identity(n**e, one) if sabotage_k else k_block(e, n, bk)
+    images, units = bk.kronecker({"R": rb, "K": kb, "K2": k_block(2 * e, n, bk)}, _RK_PAIRS)
+    rz, kz = images["R"], images["K"]
+
+    def holds(name, lhs, rhs):
+        ul, ur = units[name]
+        return (lhs if ul == 1 else lhs.scale(ul)) == (rhs if ur == 1 else rhs.scale(ur))
+
     results = {}
     if not sabotage_k:
         # braid relation on three e-blocks
-        r1 = embed_factors(rb, n, 0, e)
-        r2 = embed_factors(rb, n, e, 0)
-        results["yang_baxter"] = (r1 * r2 * r1) == (r2 * r1 * r2)
+        r1 = embed_factors(rz, n, 0, e)
+        r2 = embed_factors(rz, n, e, 0)
+        results["yang_baxter"] = holds("yang_baxter", r1 * r2 * r1, r2 * r1 * r2)
     # reflection equation on two e-blocks
-    k1 = embed_factors(kb, n, 0, e)
-    cyl = k1 * rb * k1 * rb
-    results["reflection"] = cyl == (rb * k1 * rb * k1)
+    k1 = embed_factors(kz, n, 0, e)
+    cyl = k1 * rz * k1 * rz
+    results["reflection"] = holds("reflection", cyl, rz * k1 * rz * k1)
     # quadratic relation of the base K
     Qv = bk.laurent(bk.of(RF_Q))
     Qi = bk.laurent(bk.of(RF_Q.inverse()))
@@ -303,7 +408,7 @@ def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):
     # with the honest base K the cabled operator equals the cylinder product;
     # with K sabotaged to Id it degenerates to R^2, which must differ from the
     # honest doubled K
-    results["k_consistency"] = cyl == k_block(2 * e, n, bk)
+    results["k_consistency"] = holds("k_consistency", cyl, images["K2"])
     results["all"] = all(v for k, v in results.items() if k != "all")
     return results
 

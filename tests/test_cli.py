@@ -486,6 +486,8 @@ GOLDEN = {
     "centralizer-n5-d2": ["centralizer", "--n", "5", "--d", "2"],
     # no commutant line: n^d = 49 is over the commutant cap
     "centralizer-n7-d2-point": ["centralizer", "--n", "7", "--d", "2", "--backend", "Q=2,q=3"],
+    "verify-rk-n3-d2-e2": ["verify", "--suite", "rk-equations", "--n", "3", "--d", "2", "--e", "2"],
+    "verify-rk-n2-d1-e3": ["verify", "--suite", "rk-equations", "--n", "2", "--d", "1", "--e", "3"],
 }
 
 

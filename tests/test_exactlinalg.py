@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeb import schur
+from heckeb import exactlinalg, schur
 from heckeb.cli import main, parse_backend
 from heckeb.exactlinalg import (
     ExactMatrix,
@@ -316,6 +316,21 @@ class TestCertifiedRank:
         integer multiple."""
         expected = len(m._row_echelon())
         assert m.rank() == _integer_matrix(m).rank() == expected
+
+    @pytest.mark.parametrize("shape", [(9, 3), (3, 9), (4, 4)])
+    def test_reduces_the_shorter_side(self, monkeypatch, shape):
+        """A rank over Q eliminates the columns of a tall matrix, rank(A) =
+        rank(A^T), and the rows otherwise."""
+        nrows, ncols = shape
+        cells = [(r, c) for r in range(nrows) for c in range(ncols)]
+        m = ExactMatrix(nrows, ncols, {(r, c): Fraction(r * c + 1, c + 2) for r, c in cells})
+        seen = []
+        echelon = exactlinalg.integer_echelon
+        monkeypatch.setattr(
+            exactlinalg, "integer_echelon", lambda vs: seen.append(len(vs)) or echelon(vs)
+        )
+        assert m.rank() == m.transpose().rank() == len(m._row_echelon()) == 2
+        assert seen == [min(shape), min(shape)]
 
     def test_primes_are_prime(self):
         assert [is_prime(n) for n in (2, 37, 41, 561, 2**31 - 1, 2**61 + 1)] == [

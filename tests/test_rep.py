@@ -16,8 +16,11 @@ from heckeb.rep import (
     UnclassifiedEigenvalue,
     barv_map,
     central_candidate_eigenvalues,
+    _RK_PAIRS,
+    _kronecker_point,
     coideal_generators,
     eigenvalue_multiplicities,
+    embed_factors,
     generator_matrix,
     index_shift_matrix,
     jm_candidate_eigenvalues,
@@ -31,7 +34,7 @@ from heckeb.rep import (
     verify_rho_relations,
     verify_rk_equations,
 )
-from heckeb.scalars import LaurentPoly2, Specialization, default_specialization, specialize
+from heckeb.scalars import LP_ONE, LaurentPoly2, Specialization, default_specialization, specialize
 from heckeb.schur import restrict_to_subspace
 from heckeb.weylcomb import all_elements, shift_center, shift_outward
 
@@ -133,12 +136,173 @@ class TestBlocksSymbolicAgainstSpecialized:
             assert self.evaluated(k_block(d, n, SYMBOLIC), bk) == k_block(d, n, bk)
 
     @pytest.mark.parametrize("bk", BENCH_POINTS, ids=repr)
-    @pytest.mark.parametrize("n,e", [(2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("n,e", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_rk_results(self, bk, n, e):
         for sabotage in (False, True):
             assert verify_rk_equations(n, e, bk, sabotage) == verify_rk_equations(
                 n, e, SYMBOLIC, sabotage
             )
+
+
+def _laurent_product(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
+def _lp_matrix(nrows, terms):
+    """A LaurentPoly2 matrix (unit LP_ONE) from {(row, col): {(a, b): c}}."""
+    return ExactMatrix(nrows, nrows, {k: LaurentPoly2(t) for k, t in terms.items()}, LP_ONE)
+
+
+# a 2 x 2 or 4 x 4 Laurent matrix: exponents from -2 to 2, coefficients up to
+# +-3, entries that may be zero
+_laurent_entries = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-3, 3), max_size=3
+)
+
+
+@st.composite
+def _factor(draw):
+    """(block, left, right): a 4 x 4 block, or a 2 x 2 one embedded by an
+    identity factor of V_2 on its left or right."""
+    size, left, right = draw(st.sampled_from([(4, 0, 0), (2, 1, 0), (2, 0, 1)]))
+    cells = [(r, c) for r in range(size) for c in range(size)]
+    terms = draw(st.dictionaries(st.sampled_from(cells), _laurent_entries, max_size=size * 2))
+    return _lp_matrix(size, terms), left, right
+
+
+class TestKroneckerDecision:
+    """Symbolic products of Laurent blocks are compared through their
+    integer images at one Kronecker point (SymbolicBackend.kronecker)."""
+
+    @staticmethod
+    def assert_covers(point, name, pair, sides):
+        """Over LaurentPoly2: each side of the comparison name, times the
+        shift of its factors and its unit, has exponents >= 0 and q-degree
+        <= W; the two shifts agree, and the sides' largest coefficients sum
+        to less than 2^k, which bounds every coefficient of their difference."""
+        k, W, shift, comp = point
+        totals, tops = [], []
+        for keys, (a, b), m in zip(pair, comp[name], sides):
+            A = sum(shift[x][0] for x in keys) + a
+            B = sum(shift[x][1] for x in keys) + b
+            for v in m.entries.values():
+                assert all(x + A >= 0 and 0 <= y + B <= W for x, y in v.terms), name
+            totals.append((A, B))
+            coefficients = [abs(c) for v in m.entries.values() for c in v.terms.values()]
+            tops.append(max(coefficients, default=0))
+        assert totals[0] == totals[1], name
+        assert sum(tops) < 2**k, name
+
+    @staticmethod
+    def decide(blocks, left, right):
+        """Image equality of the products of (key, left, right) factors."""
+        keys = [[k for k, _, _ in side] for side in (left, right)]
+        images, units = SYMBOLIC.kronecker(blocks, {"eq": keys})
+        sides = [
+            _laurent_product([embed_factors(images[k], 2, a, b) for k, a, b in side]).scale(u)
+            for side, u in zip((left, right), units["eq"])
+        ]
+        for m in sides:
+            assert m.one == 1 and all(isinstance(v, int) for v in m.entries.values())
+        return sides[0] == sides[1]
+
+    @given(
+        factors=st.lists(_factor(), min_size=1, max_size=4),
+        other=st.lists(_factor(), min_size=1, max_size=4),
+        kind=st.sampled_from(["same", "top", "bottom", "other"]),
+        delta=st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_image_equality_is_laurent_equality(self, factors, other, kind, delta):
+        """Products of up to four factors against their own product taken as
+        one block, that block with one coefficient moved at the top or bottom
+        corner of its exponents, or another random product."""
+        blocks = {"f%d" % i: m for i, (m, _, _) in enumerate(factors)}
+        left = [("f%d" % i, a, b) for i, (_, a, b) in enumerate(factors)]
+        lhs = _laurent_product([embed_factors(m, 2, a, b) for m, a, b in factors])
+        if kind == "other":
+            blocks.update(("g%d" % i, m) for i, (m, _, _) in enumerate(other))
+            right = [("g%d" % i, a, b) for i, (_, a, b) in enumerate(other)]
+            rhs = _laurent_product([embed_factors(m, 2, a, b) for m, a, b in other])
+        else:
+            terms = {k: dict(v.terms) for k, v in lhs.entries.items()}
+            if kind != "same":
+                cells = [(k, t) for k, v in terms.items() for t in v] or [((0, 0), (0, 0))]
+                pick = max if kind == "top" else min
+                k, t = pick(cells, key=lambda kt: kt[1])
+                entry = terms.setdefault(k, {})
+                entry[t] = entry.get(t, 0) + delta
+            blocks["p"] = _lp_matrix(4, terms)
+            right = [("p", 0, 0)]
+            rhs = blocks["p"]
+        if kind in ("top", "bottom"):
+            assert lhs != rhs
+        keys = [[k for k, _, _ in side] for side in (left, right)]
+        self.assert_covers(_kronecker_point(blocks, {"eq": keys}), "eq", keys, (lhs, rhs))
+        assert self.decide(blocks, left, right) == (lhs == rhs)
+
+    @pytest.mark.parametrize(
+        "left,right,point",
+        [
+            # 2 * 2 against q: coefficients up to 2 * 2 + 1, so 2^k = 8, and
+            # 2^k = 4 would map both to 4
+            ({(0, 0): 2}, {(0, 1): 1}, (3, 1)),
+            # q * q against Q: q-degree 2, so W = 2, and W = 1 would map both
+            # to Y^2
+            ({(0, 1): 1}, {(1, 0): 1}, (2, 2)),
+            # q^-1 * q^-1 against Q^-1 q^-1: each side is brought to the
+            # shift Q q^2, giving Q against q, so W = 1, and W = 0 would map
+            # both to Y
+            ({(0, -1): 1}, {(-1, -1): 1}, (2, 1)),
+        ],
+    )
+    def test_decides_at_the_edge_of_the_range(self, left, right, point):
+        """1 x 1 products that differ by a term at the largest coefficient or
+        q-degree the point covers: a point one smaller would take them equal."""
+        blocks = {"a": _lp_matrix(1, {(0, 0): left}), "b": _lp_matrix(1, {(0, 0): right})}
+        assert not self.decide(blocks, [("a", 0, 0)] * 2, [("b", 0, 0)])
+        assert _kronecker_point(blocks, {"eq": ("aa", "b")})[:2] == point
+
+    def test_sides_with_different_shifts(self):
+        """a^2 = 1 for a = [[0, q^-1], [q, 0]]: the left side carries the
+        shift q^2 and the right none, so the right image is multiplied by
+        phi(q^2) before they are compared."""
+        a = _lp_matrix(2, {(0, 1): {(0, -1): 1}, (1, 0): {(0, 1): 1}})
+        blocks = {"a": a, "one": _lp_matrix(2, {(0, 0): {(0, 0): 1}, (1, 1): {(0, 0): 1}})}
+        blocks["two"] = _lp_matrix(2, {(0, 0): {(0, 0): 2}, (1, 1): {(0, 0): 2}})
+        k, W, shift, comp = _kronecker_point(blocks, {"eq": ("aa", ["one"])})
+        assert shift["a"] == (0, 1) and shift["one"] == (0, 0)
+        assert comp["eq"] == [(0, 0), (0, 2)]
+        assert W >= 2
+        _, units = SYMBOLIC.kronecker(blocks, {"eq": ("aa", ["one"])})
+        assert units["eq"] == (1, 1 << 2 * k)
+        assert self.decide(blocks, [("a", 0, 0)] * 2, [("one", 0, 0)])
+        assert not self.decide(blocks, [("a", 0, 0)] * 2, [("two", 0, 0)])
+        # the negative control: K = Id shifts the cylinder product less than K_{2e}
+        blocks = {"R": r_block(2, 2, 3), "K": ExactMatrix.identity(9, LP_ONE), "K2": k_block(4, 3)}
+        _, _, _, comp = _kronecker_point(blocks, _RK_PAIRS)
+        assert comp["k_consistency"][0] != (0, 0)
+
+    @pytest.mark.parametrize("n,e", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("sabotage", [False, True], ids=["honest", "sabotaged"])
+    def test_point_covers_every_difference(self, n, e, sabotage):
+        """The point verify_rk_equations takes covers both sides of each
+        equation, formed here over LaurentPoly2 as the check forms them."""
+        rb, k2 = r_block(e, e, n), k_block(2 * e, n)
+        kb = ExactMatrix.identity(n**e, LP_ONE) if sabotage else k_block(e, n)
+        point = _kronecker_point({"R": rb, "K": kb, "K2": k2}, _RK_PAIRS)
+        r1, r2 = embed_factors(rb, n, 0, e), embed_factors(rb, n, e, 0)
+        k1 = embed_factors(kb, n, 0, e)
+        products = {
+            "yang_baxter": (r1 * r2 * r1, r2 * r1 * r2),
+            "reflection": (k1 * rb * k1 * rb, rb * k1 * rb * k1),
+            "k_consistency": (k1 * rb * k1 * rb, k2),
+        }
+        for name, sides in products.items():
+            self.assert_covers(point, name, _RK_PAIRS[name], sides)
 
 
 class TestGeneratorsSymbolicAgainstSpecialized:
