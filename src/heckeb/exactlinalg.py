@@ -30,17 +30,21 @@ A dual pair (A, B) of commuting families takes one sandwich certificate for
 all four of its dimensions instead (`dual_pair_dimensions`).  Since each a
 commutes with each b, alg(A) lies in Comm(B).  Words independent mod p are
 independent over Q, and a rank mod p is at most the rank over Q, so one pass
-mod the prime p = 2^61 - 1 gives r_A <= dim alg(A) <= dim Comm(B) <= u_B: the
-closure count below, the Sylvester nullity mod p above.  When r_A = u_B and
-r_B = u_A, all four are exact, whatever the height of the entries.  When the
-bounds do not meet, each dimension is taken by the exact routes above: a rank
-mod p is never reported alone.
+mod a prime p gives r_A <= dim alg(A) <= dim Comm(B) <= u_B: the closure count
+below, the Sylvester nullity mod p above.  u_B is taken first and the closure
+stops when r_A reaches it, since no later word can grow it.  The closure's
+span is an echelon basis reduced forward only.  The primes `_PRIMES` lie below
+2^30, so a residue is one digit of a Python int; they are tried in turn.  When
+r_A = u_B and r_B = u_A at one of them, all four are exact, whatever the
+height of the entries.  When the bounds meet at none, each dimension is taken
+by the exact routes above: a rank mod p is never reported alone.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 
@@ -564,8 +568,9 @@ def minimal_polynomial(m: ExactMatrix):
 # ---------------------------------------------------------------------------
 # elimination mod p
 
-# the prime the sandwich of `dual_pair_dimensions` runs at
-_P = 2**61 - 1
+# the primes the sandwich of `dual_pair_dimensions` tries in turn, each below
+# 2^30: a residue is one digit of a Python int
+_PRIMES = (2**30 - 35, 2**30 - 41)
 
 
 def _eliminate_mod(rows, ncols, p):
@@ -677,19 +682,20 @@ def matrix_algebra_dimension(gens):
     words `_closure` finds, grown in a Subspace over the entry field."""
     n = gens[0].nrows
     span = Subspace(n * n, (), gens[0].one)
-    return len(_closure([g.rows() for g in gens], n, gens[0].one, span.insert, lambda x: x))
+    words = _closure([g.rows() for g in gens], n, gens[0].one, span.insert, lambda x: x)
+    return sum(1 for _ in words)
 
 
 def _closure(grows, n, one, insert, reduce):
     """The closure of span(I) under right multiplication by n x n matrices,
     given by their rows: it holds every word, so it is the unital algebra
     they generate.  Each product is vec'd (row-major), its entries reduced
-    (zeros dropped) and offered to insert(vec) -> grew.  Returns the words
+    (zeros dropped) and offered to insert(vec) -> grew.  Yields each word
     that grew it, as (parent word, generator), the identity (None, None)
-    first."""
+    first, as it is found: a caller that knows the dimension stops there."""
     ident = {i * n + i: one for i in range(n)}
     insert(ident)
-    words = [(None, None)]
+    yield None, None
     vecs = [ident]
     frontier = [0]
     while frontier:
@@ -698,11 +704,10 @@ def _closure(grows, n, one, insert, reduce):
             for gi, grow in enumerate(grows):
                 prod = {k: r for k, x in _times(vecs[i], grow, n).items() if (r := reduce(x))}
                 if insert(prod):
-                    words.append((i, gi))
+                    yield i, gi
                     vecs.append(prod)
-                    new.append(len(words) - 1)
+                    new.append(len(vecs) - 1)
         frontier = new
-    return words
 
 
 def _times(vec, grows, n):
@@ -726,22 +731,19 @@ def _primitive(vec):
 
 
 def _insert_mod(basis, vec, p):
-    """Subspace.insert mod p: add vec to the reduced echelon basis
-    {pivot index: vector}; True if it grew.  vec itself is left as it is."""
+    """Add vec to the echelon basis {pivot index: vector with a unit there and
+    nothing before it} mod p, reducing forward only; True if it grew.  vec
+    itself is left as it is."""
     vec = dict(vec)
-    for q in [q for q in vec if q in basis]:
-        _sub_multiple_mod(vec, vec[q], basis[q], p)
-    if not vec:
-        return False
-    q = min(vec)
-    inv = pow(vec[q], -1, p)
-    vec = {k: v * inv % p for k, v in vec.items()}
-    for b in basis.values():
-        f = b.get(q)
-        if f:
-            _sub_multiple_mod(b, f, vec, p)
-    basis[q] = vec
-    return True
+    while vec:
+        q = min(vec)
+        b = basis.get(q)
+        if b is None:
+            inv = pow(vec[q], -1, p)
+            basis[q] = {k: v * inv % p for k, v in vec.items()}
+            return True
+        _sub_multiple_mod(vec, vec[q], b, p)
+    return False
 
 
 def _integer_matrix(g):
@@ -756,14 +758,17 @@ def dual_pair_dimensions(gens_a, gens_b):
     families of Fraction matrices, by the sandwich certificate; or None.
 
     Each generator is scaled to an integer matrix.  Every a commutes with
-    every b (checked exactly), so alg(A) lies in Comm(B).  The closure of A
-    mod p = _P finds r_A words independent mod p, hence over Q: r_A <= dim
-    alg(A).  The Sylvester system of B has rank_p <= rank_Q, so
-    dim Comm(B) <= u_B = N^2 - rank_p.  Thus r_A <= dim alg(A) <=
-    dim Comm(B) <= u_B, and r_A = u_B makes all three exact; the same with A
-    and B swapped.  Any prime does, whatever the height of the entries.
-    None when the pair does not commute or a bound falls short (the pair is
-    no double centralizer, or p is unlucky), and for other fields.
+    every b (checked exactly), so alg(A) lies in Comm(B).  At a prime p of
+    `_PRIMES`, the Sylvester system of B has rank_p <= rank_Q, so
+    dim Comm(B) <= u_B = N^2 - rank_p; and the closure of A mod p finds r_A
+    words independent mod p, hence over Q: r_A <= dim alg(A).  Thus
+    r_A <= dim alg(A) <= dim Comm(B) <= u_B, so the closure stops once r_A
+    reaches u_B, and r_A = u_B makes all three exact; the same with A and B
+    swapped.  Any prime does, whatever the height of the entries.  When the
+    bounds fall short at one prime (the pair is no double centralizer, or p
+    is unlucky: say q = 0 or 1 mod p), the next is tried.  None when the
+    pair does not commute, when every prime falls short (as at a point built
+    to be unlucky at each, such as q = 3 p_1 p_2 + 1), and for other fields.
     """
     if not isinstance(gens_a[0].one, Fraction):
         return None
@@ -772,15 +777,22 @@ def dual_pair_dimensions(gens_a, gens_b):
     if any(a * b != b * a for a in ints_a for b in ints_b):
         return None
     n = gens_a[0].nrows
-    dims = []
-    for ints, other in ((ints_a, ints_b), (ints_b, ints_a)):
-        basis = {}
-        grows = [g.rows() for g in ints]
-        r = len(_closure(grows, n, 1, lambda v: _insert_mod(basis, v, _P), lambda x: x % _P))
-        s = _sylvester(other, other)
-        # the rank of the transpose: its elimination runs faster here
-        red = [{i: v % _P for i, v in col.items() if v % _P} for col in s.columns()]
-        if r != s.ncols - len(_eliminate_mod(red, s.nrows, _P)):
-            return None
-        dims.append(r)
-    return dims[0], dims[1], dims[1], dims[0]
+    # per side: its generators' rows and the other side's Sylvester system,
+    # whose rank is taken on its columns (the transpose eliminates faster)
+    sides = [
+        ([g.rows() for g in ints], _sylvester(other, other))
+        for ints, other in ((ints_a, ints_b), (ints_b, ints_a))
+    ]
+    for p in _PRIMES:
+        dims = []
+        for grows, s in sides:
+            red = [{i: v % p for i, v in col.items() if v % p} for col in s.columns()]
+            u = s.ncols - len(_eliminate_mod(red, s.nrows, p))
+            basis = {}
+            words = _closure(grows, n, 1, lambda v: _insert_mod(basis, v, p), lambda x: x % p)
+            if sum(1 for _ in islice(words, u)) != u:
+                break
+            dims.append(u)
+        else:
+            return dims[0], dims[1], dims[1], dims[0]
+    return None

@@ -28,7 +28,7 @@ from heckeb.exactlinalg import (
     poly_lcm,
     poly_mul,
     vstack,
-    _P,
+    _PRIMES,
     _integer_matrix,
     _sylvester,
     integer_echelon,
@@ -335,15 +335,15 @@ class TestCertifiedRank:
     def test_primes_are_prime(self):
         assert [is_prime(n) for n in (2, 37, 41, 561, 2**31 - 1, 2**61 + 1)] == [
             True, True, True, False, True, False]
-        assert _P.bit_length() == 61 and is_prime(_P)
+        assert all(is_prime(p) and p < 2**30 for p in _PRIMES)
 
     def test_primes_are_prime_by_sympy(self):
         sympy = pytest.importorskip("sympy")
-        assert sympy.isprime(_P)
+        assert all(sympy.isprime(p) and p < 2**30 for p in _PRIMES)
 
     def test_point_at_the_first_prime_end_to_end(self, capsys):
         argv = ["verify", "--suite", "double-centralizer", "--n", "2", "--d", "2",
-                "--backend", "Q=%d,q=3" % _P, "--output", "json"]
+                "--backend", "Q=%d,q=3" % _PRIMES[0], "--output", "json"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
@@ -364,8 +364,11 @@ class TestCertifiedRank:
         for gens in (hecke, coideal):
             s = _sylvester(gens, gens)
             assert commutant_dimension(gens) == s.ncols - len(s._row_echelon())
-        # the per-quantity route against the sandwich
-        assert per_quantity(coideal, hecke) == dual_pair_dimensions(coideal, hecke)
+        # the per-quantity route against the sandwich, at d = 2 and 3
+        for d in (2, 3):
+            hecke = [generator_matrix(n, d, i, bk) for i in range(d)]
+            coideal = list(coideal_generators(n, d, bk).values())
+            assert per_quantity(coideal, hecke) == dual_pair_dimensions(coideal, hecke)
 
     def test_coideal_closure_at_Q3_q7(self):
         bk = parse_backend("Q=3,q=7")
@@ -438,10 +441,22 @@ class TestDualPairDimensions:
         gens = [generator_matrix(2, 2, i, SYMBOLIC) for i in range(2)]
         assert dual_pair_dimensions(gens, gens) is None
 
-    @pytest.mark.parametrize("point", ["Q=%d,q=3" % _P, "Q=1e300,q=3"])
+    @pytest.mark.parametrize(
+        "point",
+        [
+            "Q=%d,q=3" % (2**61 - 1),
+            "Q=1e300,q=3",
+            "Q=3,q=%d" % (2**61 - 1),
+            "Q=3,q=%d" % 2**61,
+            "Q=3,q=%d" % _PRIMES[0],
+            "Q=3,q=%d" % (_PRIMES[0] + 1),
+            "Q=%d,q=3" % _PRIMES[0],
+        ],
+    )
     def test_large_height_closes_without_a_rank(self, monkeypatch, point):
-        # Q = 0 mod the prime, and Q of 997 bits: no dimension is taken on
-        # its own
+        # Q of 61 and 997 bits, q = 0 or 1 mod 2^61 - 1, q = 0 or 1 mod the
+        # first prime (the second closes it) and Q = 0 mod it: no dimension
+        # is taken on its own
         def refuse(gens):
             raise AssertionError("the sandwich did not close")
 
@@ -449,3 +464,74 @@ class TestDualPairDimensions:
         monkeypatch.setattr(schur, "commutant_dimension", refuse)
         argv = ["verify", "--suite", "double-centralizer", "--n", "3", "--d", "3"]
         assert main(argv + ["--backend", point]) == 0
+
+    def test_unlucky_at_every_prime_takes_the_exact_route(self, monkeypatch):
+        # q = 1 mod each prime: the bounds meet at neither, so each dimension
+        # is taken exactly, and the pair still closes
+        point = "Q=3,q=%d" % (3 * _PRIMES[0] * _PRIMES[1] + 1)
+        bk = parse_backend(point)
+        hecke = [generator_matrix(2, 2, i, bk) for i in range(2)]
+        coideal = list(coideal_generators(2, 2, bk).values())
+        assert dual_pair_dimensions(coideal, hecke) is None
+        calls = []
+        exact = schur.matrix_algebra_dimension
+        monkeypatch.setattr(
+            schur, "matrix_algebra_dimension", lambda g: calls.append(1) or exact(g)
+        )
+        argv = ["verify", "--suite", "double-centralizer", "--n", "2", "--d", "2"]
+        assert main(argv + ["--backend", point]) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_stop_at_the_upper_bound(self, monkeypatch, n, d):
+        """Stopping the closure once it reaches the Sylvester bound changes
+        no dimension and offers fewer products than the full closure."""
+        bk = parse_backend("Q=2,q=3")
+        hecke = [generator_matrix(n, d, i, bk) for i in range(d)]
+        coideal = list(coideal_generators(n, d, bk).values())
+        insert = exactlinalg._insert_mod
+        counts = []
+        for stop in (True, False):
+            calls = []
+            monkeypatch.setattr(
+                exactlinalg, "_insert_mod", lambda b, v, p: calls.append(p) or insert(b, v, p)
+            )
+            if not stop:
+                monkeypatch.setattr(exactlinalg, "islice", lambda words, u: words)
+            counts.append((dual_pair_dimensions(coideal, hecke), len(calls)))
+        (stopped, offered), (full, offered_full) = counts
+        assert stopped == full == per_quantity(coideal, hecke)
+        assert offered < offered_full
+
+
+@st.composite
+def residue_vectors(draw):
+    """Sparse vectors mod a prime of `_PRIMES`, each drawn afresh or planted as
+    a combination of two earlier ones, zeros dropped."""
+    p = draw(st.sampled_from(_PRIMES))
+    ncols = draw(st.integers(1, 7))
+    residues = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    vecs = []
+    for _ in range(draw(st.integers(1, 9))):
+        if vecs and draw(st.booleans()):
+            a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            x, y = draw(residues), draw(residues)
+            vec = {k: (x * a.get(k, 0) + y * b.get(k, 0)) % p for k in range(ncols)}
+        else:
+            vec = {k: draw(residues) for k in range(ncols)}
+        vecs.append({k: v for k, v in vec.items() if v})
+    return p, ncols, vecs
+
+
+class TestInsertMod:
+    @given(residue_vectors())
+    @settings(max_examples=150, deadline=None)
+    def test_grew_flags_are_rank_increments(self, case):
+        p, ncols, vecs = case
+        basis = {}
+        grew = [exactlinalg._insert_mod(basis, dict(v), p) for v in vecs]
+        ranks = [len(exactlinalg._eliminate_mod([dict(v) for v in vecs[:k]], ncols, p))
+                 for k in range(len(vecs) + 1)]
+        assert grew == [b > a for a, b in zip(ranks, ranks[1:])]
+        # the basis is in echelon form with unit leads
+        assert all(min(b) == q and b[q] == 1 for q, b in basis.items())
