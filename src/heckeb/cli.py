@@ -485,8 +485,16 @@ def positive_int(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line in one line on stderr, as every other
+    usage error is, and exits 2."""
+
+    def error(self, message):
+        self.exit(2, "error: %s: %s (see '%s --help')\n" % (self.prog, message, self.prog))
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="heckeb", description=__doc__.splitlines()[1])
+    p = _Parser(prog="heckeb", description=__doc__.splitlines()[1])
     p.add_argument("--version", action="version", version="heckeb %s" % __version__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -21,6 +21,13 @@ fraction-free (Bareiss 1968) and divided by its content.  A column space
 builds its canonical Subspace over Fraction from the independent integer
 vectors that remain.
 
+Spectra run over Z too: `krylov_annihilators` yields the integer
+annihilator of each Krylov chain of L m, reduced the same way, and the
+coordinates in the powers of L m go along.  `minimal_polynomial`, the lcm of
+those annihilators taken over Fraction with the polynomial helpers, is kept
+as the independent oracle that the tests and
+`schur.e_hecke_rank1_eigenvalue_count` read; no CLI command reaches it.
+
 `intertwiner_dimension` is the nullity of one Sylvester system, so over Q it
 is an integer rank as above.  `matrix_algebra_dimension` grows the closure of
 span(I) under the generators in a Subspace over the entry field; the same
@@ -387,25 +394,33 @@ def integer_echelon(vectors):
     and joins the basis."""
     basis = {}
     for vec in vectors:
-        vec = {k: v for k, v in vec.items() if v}
-        while vec:
-            p = min(vec)
-            w = basis.get(p)
-            if w is None:
-                basis[p] = _primitive(vec)
-                break
-            a, b = w[p], vec[p]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                vec = {k: a * v for k, v in vec.items()}
-            for k, v in w.items():
-                x = vec.get(k, 0) - b * v
-                if x:
-                    vec[k] = x
-                else:
-                    del vec[k]
+        vec = _reduce_forward(basis, {k: v for k, v in vec.items() if v})
+        if vec:
+            basis[min(vec)] = _primitive(vec)
     return [basis[p] for p in sorted(basis)]
+
+
+def _reduce_forward(basis, vec):
+    """The integer vector vec (a dict of nonzero ints, consumed) reduced
+    fraction-free against the basis {pivot: vector with nothing before it}
+    until its pivot is free: {} when it lies in the span."""
+    while vec:
+        p = min(vec)
+        w = basis.get(p)
+        if w is None:
+            break
+        a, b = w[p], vec[p]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            vec = {k: a * v for k, v in vec.items()}
+        for k, v in w.items():
+            x = vec.get(k, 0) - b * v
+            if x:
+                vec[k] = x
+            else:
+                del vec[k]
+    return vec
 
 
 def _over_z(vectors):
@@ -419,7 +434,8 @@ def _over_z(vectors):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over the entry field (dense coefficient lists)
+# univariate polynomials over the entry field (dense coefficient lists), and
+# the minimal polynomial over it: the oracle of `krylov_annihilators`
 
 
 def poly_trim(p):
@@ -563,6 +579,53 @@ def minimal_polynomial(m: ExactMatrix):
         if seen.dim == n:
             break
     return poly_monic(result)
+
+
+def krylov_annihilators(m: ExactMatrix):
+    """Yields (j, c) for each Krylov chain of M = L m, L > 0 the lcm of the
+    entry denominators of m (Fraction or int entries): the chain starts at
+    e_j, and c, constant first and of content 1, is the integer annihilator
+    of e_j of least degree, sum_k c_k M^k e_j = 0.  A chain starts at each
+    e_j not yet in the span of the earlier chains, so the lcm of the c is the
+    minimal polynomial of M.
+
+    Over Z and forward only, by `_reduce_forward`: each chain vector v is M
+    times the last one kept, and carries its integer coordinates c_k in the
+    powers of M at the indices n + k, past the n entries of v (n x n is the
+    size of m).  So v <- a v - b w reduces the coordinates with v, and a
+    survivor is divided by the joint content of both.  When v reduces to 0,
+    what is left is the annihilator."""
+    if m.nrows != m.ncols:
+        raise ShapeMismatch("Krylov chains of a non-square matrix")
+    n = m.nrows
+    cols = _integer_matrix(m).columns()
+    seen = {}  # an echelon basis over Z of the chains so far
+    for j in range(n):
+        if len(seen) == n:
+            return
+        if not _reduce_forward(seen, {j: 1}):
+            continue
+        chain = {}
+        vec = {j: 1, n: 1}
+        while min(vec := _reduce_forward(chain, vec)) < n:
+            vec = chain[min(vec)] = _primitive(vec)
+            out = {}
+            for c, x in vec.items():
+                if c < n:
+                    for r, a in cols[c].items():
+                        out[r] = out.get(r, 0) + a * x
+                else:
+                    out[c + 1] = x
+            vec = {k: v for k, v in out.items() if v}
+        vec = _primitive(vec)
+        yield j, [vec.get(k, 0) for k in range(n, max(vec) + 1)]
+        # the earlier chains span an M-invariant W: once a chain vector lies
+        # in W plus the ones before it, so do all later ones
+        for v in chain.values():
+            v = _reduce_forward(seen, {k: x for k, x in v.items() if k < n})
+            if not v:
+                break
+            seen[min(v)] = _primitive(v)
 
 
 # ---------------------------------------------------------------------------

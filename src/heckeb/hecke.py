@@ -278,8 +278,10 @@ def _young_factors(lam, offset, d):
 
 
 def young_idempotent(lam, offset, d):
-    """The quasi-idempotent x_lam T_{c(lam)} y_{lam'} attached to a partition,
-    embedded at the given strand offset."""
+    """The element x_lam T_{c(lam)} y_{lam'} attached to a partition,
+    embedded at the given strand offset.  Despite the name it is not
+    quasi-idempotent in general: for lam = (2, 1) it squares to 0.  Only the
+    images of the products it enters are read."""
     return prod(_young_factors(lam, offset, d), start=HeckeElement.one(d))
 
 

@@ -27,9 +27,9 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
-from .exactlinalg import ExactMatrix, minimal_polynomial
+from .exactlinalg import ExactMatrix, krylov_annihilators
 from .scalars import (
     LP_ONE,
     RF_ONE,
@@ -680,25 +680,35 @@ def verify_coideal_commutation(n, d, bk=SYMBOLIC):
 # spectra
 
 
+def _powers(x, k):
+    """[x^-k, ..., x^k] for a nonzero Fraction x, one product each."""
+    up = [x**0]
+    for _ in range(k):
+        up.append(up[-1] * x)
+    return [1 / v for v in reversed(up[1:])] + up
+
+
 def jm_candidate_eigenvalues(i, s: Specialization):
     """{value: label} for the possible eigenvalues of K_i: -Q q^{2j} and
     (1/Q) q^{2j} with |j| < i."""
     out = {}
-    for j in range(1 - i, i):
-        v = -s.valueQ * s.valueq ** (2 * j)
-        out[v] = ("-", 1, 2 * j)
-        w = s.valueq ** (2 * j) / s.valueQ
-        out[w] = ("+", -1, 2 * j)
+    q2 = _powers(s.valueq**2, i - 1)
+    Qi = 1 / s.valueQ
+    for j, v in enumerate(q2, 1 - i):
+        out[-s.valueQ * v] = ("-", 1, 2 * j)
+        out[v * Qi] = ("+", -1, 2 * j)
     return out
 
 
 def central_candidate_eigenvalues(d, s: Specialization):
-    """Possible eigenvalues +-Q^i q^j of the central element's action."""
+    """Possible eigenvalues +-Q^i q^j of the central element's action, each
+    a product of two cached powers."""
     out = {}
     jb = 2 * d * d
-    for i in range(-d, d + 1):
-        for j in range(-jb, jb + 1):
-            v = s.valueQ**i * s.valueq**j
+    qs = _powers(s.valueq, jb)
+    for i, x in enumerate(_powers(s.valueQ, d), -d):
+        for j, y in enumerate(qs, -jb):
+            v = x * y
             out[v] = ("+", i, j)
             out[-v] = ("-", i, j)
     return out
@@ -717,22 +727,40 @@ def _deflate(c, a, b):
 
 
 def eigenvalue_multiplicities(m: ExactMatrix, candidates):
-    """Deflate the minimal polynomial, cleared once to integer coefficients,
-    by candidate roots over Z (_deflate): no Fraction per candidate.
+    """{eigenvalue: multiplicity in the minimal polynomial}, in candidate
+    order, over Z: the minimal polynomial is never formed.
 
-    Returns {eigenvalue: multiplicity in the minimal polynomial}; raises
-    UnclassifiedEigenvalue if a nonconstant factor remains.
+    Each annihilator of a Krylov chain of M = L m (`krylov_annihilators`) is
+    rescaled once to m's scale, c_k L^k with the content removed, and
+    deflated (_deflate) by each candidate a/b that the rational root theorem
+    allows: b | c[-1] and a | c[0].  The minimal polynomial is the lcm of the
+    annihilators, so a candidate's multiplicity there is its largest over the
+    chains.  Raises UnclassifiedEigenvalue if a chain leaves a nonconstant
+    factor.
     """
-    mp = minimal_polynomial(m)
-    den = lcm(*(v.denominator for v in mp))
-    c = [v.numerator * (den // v.denominator) for v in mp]
-    mults = {}
-    for lam in candidates:
-        while len(c) > 1 and (r := _deflate(c, lam.numerator, lam.denominator)) is not None:
-            mults[lam] = mults.get(lam, 0) + 1
-            c = r
-    if len(c) > 1:
-        raise UnclassifiedEigenvalue(
-            "minimal polynomial has a factor outside the candidate set"
-        )
-    return mults
+    L = lcm(*(v.denominator for v in m.entries.values()))
+    roots = [(lam, lam.numerator, lam.denominator) for lam in candidates]
+    found = {}  # candidate position -> multiplicity
+    for _, c in krylov_annihilators(m):
+        scaled, power = [], 1
+        for x in c:
+            scaled.append(x * power)
+            power *= L
+        g = gcd(*scaled)
+        c = [x // g for x in scaled]
+        for pos, (_, a, b) in enumerate(roots):
+            if len(c) == 1:
+                break
+            k = 0
+            while len(c) > 1 and not c[-1] % b and not (c[0] % a if a else c[0]):
+                r = _deflate(c, a, b)
+                if r is None:
+                    break
+                c, k = r, k + 1
+            if k > found.get(pos, 0):
+                found[pos] = k
+        if len(c) > 1:
+            raise UnclassifiedEigenvalue(
+                "minimal polynomial has a factor outside the candidate set"
+            )
+    return {roots[pos][0]: k for pos, k in sorted(found.items())}

@@ -24,11 +24,13 @@ the orbit route takes one rank per such pair: 56 at n 7, d 3 for its 20 x 20
 pairs of tuples.  The ledger takes the orbit route; the centralizer command
 compares the two.
 
-The Schur functor of a bipartition is the image of the quasi-idempotent
+The Schur functor of a bipartition is the image of
 e'_{lam,mu} = f_1 ... f_k (hecke.bipartition_factors); its dimension matches
-the count of semistandard bitableaux.  rho is an anti-homomorphism, so the
-image is the column space of rho(f_k) ... rho(f_1) (the diagram route), never
-expanding e' in the algebra: a basis matrix starts as rho(f_1), is replaced
+the count of semistandard bitableaux.  e' need not be quasi-idempotent (for
+lam, mu = (2, 1), () it squares to 0), so only its image is read.  rho is
+an anti-homomorphism, so the image is the column space of
+rho(f_k) ... rho(f_1) (the diagram route), never expanding e' in the
+algebra: a basis matrix starts as rho(f_1), is replaced
 by the sparse product rho(f) * basis at each later factor, and is cut back to
 independent columns after each factor that is not a nonzero multiple of one
 T_w.  Its width is then the dimension of the image, which the ledger reads

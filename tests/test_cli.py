@@ -1,10 +1,14 @@
 """The command line interface: exit codes, output formats, stability."""
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeb import cli
 from heckeb.cli import main, parse_backend, parse_shape, UsageError
@@ -471,6 +475,44 @@ class TestErrors:
         assert main(["verify", "--suite", "permutation", "--n", "4", "--d", "2"]) == 2
 
 
+# sizes and backends at and past the edges: nonpositive, not a number, and
+# far over every budget; no point, a missing q, a zero and a zero
+# denominator, a small and a 65-bit point, and that point written 2^64+1,
+# which is no number
+SIZES = ["0", "-1", "1", "2", "3", "x", str(10**22)]
+BACKENDS = [
+    "symbolic", "Q=0", "Q=1/0", "Q=0,q=3", "Q=1/0,q=3",
+    "Q=2,q=3", "Q=%d,q=3" % (2**64 + 1), "Q=2^64+1,q=3",
+]
+
+
+class TestContract:
+    @given(
+        command=st.sampled_from([["eigen"], ["verify", "--suite", "spectra"]]),
+        n=st.sampled_from(SIZES),
+        d=st.sampled_from(SIZES),
+        backend=st.sampled_from(BACKENDS),
+        output=st.sampled_from(["text", "json"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_spectra_rows(self, command, n, d, backend, output):
+        """The spectra rows exit 0, 1 or 2 with no traceback, and on exit 2
+        print nothing on stdout and one line on stderr."""
+        out, err = io.StringIO(), io.StringIO()
+        argv = [*command, "--n", n, "--d", d, "--backend", backend, "--output", output]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
 # stdout of each argv in every output format, as tests/golden/<name>.<format>
 GOLDEN = {
     "verify-all-n3-d2-e1": ["verify", "--suite", "all", "--n", "3", "--d", "2", "--e", "1"],
@@ -483,6 +525,9 @@ GOLDEN = {
     "schur-21-1-n3-point": ["schur", "--shape", "2,1|1", "--n", "3", "--backend", "Q=2,q=3"],
     "schur-empty-3-n2": ["schur", "--shape=-|3", "--n", "2"],
     "eigen-n3-d2-point": ["eigen", "--n", "3", "--d", "2", "--backend", "Q=2,q=3"],
+    # c_K with six eigenvalues on V_3^{(x) 3}, at two points
+    "eigen-n3-d3-point": ["eigen", "--n", "3", "--d", "3", "--backend", "Q=2,q=3"],
+    "eigen-n3-d3-Q3-q7": ["eigen", "--n", "3", "--d", "3", "--backend", "Q=3,q=7"],
     "centralizer-n5-d2": ["centralizer", "--n", "5", "--d", "2"],
     # no commutant line: n^d = 49 is over the commutant cap
     "centralizer-n7-d2-point": ["centralizer", "--n", "7", "--d", "2", "--backend", "Q=2,q=3"],

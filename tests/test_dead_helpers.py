@@ -18,19 +18,28 @@ SRC = Path(heckeb.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 
 # the public functions only the tests call: reference implementations the
-# tests compare against, the two acceptance claims no CLI row runs yet (08 and
-# 12) and the helpers only they read, and acceptance-test set-up
+# tests compare against (minimal_polynomial over Fraction, the oracle of the
+# spectra over Z, with its polynomial arithmetic), the two acceptance claims
+# no CLI row runs yet (08 and 12) and the helpers only they read, and
+# acceptance-test set-up
 REFERENCE = {
+    "minimal_polynomial",
+    "poly_trim",
+    "poly_mul",
+    "poly_divmod",
+    "poly_monic",
+    "poly_gcd_monic",
+    "poly_lcm",
+    "poly_derivative",
+    "poly_is_squarefree",
+    "poly_eval_matrix",
     "u_plus",
     "u_minus",
     "young_idempotent",
     "all_elements",
     "from_word",
-    "poly_eval_matrix",
-    "poly_is_squarefree",
     "irreducibility_report",
     "e_hecke_rank1_eigenvalue_count",
-    "poly_derivative",
     "restrict_to_subspace",
     "default_specialization",
     "dominant_representative",

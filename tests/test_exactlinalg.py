@@ -19,6 +19,7 @@ from heckeb.exactlinalg import (
     dual_pair_dimensions,
     hstack,
     intertwiner_dimension,
+    krylov_annihilators,
     matrix_algebra_dimension,
     minimal_polynomial,
     poly_divmod,
@@ -26,6 +27,7 @@ from heckeb.exactlinalg import (
     poly_gcd_monic,
     poly_is_squarefree,
     poly_lcm,
+    poly_monic,
     poly_mul,
     vstack,
     _PRIMES,
@@ -214,6 +216,54 @@ class TestMinimalPolynomial:
     def test_annihilates(self):
         a = dense([[2, 1, 0], [0, 2, 0], [1, 0, 3]])
         assert poly_eval_matrix(minimal_polynomial(a), a).is_zero()
+
+
+@st.composite
+def krylov_matrices(draw):
+    """Small square matrices, Fraction or int entries: a random block B, or
+    B + B and the Jordan-like [[B, I], [0, B]], so that chains repeat an
+    annihilator or raise a multiplicity."""
+    k = draw(st.integers(0, 4))
+    entries = st.one_of(st.just(Fraction(0)), fractions_mixed)
+    block = {(i, j): v for i in range(k) for j in range(k) if (v := draw(entries))}
+    shape = draw(st.sampled_from(["B", "B+B", "Jordan"]))
+    if shape == "B":
+        n, e = k, block
+    else:
+        n, e = 2 * k, {**block, **{(i + k, j + k): v for (i, j), v in block.items()}}
+        if shape == "Jordan":
+            e.update({(i, i + k): ONE for i in range(k)})
+    m = ExactMatrix(n, n, e)
+    return _integer_matrix(m) if draw(st.booleans()) else m
+
+
+class TestKrylovAnnihilators:
+    @given(krylov_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_each_annihilates_its_start_vector(self, m):
+        """Each annihilator is a list of ints of content 1 with sum_k c_k
+        M^k e_j = 0 for M = L m and e_j its start, of least degree (the
+        Krylov vectors before it are independent); and the lcm of all of them
+        is the minimal polynomial of M, by the Fraction oracle."""
+        big = _integer_matrix(m)
+        mp = []
+        for j, c in krylov_annihilators(m):
+            assert all(type(x) is int for x in c) and c[-1] and math.gcd(*c) == 1
+            powers = [{j: 1}]
+            for _ in c[1:]:
+                powers.append(big.apply(powers[-1]))
+            assert len(integer_echelon(powers[:-1])) == len(c) - 1
+            total = {}
+            for x, vec in zip(c, powers):
+                for r, v in vec.items():
+                    total[r] = total.get(r, 0) + x * v
+            assert not any(total.values())
+            mp = poly_lcm(mp, [Fraction(x) for x in c])
+        assert (poly_monic(mp) or [ONE]) == minimal_polynomial(big)
+
+    def test_not_square(self):
+        with pytest.raises(ShapeMismatch):
+            list(krylov_annihilators(ExactMatrix(2, 3)))
 
 
 class TestAlgebraDimensions:

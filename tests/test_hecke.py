@@ -155,6 +155,13 @@ class TestIdentities:
         assert bipartition_element(((1,), (1,)))
         assert bipartition_element(((2,), (1,)))
 
+    def test_young_elements_are_not_quasi_idempotent(self):
+        # nonzero elements that square to 0, so neither is a multiple of an
+        # idempotent: only their images are read
+        for e in (young_idempotent((2, 1), 0, 3), bipartition_element(((2, 1), ()))):
+            assert e
+            assert e * e == HeckeElement.zero(3)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bipartition_element_is_product_of_factors(self, d):
         for shape in bipartitions(d):

@@ -1,9 +1,10 @@
 """Tensor space actions: R and K matrices, orbit modules, coideal operators."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckeb.cli import semisimple
@@ -381,9 +382,13 @@ class TestCoideal:
         assert "t" in names_even
 
 
-# candidate roots: signs, denominators, a root and its negative, and a large
-# height
-ROOTS = [Fraction(v) for v in (2, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 9), 5, 2**61 - 1)]
+# candidate roots: signs, denominators, a root and its negative, zero, and
+# large heights
+ROOTS = [
+    Fraction(v)
+    for v in (2, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 9), 5, 0, 2**61 - 1, 2**68 + 1)
+]
+BIG = Fraction(2**68 + 1)
 
 
 class TestSpectra:
@@ -410,21 +415,50 @@ class TestSpectra:
         roots=st.lists(st.tuples(st.sampled_from(ROOTS), st.integers(1, 3)), max_size=4),
         extra=st.sampled_from([[], [2, 0, 1], [-2, 0, 1], [Fraction(-1, 7), 1]]),
         cands=st.lists(st.sampled_from(ROOTS), unique=True, max_size=len(ROOTS)),
+        beside=st.sampled_from([None, "same", "before", "after"]),
+        over_z=st.booleans(),
     )
+    # the 0 x 0 matrix, with and without candidates
+    @example(roots=[], extra=[], cands=[], beside=None, over_z=False)
+    @example(roots=[], extra=[], cands=ROOTS, beside="same", over_z=True)
+    # a zero eigenvalue, as a candidate and not
+    @example(roots=[(ROOTS[6], 2), (ROOTS[0], 1)], extra=[], cands=ROOTS, beside="after", over_z=False)
+    @example(roots=[(ROOTS[6], 1)], extra=[], cands=[ROOTS[0]], beside="before", over_z=True)
+    # a zero candidate that is no root
+    @example(roots=[(ROOTS[0], 2)], extra=[], cands=[ROOTS[6], ROOTS[0]], beside=None, over_z=True)
+    # roots of height 2^68 + 1: with their negative, beside a factor outside
+    # the candidates, and with their inverse
+    @example(roots=[(BIG, 2), (-BIG, 1)], extra=[], cands=[-BIG, BIG], beside="after", over_z=False)
+    @example(roots=[(BIG, 1)], extra=[2, 0, 1], cands=[BIG], beside=None, over_z=True)
+    @example(roots=[(1 / BIG, 2), (BIG, 1)], extra=[], cands=[BIG, 1 / BIG], beside="before", over_z=True)
     @settings(max_examples=80, deadline=None)
-    def test_deflation_matches_the_fraction_loop(self, roots, extra, cands):
-        """The integer deflation gives the multiplicities (and the failure)
-        of the Fraction loop it replaced, on companion matrices whose minimal
-        polynomial is a product of candidate and other factors."""
-        p = [Fraction(1)]
+    def test_deflation_matches_the_fraction_loop(self, roots, extra, cands, beside, over_z):
+        """The deflation over Z, chain by chain, gives the multiplicities (and
+        the failure) of the Fraction oracle, minimal_polynomial deflated by
+        poly_divmod.  The matrices are companion matrices whose minimal
+        polynomial is a product of candidate and other factors; beside, the
+        direct sum with a second block, one chain each: the same companion,
+        or that of the roots taken once, before or after it, so a root's
+        multiplicity differs between the chains; over_z, the integer multiple
+        L m with an int unit, and the candidates scaled by L with it."""
+        p, simple = [Fraction(1)], [Fraction(1)]
         for lam, k in roots:
+            simple = poly_mul(simple, [-lam, Fraction(1)])
             for _ in range(k):
                 p = poly_mul(p, [-lam, Fraction(1)])
         p = poly_mul(p, [Fraction(c) for c in extra] or [Fraction(1)])
-        deg = len(p) - 1
-        e = {(i + 1, i): Fraction(1) for i in range(deg - 1)}
-        e.update({(i, deg - 1): -c / p[-1] for i, c in enumerate(p[:-1])})
-        m = ExactMatrix(deg, deg, e)
+        blocks = {None: [p], "same": [p, p], "before": [simple, p], "after": [p, simple]}[beside]
+        e, size = {}, 0
+        for q in blocks:
+            deg = len(q) - 1
+            e.update({(size + i + 1, size + i): Fraction(1) for i in range(deg - 1)})
+            e.update({(size + i, size + deg - 1): -c / q[-1] for i, c in enumerate(q[:-1])})
+            size += deg
+        m = ExactMatrix(size, size, e)
+        if over_z:
+            den = math.lcm(*(v.denominator for v in e.values()))
+            m = ExactMatrix(size, size, {k: int(v * den) for k, v in e.items()}, 1)
+            cands = [lam * den for lam in cands]
         mp, expected = minimal_polynomial(m), {}
         for lam in cands:
             while len(mp) > 1:
@@ -438,6 +472,8 @@ class TestSpectra:
         except UnclassifiedEigenvalue:
             got = None
         assert got == (expected if len(mp) == 1 else None)
+        # in candidate order
+        assert got is None or list(got) == [lam for lam in cands if lam in got]
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3)])
     def test_central_eigenvalues_classified(self, n, d):
