@@ -30,15 +30,17 @@ from heckeb.exactlinalg import (
     poly_monic,
     poly_mul,
     vstack,
-    _PRIMES,
     _integer_matrix,
     _sylvester,
     integer_echelon,
 )
-from heckeb.rep import SYMBOLIC, coideal_generators, generator_matrix
+from heckeb.rep import SYMBOLIC, coideal_generators, generator_matrix, tensor_tuples
+from heckeb.weylcomb import dominant_tuples
 from heckeb.schur import verify_double_centralizer
 
 ONE = Fraction(1)
+# the primes the sandwich tries at a point where no prime is unlucky
+_PRIMES = exactlinalg.sandwich_primes(lambda p: True)
 
 
 def dense(rows):
@@ -418,7 +420,8 @@ class TestCertifiedRank:
         for d in (2, 3):
             hecke = [generator_matrix(n, d, i, bk) for i in range(d)]
             coideal = list(coideal_generators(n, d, bk).values())
-            assert per_quantity(coideal, hecke) == dual_pair_dimensions(coideal, hecke)
+            dims = dual_pair_dimensions(coideal, hecke, _PRIMES, (), dominant_rows(n, d))
+            assert per_quantity(coideal, hecke) == dims
 
     def test_coideal_closure_at_Q3_q7(self):
         bk = parse_backend("Q=3,q=7")
@@ -443,11 +446,38 @@ fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def polynomial_pairs(draw, size=3):
+def polynomial_pairs(draw, size=3, entries=fractions):
     """A = {p(M), ...} against B = {M}: every a commutes with M."""
-    m = dense([[draw(fractions) for _ in range(size)] for _ in range(size)])
+    m = dense([[draw(entries) for _ in range(size)] for _ in range(size)])
     polys = draw(st.lists(st.lists(fractions, min_size=1, max_size=3), min_size=1, max_size=2))
     return [poly_eval_matrix(p, m) for p in polys], [m]
+
+
+# index rows of a 3 x 3 pair, offered to the row search: cyclic or not,
+# repeated or not
+offered_rows = st.lists(st.integers(0, 2), max_size=3)
+
+
+def dominant_rows(n, d):
+    """The rows of V_n^{(x) d} at the dominant tuples, one per W-orbit."""
+    index = tensor_tuples(n, d)[1]
+    return [index[t] for t in dominant_tuples(n, d)]
+
+
+# every (n, d) the double-centralizer caps accept at a point
+ACCEPTED = [
+    (n, d)
+    for n in range(1, 65)
+    for d in range(1, schur.ALGEBRA_MAX_RANK + 1)
+    if n**d <= schur.SPECIALIZED_BUDGET
+    and n ** (2 * d) <= schur.SYLVESTER_MAX_WIDTH[False]
+    and (n == 1 or d <= schur.DOUBLE_CENTRALIZER_MAX_RANK[False])
+]
+
+
+def nullity_mod(s, p):
+    red = [{i: v % p for i, v in col.items() if v % p} for col in s.columns()]
+    return s.ncols - len(exactlinalg._eliminate_mod(red, s.nrows, p))
 
 
 class TestDualPairDimensions:
@@ -455,14 +485,80 @@ class TestDualPairDimensions:
     @settings(max_examples=80, deadline=None)
     def test_none_or_the_per_quantity_values(self, pair):
         a, b = pair
-        got = dual_pair_dimensions(a, b)
+        got = dual_pair_dimensions(a, b, _PRIMES)
         assert got is None or got == per_quantity(a, b)
+
+    @given(
+        polynomial_pairs(entries=st.one_of(st.just(Fraction(0)), fractions)),
+        offered_rows,
+        offered_rows,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_offered_rows_keep_it_sound(self, pair, rows_a, rows_b):
+        """Whatever rows are offered, cyclic or not, the sandwich gives the
+        per-quantity values or None: rows that do not generate are
+        completed, and bound the commutant on all rows."""
+        a, b = pair
+        got = dual_pair_dimensions(a, b, _PRIMES, rows_a, rows_b)
+        assert got is None or got == per_quantity(a, b)
+
+    def test_rows_of_one_eigenspace_are_not_cyclic(self):
+        # D = diag(1, 2, 2): e_0 generates only span(e_0), on which the
+        # equations of row 0 would bound Comm(D), of dimension 5, by 1
+        d = dense([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+        assert dual_pair_dimensions([d], [d], _PRIMES, [0], [0]) is None
+        assert per_quantity([d], [d]) == (2, 5, 2, 5)
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_dominant_rows_bound_the_schur_algebra_exactly(self, point):
+        """At every (n, d) the caps accept, the dominant rows are cyclic
+        for the Hecke action mod p, and the nullity mod p of their
+        equations (the stabilizer eigen-conditions) is the full one."""
+        p = _PRIMES[0]
+        bk = parse_backend(point)
+        for n, d in ACCEPTED:
+            ints = [_integer_matrix(generator_matrix(n, d, i, bk)) for i in range(d)]
+            dominant = dominant_rows(n, d)
+            rows = exactlinalg._cyclic_rows([g.rows() for g in ints], n**d, dominant, p)
+            assert rows == dominant
+            assert nullity_mod(_sylvester(ints, ints, dominant), p) == nullity_mod(
+                _sylvester(ints, ints), p
+            ), (n, d)
+
+    @pytest.mark.parametrize("point", POINTS + ["Q=%d,q=3" % (2**1024 - 1)])
+    def test_hecke_bound_on_the_dominant_rows(self, monkeypatch, point):
+        """n 3, d 3 closes at the first prime, and bounds the Schur algebra
+        on its 4 dominant rows: no N^2-unknown Hecke system is built."""
+        built, primes = [], []
+        sylvester, eliminate = exactlinalg._sylvester, exactlinalg._eliminate_mod
+
+        def spy_sylvester(gens_u, gens_w, rows=None):
+            built.append(rows)
+            return sylvester(gens_u, gens_w, rows)
+
+        def refuse(gens):
+            raise AssertionError("the sandwich did not close")
+
+        monkeypatch.setattr(exactlinalg, "_sylvester", spy_sylvester)
+        monkeypatch.setattr(
+            exactlinalg, "_eliminate_mod", lambda r, c, p: primes.append(p) or eliminate(r, c, p)
+        )
+        monkeypatch.setattr(schur, "matrix_algebra_dimension", refuse)
+        monkeypatch.setattr(schur, "commutant_dimension", refuse)
+        argv = ["verify", "--suite", "double-centralizer", "--n", "3", "--d", "3"]
+        assert main(argv + ["--backend", point]) == 0
+        dominant = dominant_rows(3, 3)
+        assert len(dominant) == 4
+        # the Schur algebra's bound on the dominant rows, then the coideal's
+        # commutant on all 27 rows
+        assert built == [dominant, None]
+        assert primes == [_PRIMES[0]] * 2
 
     def test_cyclic_matrix_closes(self):
         # M is cyclic, so Comm(M) = alg(M), and M^2 + M generates it too
         m = dense([[0, 0, 6], [1, 0, -11], [0, 1, 6]])
         a = [poly_eval_matrix([0, 1, 1], m)]
-        assert dual_pair_dimensions(a, [m]) == per_quantity(a, [m]) == (3, 3, 3, 3)
+        assert dual_pair_dimensions(a, [m], _PRIMES) == per_quantity(a, [m]) == (3, 3, 3, 3)
 
     @pytest.mark.parametrize(
         "gens_a,gens_b",
@@ -475,7 +571,7 @@ class TestDualPairDimensions:
         ids=["bounds-apart", "not-commuting"],
     )
     def test_falls_back_to_the_per_quantity_route(self, monkeypatch, gens_a, gens_b):
-        assert dual_pair_dimensions(gens_a, gens_b) is None
+        assert dual_pair_dimensions(gens_a, gens_b, _PRIMES) is None
         monkeypatch.setattr(schur, "coideal_generators", lambda n, d, bk: {"a": gens_a[0]})
         monkeypatch.setattr(schur, "generator_matrix", lambda n, d, i, bk: gens_b[i])
         alg_a, comm_a, alg_b, comm_b = per_quantity(gens_a, gens_b)
@@ -489,7 +585,7 @@ class TestDualPairDimensions:
 
     def test_symbolic_entries_take_no_certificate(self):
         gens = [generator_matrix(2, 2, i, SYMBOLIC) for i in range(2)]
-        assert dual_pair_dimensions(gens, gens) is None
+        assert dual_pair_dimensions(gens, gens, _PRIMES) is None
 
     @pytest.mark.parametrize(
         "point",
@@ -516,13 +612,15 @@ class TestDualPairDimensions:
         assert main(argv + ["--backend", point]) == 0
 
     def test_unlucky_at_every_prime_takes_the_exact_route(self, monkeypatch):
-        # q = 1 mod each prime: the bounds meet at neither, so each dimension
-        # is taken exactly, and the pair still closes
+        # q = 1 mod each prime of `_PRIMES`, which the walk is patched to
+        # give: the bounds meet at neither, so each dimension is taken
+        # exactly, and the pair still closes
         point = "Q=3,q=%d" % (3 * _PRIMES[0] * _PRIMES[1] + 1)
         bk = parse_backend(point)
         hecke = [generator_matrix(2, 2, i, bk) for i in range(2)]
         coideal = list(coideal_generators(2, 2, bk).values())
-        assert dual_pair_dimensions(coideal, hecke) is None
+        assert dual_pair_dimensions(coideal, hecke, _PRIMES) is None
+        monkeypatch.setattr(schur, "sandwich_primes", lambda lucky: _PRIMES)
         calls = []
         exact = schur.matrix_algebra_dimension
         monkeypatch.setattr(
@@ -532,13 +630,55 @@ class TestDualPairDimensions:
         assert main(argv + ["--backend", point]) == 0
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("n,d", [(2, 2), (4, 3)])
+    def test_the_walk_passes_the_unlucky_primes(self, monkeypatch, n, d):
+        """At q = 3 p_1 p_2 + 1 the walk passes p_1 and p_2, where q = 1,
+        and the sandwich closes at the next prime below 2^30."""
+        point = "Q=3,q=%d" % (3 * _PRIMES[0] * _PRIMES[1] + 1)
+        walked = []
+        walk = schur.sandwich_primes
+        monkeypatch.setattr(
+            schur, "sandwich_primes", lambda lucky: walked.append(walk(lucky)) or walked[-1]
+        )
+
+        def refuse(gens):
+            raise AssertionError("the sandwich did not close")
+
+        monkeypatch.setattr(schur, "matrix_algebra_dimension", refuse)
+        monkeypatch.setattr(schur, "commutant_dimension", refuse)
+        argv = ["verify", "--suite", "double-centralizer", "--n", str(n), "--d", str(d)]
+        assert main(argv + ["--backend", point]) == 0
+        assert walked == [(2**30 - 83, 2**30 - 101)]
+
+    @given(st.integers(2, 2**64), st.integers(1, 6), st.integers(0, 3), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_the_walk_meets_its_condition(self, a, d, unlucky, b):
+        """The walk yields the first two primes below 2^30, each prime, at
+        which the predicate holds; here q = a/b and q^2k = 1 mod the first
+        `unlucky` primes of the plain walk, which the bench points get."""
+        assert _PRIMES == (2**30 - 35, 2**30 - 41)
+        bad = [2**30 - x for x in (35, 41, 83)][:unlucky]
+        a = a * math.prod(bad) + b  # q = a / b = 1 mod each bad prime
+
+        def lucky(p):
+            return a * b % p and all(pow(a, 2 * k, p) != pow(b, 2 * k, p) for k in range(1, d + 1))
+
+        got = exactlinalg.sandwich_primes(lucky)
+        assert len(got) == 2 and got[0] > got[1]
+        assert all(is_prime(p) and p < 2**30 and lucky(p) for p in got)
+        assert not set(got) & set(bad)
+        # no prime between them, or above the first, is skipped while lucky
+        assert all(not (is_prime(m) and lucky(m)) for m in range(got[1] + 1, 2**30) if m not in got)
+
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
     def test_stop_at_the_upper_bound(self, monkeypatch, n, d):
         """Stopping the closure once it reaches the Sylvester bound changes
-        no dimension and offers fewer products than the full closure."""
+        no dimension and offers fewer products than the full closure, on
+        the rows the CLI offers."""
         bk = parse_backend("Q=2,q=3")
         hecke = [generator_matrix(n, d, i, bk) for i in range(d)]
         coideal = list(coideal_generators(n, d, bk).values())
+        rows = dominant_rows(n, d)
         insert = exactlinalg._insert_mod
         counts = []
         for stop in (True, False):
@@ -548,7 +688,7 @@ class TestDualPairDimensions:
             )
             if not stop:
                 monkeypatch.setattr(exactlinalg, "islice", lambda words, u: words)
-            counts.append((dual_pair_dimensions(coideal, hecke), len(calls)))
+            counts.append((dual_pair_dimensions(coideal, hecke, _PRIMES, (), rows), len(calls)))
         (stopped, offered), (full, offered_full) = counts
         assert stopped == full == per_quantity(coideal, hecke)
         assert offered < offered_full
@@ -571,6 +711,47 @@ def residue_vectors(draw):
             vec = {k: draw(residues) for k in range(ncols)}
         vecs.append({k: v for k, v in vec.items() if v})
     return p, ncols, vecs
+
+
+@st.composite
+def generator_families(draw):
+    """n <= 5, the rows of one or two sparse integer n x n matrices (some
+    entries 0 mod p), a prime p of `_PRIMES`, and offered rows."""
+    n = draw(st.integers(1, 5))
+    entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.just(_PRIMES[0]))
+    grows = [
+        {i: {j: v for j in range(n) if (v := draw(entries))} for i in range(n)}
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    offered = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    return n, [[grow[i] for i in range(n)] for grow in grows], draw(st.sampled_from(_PRIMES)), offered
+
+
+class TestCyclicRows:
+    @given(generator_families())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_generate_the_row_space(self, case):
+        """The unit rows found generate F_p^n under the matrices mod p, by
+        an independent rank: the span of e_s, e_s G, e_s G G', ... stops
+        growing at n.  They are distinct, and the offered ones kept come
+        first."""
+        n, grows, p, offered = case
+        rows = exactlinalg._cyclic_rows(grows, n, offered, p)
+        assert len(rows) == len(set(rows)) <= n
+        kept = [r for r in dict.fromkeys(offered) if r in rows]
+        assert rows[: len(kept)] == kept
+        vecs = [{s: 1} for s in rows]
+        while True:
+            more = vecs + [
+                {j: x for j in range(n) if (x := sum(v.get(k, 0) * g[k].get(j, 0) for k in v) % p)}
+                for v in vecs
+                for g in grows
+            ]
+            rank = len(exactlinalg._eliminate_mod([dict(v) for v in more], n, p))
+            if rank == len(exactlinalg._eliminate_mod([dict(v) for v in vecs], n, p)):
+                break
+            vecs = more
+        assert rank == n
 
 
 class TestInsertMod:

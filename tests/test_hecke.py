@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from heckeb.hecke import (
     HeckeElement,
+    _embed,
     antisymmetrizer,
     bipartition_element,
     bipartition_factors,
@@ -22,7 +23,13 @@ from heckeb.hecke import (
     young_idempotent,
 )
 from heckeb.scalars import RF_ONE, RF_Q, RF_q
-from heckeb.weylcomb import SignedPermutation, all_elements, bipartitions, from_word
+from heckeb.weylcomb import (
+    SignedPermutation,
+    all_elements,
+    bipartitions,
+    column_reading_element,
+    from_word,
+)
 
 
 def gen(d, i):
@@ -161,6 +168,23 @@ class TestIdentities:
         for e in (young_idempotent((2, 1), 0, 3), bipartition_element(((2, 1), ()))):
             assert e
             assert e * e == HeckeElement.zero(3)
+
+    @pytest.mark.parametrize("shape", bipartitions(3), ids=lambda s: "%s|%s" % s)
+    def test_dipper_james_twist_makes_it_quasi_idempotent(self, shape):
+        """e' T' e' = gamma e' over Q(Q, q), gamma != 0, where T' acts on
+        the two blocks of strands by T_{c(lam)^-1} and T_{c(mu)^-1}, as in
+        the Dipper-James x T_w y T_{w^-1}.  Without T' it fails: e' squares
+        to 0 at 21|-."""
+        lam, mu = shape
+        d, a = sum(map(sum, shape)), sum(lam)
+        twist = HeckeElement.basis(d, _embed(column_reading_element(lam).inverse(), 0, d)
+                                   * _embed(column_reading_element(mu).inverse(), a, d))
+        e = bipartition_element(shape)
+        w, c = next(iter(e.terms.items()))
+        square = e * twist * e
+        gamma = square.terms.get(w, RF_ONE - RF_ONE) / c
+        assert gamma
+        assert square == e.scale(gamma)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bipartition_element_is_product_of_factors(self, d):
