@@ -39,20 +39,17 @@ commutes with each b, alg(A) lies in Comm(B).  Words independent mod p are
 independent over Q, and a rank mod p is at most the rank over Q, so one pass
 mod a prime p gives r_A <= dim alg(A) <= dim Comm(B) <= u_B: the closure count
 below, the Sylvester nullity mod p above.  u_B is taken first and the closure
-stops when r_A reaches it, since no later word can grow it.  The closure's
-span is an echelon basis reduced forward only.  Both run on a few rows cyclic
-for B (`_cyclic_rows`), which keeps both sound and r_A unchanged.  The
-caller's primes (`sandwich_primes`) lie below 2^30, so a residue is one digit
-of a Python int; they are tried in turn.  When r_A = u_B and r_B = u_A at one
-of them, all four are exact, whatever the height of the entries.  When the
-bounds meet at none, each dimension is taken by the exact routes above: a
-rank mod p is never reported alone.
+stops when r_A reaches it, since no later word can grow it.  Both run on rows
+cyclic for B (`_cyclic_rows`); the closure's span is an echelon basis reduced
+forward only.  The primes lie below 2^30 (`sandwich_primes`) and are tried in
+turn.  When r_A = u_B and r_B = u_A at one of them, all four are exact,
+whatever the height of the entries.  When the bounds meet at none, the exact
+routes above take each dimension: a rank mod p is never reported alone.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
@@ -638,17 +635,13 @@ def _is_prime(m):
     """Miller-Rabin at the bases 2, 7 and 61, which decide every odd m > 61
     below 4,759,123,141 (Jaeschke 1993)."""
     s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = 2^s t, t odd
-    for a in (2, 7, 61):
-        x = pow(a, (m - 1) >> s, m)
-        if x != 1 and all(pow(x, 1 << i, m) != m - 1 for i in range(s)):
-            return False
-    return True
+    xs = (pow(a, (m - 1) >> s, m) for a in (2, 7, 61))
+    return all(x == 1 or any(pow(x, 1 << i, m) == m - 1 for i in range(s)) for x in xs)
 
 
 def sandwich_primes(lucky):
-    """The first two primes below 2^30, walking down, at which lucky(p): the
-    primes `dual_pair_dimensions` tries, where a residue is one digit of a
-    Python int."""
+    """The first two primes below 2^30, walking down, at which lucky(p): at
+    each a residue is one digit of a Python int."""
     return tuple(islice((m for m in range(2**30 - 1, 61, -2) if _is_prime(m) and lucky(m)), 2))
 
 
@@ -714,12 +707,11 @@ def _sub_multiple_mod(dst, f, src, p):
 
 
 def _sylvester(gens_u, gens_w, rows=None):
-    """The system phi g_u = g_w phi over all generator pairs, for a w x u
-    phi vec'd row-major on the given rows (all w by default): coordinate
-    k * u + c holds phi[rows[k], c].  A row's equations join when its rows
-    of g_w stay in the set, so phi[rows, :] of each solution solves it; its
-    nullity bounds theirs when phi -> phi[rows, :] is injective, as on a
-    commutant for rows cyclic under it (`_closure`)."""
+    """The system phi g_u = g_w phi over all generator pairs, for a w x u phi
+    vec'd row-major on rows S (all w by default): coordinate k * u + c holds
+    phi[S[k], c].  Row i's equations join when row i of g_w stays in S, so
+    phi[S, :] of a solution solves it: the nullity bounds theirs when
+    phi -> phi[S, :] is injective, as on Comm(g_w) for S cyclic (`_closure`)."""
     u = gens_u[0].nrows
     w = gens_w[0].nrows
     pos = {i: k for k, i in enumerate(range(w) if rows is None else rows)}
@@ -769,14 +761,13 @@ def matrix_algebra_dimension(gens):
 def _closure(grows, n, one, insert, reduce, rows=None):
     """The closure of span(I) under right multiplication by n x n matrices,
     given by their rows: it holds every word, so it is the unital algebra
-    they generate.  Each product is vec'd (row-major) on the given rows (all
-    n by default: row i of M G is row i of M times G), its entries reduced
-    (zeros dropped) and offered to insert(vec) -> grew.  Words independent on
-    some rows are independent.  If the unit rows generate the row space under
-    a family C (they are cyclic), M -> M[rows, :] is injective on Comm(C):
-    e_i M = 0 gives e_i c M = e_i M c = 0.  Yields each word that grew it,
-    as (parent word, generator), the identity (None, None) first, as it is
-    found: a caller that knows the dimension stops there."""
+    they generate.  Each product is vec'd (row-major) on rows S (all n by
+    default; row i of M G reads only row i of M), its entries reduced (zeros
+    dropped) and offered to insert(vec) -> grew.  Words independent on S are
+    independent; if S is cyclic under C (its unit rows generate all), e_i M = 0
+    gives e_i c M = e_i M c = 0, so M -> M[S, :] is injective on Comm(C).
+    Yields each word that grew it, as (parent word, generator), the identity
+    (None, None) first: a caller that knows the dimension stops there."""
     ident = {k * n + i: one for k, i in enumerate(range(n) if rows is None else rows)}
     insert(ident)
     yield None, None
@@ -838,19 +829,17 @@ def _integer_matrix(g):
 
 
 def _cyclic_rows(grows, n, offered, p):
-    """Rows cyclic mod p under the n x n integer matrices of grows (their
-    rows): each offered row, then each unit row, that is not yet in the
-    span joins, and its words (`_closure` on that row) grow the span."""
+    """Rows cyclic mod p under grows, the rows of n x n integer matrices: each
+    offered, then each unit row not in the span joins, and its words grow it."""
     basis, rows = {}, []
     for j in chain(offered, range(n)):
         if len(basis) < n and _insert_mod(basis, {j: 1}, p):
             rows.append(j)
-            words = _closure(grows, n, 1, lambda v: _insert_mod(basis, v, p), lambda x: x % p, [j])
-            deque(words, maxlen=0)
+            list(_closure(grows, n, 1, lambda v: _insert_mod(basis, v, p), lambda x: x % p, [j]))
     return rows
 
 
-def dual_pair_dimensions(gens_a, gens_b, primes, rows_a=(), rows_b=()):
+def dual_pair_dimensions(gens_a, gens_b, primes, rows=()):
     """(dim alg(A), dim Comm(A), dim alg(B), dim Comm(B)) of two commuting
     families of Fraction matrices, by the sandwich certificate; or None.
 
@@ -861,17 +850,16 @@ def dual_pair_dimensions(gens_a, gens_b, primes, rows_a=(), rows_b=()):
     finds r_A words independent mod p, hence over Q: r_A <= dim alg(A).
     Thus r_A <= dim alg(A) <= dim Comm(B) <= u_B, so the closure stops once
     r_A reaches u_B, and r_A = u_B makes all three exact; the same with A
-    and B swapped.  Any prime does, whatever the height of the entries.
-    Both run on rows S cyclic for B mod p (`_cyclic_rows`, from rows_b on).
-    alg(A mod p) lies in Comm(B mod p), on which M -> M[S, :] is injective,
-    so r_A is the full closure's count.  When rows_b alone are cyclic (mod p,
-    so over Q), phi -> phi[S, :] is injective on Comm(B) and u_B takes the
-    equations of rows S only: on the dominant rows of permutation modules,
-    the stabilizer eigen-conditions, whose nullity is the full one by
-    Frobenius reciprocity.  Otherwise u_B takes all N rows.  When the bounds
-    fall short at one prime (the pair is no double centralizer, or p is
-    unlucky: say q = 0 or 1 mod p), the next is tried.  None when the pair
-    does not commute, when every prime falls short, and for other fields.
+    and B swapped.  Both run on rows S cyclic for B mod p (`_cyclic_rows`,
+    from the offered rows on; from the unit rows when swapped).  alg(A mod p)
+    lies in Comm(B mod p), where M -> M[S, :] is injective: r_A is the full
+    count.  When the offered rows alone are cyclic (mod p, so over Q),
+    phi -> phi[S, :] is injective on Comm(B) and u_B takes the equations of
+    rows S only: on the dominant rows of permutation modules, the stabilizer
+    eigen-conditions, of the full nullity by Frobenius reciprocity.  When the
+    bounds fall short at one prime (no double centralizer, or p unlucky: say
+    q = 0 or 1 mod p), the next is tried.  None when the pair does not
+    commute, when every prime falls short, and for other fields.
     """
     if not isinstance(gens_a[0].one, Fraction):
         return None
@@ -881,19 +869,17 @@ def dual_pair_dimensions(gens_a, gens_b, primes, rows_a=(), rows_b=()):
         return None
     n = gens_a[0].nrows
     grows_a, grows_b = ([g.rows() for g in ints] for ints in (ints_a, ints_b))
-    sides = ((grows_a, ints_b, grows_b, rows_b), (grows_b, ints_a, grows_a, rows_a))
+    sides = ((grows_a, ints_b, grows_b, rows), (grows_b, ints_a, grows_a, ()))
     for p in primes:
         dims = []
         for grows, other, other_rows, offered in sides:
-            rows = _cyclic_rows(other_rows, n, offered, p)
-            s = _sylvester(other, other, rows if set(rows) <= set(offered) else None)
+            S = _cyclic_rows(other_rows, n, offered, p)
             # its rank is taken on its columns (the transpose eliminates faster)
+            s = _sylvester(other, other, S if set(S) <= set(offered) else None)
             red = [{i: v % p for i, v in col.items() if v % p} for col in s.columns()]
             u = s.ncols - len(_eliminate_mod(red, s.nrows, p))
             basis = {}
-            words = _closure(
-                grows, n, 1, lambda v: _insert_mod(basis, v, p), lambda x: x % p, rows
-            )
+            words = _closure(grows, n, 1, lambda v: _insert_mod(basis, v, p), lambda x: x % p, S)
             if sum(1 for _ in islice(words, u)) != u:
                 break
             dims.append(u)

@@ -49,7 +49,7 @@ e' (the element route) and compares the two images.
 from __future__ import annotations
 
 from collections import Counter
-from math import comb
+from math import comb, prod
 
 from .exactlinalg import (
     ExactMatrix,
@@ -420,27 +420,22 @@ def verify_double_centralizer(n, d, bk):
     algebra lies in the other's commutant, and a closure mod p bounds each
     algebra from below while a Sylvester rank mod p bounds the commutant
     from above; when the bounds meet, all four are exact.  Each half runs on
-    rows cyclic for one family, found mod p; the half that bounds the Schur
-    algebra is offered the dominant rows, one per W-orbit, which generate V
-    under the Hecke action.  So M -> M[S, :] is injective on the coideal
-    algebra mod p, which commutes with it, and phi -> phi[S, :] on the Schur
-    algebra.  The primes walk down from 2^30 past those where Q or q is no
-    unit or [k]_{q^2} = 0 for some k <= d.  Otherwise, and symbolically,
-    each dimension is computed on its own."""
+    rows S cyclic for one action mod p (the Hecke side from the dominant
+    rows, one per W-orbit), so M -> M[S, :] is injective on the coideal
+    algebra mod p and phi -> phi[S, :] on the Schur algebra.  The primes are
+    the first below 2^30 where Q, q are units and [k]_{q^2} != 0 for k <= d.
+    Otherwise, and symbolically, each dimension is computed on its own."""
     hecke_gens = [generator_matrix(n, d, i, bk) for i in range(d)]
     # at n = 1 there is no coideal generator; the identity generates the same
     # unital algebra and has the same commutant
     coideal = list(coideal_generators(n, d, bk).values()) or [ExactMatrix.identity(n**d, bk.one)]
     dims = None
     if not bk.is_symbolic:
-        Q, (a, b) = bk.spec.valueQ, bk.spec.valueq.as_integer_ratio()
-        primes = sandwich_primes(
-            lambda p: Q.numerator * Q.denominator * a * b % p
-            and all(pow(a, 2 * k, p) != pow(b, 2 * k, p) for k in range(1, d + 1))
-        )
-        index = tensor_tuples(n, d)[1]
-        dominant = [index[t] for t in dominant_tuples(n, d)]
-        dims = dual_pair_dimensions(coideal, hecke_gens, primes, (), dominant)
+        (c, e), (a, b) = (x.as_integer_ratio() for x in (bk.spec.valueQ, bk.spec.valueq))
+        bad = c * e * a * b * prod(a**k - b**k for k in range(2, 2 * d + 1, 2))
+        dominant = list(map(tensor_tuples(n, d)[1].get, dominant_tuples(n, d)))
+        primes = sandwich_primes(lambda p: bad % p)
+        dims = dual_pair_dimensions(coideal, hecke_gens, primes, dominant)
     dims = dims or (
         matrix_algebra_dimension(coideal),
         commutant_dimension(coideal),

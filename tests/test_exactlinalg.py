@@ -420,7 +420,7 @@ class TestCertifiedRank:
         for d in (2, 3):
             hecke = [generator_matrix(n, d, i, bk) for i in range(d)]
             coideal = list(coideal_generators(n, d, bk).values())
-            dims = dual_pair_dimensions(coideal, hecke, _PRIMES, (), dominant_rows(n, d))
+            dims = dual_pair_dimensions(coideal, hecke, _PRIMES, dominant_rows(n, d))
             assert per_quantity(coideal, hecke) == dims
 
     def test_coideal_closure_at_Q3_q7(self):
@@ -491,23 +491,25 @@ class TestDualPairDimensions:
     @given(
         polynomial_pairs(entries=st.one_of(st.just(Fraction(0)), fractions)),
         offered_rows,
-        offered_rows,
     )
     @settings(max_examples=150, deadline=None)
-    def test_offered_rows_keep_it_sound(self, pair, rows_a, rows_b):
+    def test_offered_rows_keep_it_sound(self, pair, rows):
         """Whatever rows are offered, cyclic or not, the sandwich gives the
         per-quantity values or None: rows that do not generate are
         completed, and bound the commutant on all rows."""
         a, b = pair
-        got = dual_pair_dimensions(a, b, _PRIMES, rows_a, rows_b)
+        got = dual_pair_dimensions(a, b, _PRIMES, rows)
         assert got is None or got == per_quantity(a, b)
 
     def test_rows_of_one_eigenspace_are_not_cyclic(self):
-        # D = diag(1, 2, 2): e_0 generates only span(e_0), on which the
-        # equations of row 0 would bound Comm(D), of dimension 5, by 1
+        # D = diag(1, 2, 2) and the matrix units E_00, E_11, E_12, E_21 are a
+        # dual pair: both generate the other's commutant.  Under D, e_0
+        # generates only span(e_0), on which the equations of row 0 would
+        # bound Comm(D), of dimension 5, by 1
         d = dense([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
-        assert dual_pair_dimensions([d], [d], _PRIMES, [0], [0]) is None
-        assert per_quantity([d], [d]) == (2, 5, 2, 5)
+        units = [(0, 0), (1, 1), (1, 2), (2, 1)]
+        a = [dense([[int((r, c) == rc) for c in range(3)] for r in range(3)]) for rc in units]
+        assert dual_pair_dimensions(a, [d], _PRIMES, [0]) == per_quantity(a, [d]) == (5, 2, 2, 5)
 
     @pytest.mark.parametrize("point", POINTS)
     def test_dominant_rows_bound_the_schur_algebra_exactly(self, point):
@@ -688,7 +690,7 @@ class TestDualPairDimensions:
             )
             if not stop:
                 monkeypatch.setattr(exactlinalg, "islice", lambda words, u: words)
-            counts.append((dual_pair_dimensions(coideal, hecke, _PRIMES, (), rows), len(calls)))
+            counts.append((dual_pair_dimensions(coideal, hecke, _PRIMES, rows), len(calls)))
         (stopped, offered), (full, offered_full) = counts
         assert stopped == full == per_quantity(coideal, hecke)
         assert offered < offered_full
