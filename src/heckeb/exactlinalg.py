@@ -25,26 +25,17 @@ Spectra run over Z too: `krylov_annihilators` yields the integer
 annihilator of each Krylov chain of L m, reduced the same way, and the
 coordinates in the powers of L m go along.  `minimal_polynomial`, the lcm of
 those annihilators taken over Fraction with the polynomial helpers, is kept
-as the independent oracle that the tests and
-`schur.e_hecke_rank1_eigenvalue_count` read; no CLI command reaches it.
+as the independent oracle that the tests read; no CLI command reaches it.
 
 `intertwiner_dimension` is the nullity of one Sylvester system, so over Q it
 is an integer rank as above.  `matrix_algebra_dimension` grows the closure of
 span(I) under the generators in a Subspace over the entry field; the same
 closure (`_closure`) grows it mod p for the sandwich below.
 
-A dual pair (A, B) of commuting families takes one sandwich certificate for
-all four of its dimensions instead (`dual_pair_dimensions`).  Since each a
-commutes with each b, alg(A) lies in Comm(B).  Words independent mod p are
-independent over Q, and a rank mod p is at most the rank over Q, so one pass
-mod a prime p gives r_A <= dim alg(A) <= dim Comm(B) <= u_B: the closure count
-below, the Sylvester nullity mod p above.  u_B is taken first and the closure
-stops when r_A reaches it, since no later word can grow it.  Both run on rows
-cyclic for B (`_cyclic_rows`); the closure's span is an echelon basis reduced
-forward only.  The primes lie below 2^30 (`sandwich_primes`) and are tried in
-turn.  When r_A = u_B and r_B = u_A at one of them, all four are exact,
-whatever the height of the entries.  When the bounds meet at none, the exact
-routes above take each dimension: a rank mod p is never reported alone.
+A dual pair of commuting families takes all four of its dimensions from one
+sandwich certificate mod a prime, exact at any height, and the exact routes
+above take each dimension when it does not close: the proof is in
+`dual_pair_dimensions`.
 """
 
 from __future__ import annotations
@@ -709,9 +700,8 @@ def _sub_multiple_mod(dst, f, src, p):
 def _sylvester(gens_u, gens_w, rows=None):
     """The system phi g_u = g_w phi over all generator pairs, for a w x u phi
     vec'd row-major on rows S (all w by default): coordinate k * u + c holds
-    phi[S[k], c].  Row i's equations join when row i of g_w stays in S, so
-    phi[S, :] of a solution solves it: the nullity bounds theirs when
-    phi -> phi[S, :] is injective, as on Comm(g_w) for S cyclic (`_closure`)."""
+    phi[S[k], c], and row i's equations join when row i of g_w stays in S.
+    Why its nullity bounds dim Comm(g_w) for S cyclic: dual_pair_dimensions."""
     u = gens_u[0].nrows
     w = gens_w[0].nrows
     pos = {i: k for k, i in enumerate(range(w) if rows is None else rows)}
@@ -763,10 +753,8 @@ def _closure(grows, n, one, insert, reduce, rows=None):
     given by their rows: it holds every word, so it is the unital algebra
     they generate.  Each product is vec'd (row-major) on rows S (all n by
     default; row i of M G reads only row i of M), its entries reduced (zeros
-    dropped) and offered to insert(vec) -> grew.  Words independent on S are
-    independent; if S is cyclic under C (its unit rows generate all), e_i M = 0
-    gives e_i c M = e_i M c = 0, so M -> M[S, :] is injective on Comm(C).
-    Yields each word that grew it, as (parent word, generator), the identity
+    dropped) and offered to insert(vec) -> grew; why rows S cyclic for a
+    commuting family lose no word: dual_pair_dimensions.  Yields each word that grew it, as (parent word, generator), the identity
     (None, None) first: a caller that knows the dimension stops there."""
     ident = {k * n + i: one for k, i in enumerate(range(n) if rows is None else rows)}
     insert(ident)
@@ -843,23 +831,33 @@ def dual_pair_dimensions(gens_a, gens_b, primes, rows=()):
     """(dim alg(A), dim Comm(A), dim alg(B), dim Comm(B)) of two commuting
     families of Fraction matrices, by the sandwich certificate; or None.
 
-    Each generator is scaled to an integer matrix.  Every a commutes with
-    every b (checked exactly), so alg(A) lies in Comm(B).  At a prime p of
-    `primes`, the Sylvester system of B has rank_p <= rank_Q, so
+    Each generator is scaled to an integer matrix, which generates the same
+    unital algebra and has the same commutant.  Every a commutes with every b
+    (checked exactly), so alg(A) lies in Comm(B).  At a prime p of `primes`,
+    the Sylvester system of B has rank_p <= rank_Q, so
     dim Comm(B) <= u_B = (its width) - rank_p; and the closure of A mod p
     finds r_A words independent mod p, hence over Q: r_A <= dim alg(A).
     Thus r_A <= dim alg(A) <= dim Comm(B) <= u_B, so the closure stops once
-    r_A reaches u_B, and r_A = u_B makes all three exact; the same with A
-    and B swapped.  Both run on rows S cyclic for B mod p (`_cyclic_rows`,
-    from the offered rows on; from the unit rows when swapped).  alg(A mod p)
-    lies in Comm(B mod p), where M -> M[S, :] is injective: r_A is the full
+    r_A reaches u_B, since no later word can grow it, and r_A = u_B makes all
+    three exact; the same with A and B swapped.
+
+    Both run on rows S cyclic for B mod p (`_cyclic_rows`, from the offered
+    rows on; from the unit rows when swapped): the unit rows e_i, i in S,
+    generate all rows under B.  If M commutes with B and e_i M = 0 for i in
+    S, then e_i b M = e_i M b = 0 for every b, so M = 0: M -> M[S, :] is
+    injective on Comm(B), and on Comm(B mod p), where alg(A mod p) lies.
+    Words independent on S are independent, so r_A counted on S is the full
     count.  When the offered rows alone are cyclic (mod p, so over Q),
-    phi -> phi[S, :] is injective on Comm(B) and u_B takes the equations of
-    rows S only: on the dominant rows of permutation modules, the stabilizer
-    eigen-conditions, of the full nullity by Frobenius reciprocity.  When the
-    bounds fall short at one prime (no double centralizer, or p unlucky: say
-    q = 0 or 1 mod p), the next is tried.  None when the pair does not
-    commute, when every prime falls short, and for other fields.
+    phi -> phi[S, :] is injective on Comm(B) in the same way, and the
+    equations of the rows i in S whose row of each b stays in S involve
+    phi[S, :] only, so u_B takes those equations alone: on the dominant rows
+    of permutation modules they are the stabilizer eigen-conditions, of the
+    full nullity by Frobenius reciprocity.
+
+    When the bounds fall short at one prime (no double centralizer, or p
+    unlucky: say q = 0 or 1 mod p), the next is tried, so a rank mod p is
+    never reported alone.  None when the pair does not commute, when every
+    prime falls short, and for other fields.
     """
     if not isinstance(gens_a[0].one, Fraction):
         return None

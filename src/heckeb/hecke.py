@@ -22,6 +22,7 @@ from .weylcomb import (
     SignedPermutation,
     column_reading_element,
     conjugate,
+    parabolic_elements,
     shuffle_element,
 )
 
@@ -77,12 +78,7 @@ class HeckeElement:
             raise ValueError("rank mismatch")
         t = dict(self.terms)
         for w, c in other.terms.items():
-            v = t.get(w)
-            v = c if v is None else v + c
-            if v:
-                t[w] = v
-            else:
-                t.pop(w, None)
+            _bump(t, w, c)
         out = HeckeElement(self.d)
         out.terms = t
         return out
@@ -115,12 +111,7 @@ class HeckeElement:
             for i in reversed(w.reduced_word()):
                 part = _gen_mul(self.d, i, part)
             for u, v in part.items():
-                t = out.get(u)
-                t = c * v if t is None else t + c * v
-                if t:
-                    out[u] = t
-                else:
-                    out.pop(u, None)
+                _bump(out, u, c * v)
         return HeckeElement(self.d, out)
 
     __rmul__ = __mul__
@@ -142,26 +133,41 @@ class HeckeElement:
         return "HeckeElement(d=%d, support=%d)" % (self.d, len(self.terms))
 
 
+def _bump(terms, w, c):
+    """Add c at key w of a sparse {w: coefficient} dict, dropping the entry
+    if it cancels."""
+    t = terms.get(w)
+    t = c if t is None else t + c
+    if t:
+        terms[w] = t
+    else:
+        terms.pop(w, None)
+
+
 def _gen_mul(d, i, terms):
     """Multiply {w: c} on the left by T_{s_i}."""
     s = SignedPermutation.generator(d, i)
     shift = (RF_Q.inverse() - RF_Q) if i == 0 else (RF_q.inverse() - RF_q)
     out = {}
-
-    def bump(w, c):
-        t = out.get(w)
-        t = c if t is None else t + c
-        if t:
-            out[w] = t
-        else:
-            out.pop(w, None)
-
     for w, c in terms.items():
         sw = s * w
-        bump(sw, c)
+        _bump(out, sw, c)
         if sw.length() < w.length():
-            bump(w, shift * c)
+            _bump(out, w, shift * c)
     return out
+
+
+def braid_relations_hold(t):
+    """The braid relations of type B on generators t_0, ..., t_{d-1}, Hecke
+    elements or their matrices: t_0 t_1 t_0 t_1 = t_1 t_0 t_1 t_0,
+    t_i t_{i+1} t_i = t_{i+1} t_i t_{i+1} for i >= 1, and t_i t_j = t_j t_i
+    for |i - j| >= 2."""
+    d = len(t)
+    return (
+        (d < 2 or t[0] * t[1] * t[0] * t[1] == t[1] * t[0] * t[1] * t[0])
+        and all(t[i] * t[i + 1] * t[i] == t[i + 1] * t[i] * t[i + 1] for i in range(1, d - 1))
+        and all(t[i] * t[j] == t[j] * t[i] for i in range(d) for j in range(i + 2, d))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,64 +217,40 @@ def u_minus(d, i):
     return prod(_jm_shifts(d, i, -RF_Q.inverse()), start=HeckeElement.one(d))
 
 
-def shuffle_t(a, b, d=None):
-    """T_{w} for the (a, b) block shuffle, inside rank d (default a + b)."""
-    if d is None:
-        d = a + b
-    w = shuffle_element(a, b)
-    if d > a + b:
-        w = SignedPermutation(w.images + tuple(range(a + b + 1, d + 1)))
-    return HeckeElement.basis(d, w)
-
-
 def _embed(w, offset, d):
-    """Embed a positive permutation of rank k at strands offset+1..offset+k."""
-    img = list(range(1, offset + 1)) + [offset + v for v in w.images]
-    img += list(range(offset + len(w.images) + 1, d + 1))
+    """w of rank k on strands offset+1..offset+k of rank d: each image moves
+    by offset away from 0, keeping its sign; the other strands are fixed."""
+    img = list(range(1, offset + 1))
+    img += [v + offset if v > 0 else v - offset for v in w.images]
+    img += range(offset + w.rank + 1, d + 1)
     return SignedPermutation(img)
 
 
-def _young_subgroup_elements(lam, offset, d):
-    """Elements of the Young subgroup of composition lam, embedded at offset,
-    with their lengths."""
-    gens = []
-    pos = 0
+def shuffle_t(a, b, d):
+    """T_{w} for the (a, b) block shuffle, on the first a + b strands of rank d."""
+    return HeckeElement.basis(d, _embed(shuffle_element(a, b), 0, d))
+
+
+def _young_sum(lam, offset, d, c):
+    """sum_w c^{l(w)} T_w over the Young subgroup of the composition lam,
+    embedded at the given strand offset."""
+    gens, pos = [], offset
     for p in lam:
-        for i in range(1, p):
-            gens.append(offset + pos + i)
+        gens += range(pos + 1, pos + p)
         pos += p
-    ident = SignedPermutation.identity(d)
-    dist = {ident: 0}
-    frontier = [ident]
-    sgens = [SignedPermutation.generator(d, i) for i in gens]
-    while frontier:
-        new = []
-        for w in frontier:
-            for s in sgens:
-                ws = w * s
-                if ws not in dist:
-                    dist[ws] = dist[w] + 1
-                    new.append(ws)
-        frontier = new
-    return dist
+    return HeckeElement(d, {w: c**l for w, l in parabolic_elements(d, gens).items()})
 
 
 def symmetrizer(lam, offset, d):
     """x = sum_w q^{-l(w)} T_w over the Young subgroup of lam (image lies in
     the 1/q eigenspace of each T_i in the subgroup)."""
-    qinv = RF_q.inverse()
-    return HeckeElement(
-        d, {w: qinv ** l for w, l in _young_subgroup_elements(lam, offset, d).items()}
-    )
+    return _young_sum(lam, offset, d, RF_q.inverse())
 
 
 def antisymmetrizer(lam, offset, d):
     """y = sum_w (-q)^{l(w)} T_w over the Young subgroup of lam (image lies in
     the -q eigenspace of each T_i in the subgroup)."""
-    mq = -RF_q
-    return HeckeElement(
-        d, {w: mq ** l for w, l in _young_subgroup_elements(lam, offset, d).items()}
-    )
+    return _young_sum(lam, offset, d, -RF_q)
 
 
 def _young_factors(lam, offset, d):
@@ -288,10 +270,7 @@ def young_idempotent(lam, offset, d):
 def embed_in_rank(elem, d_big):
     """View an element of a smaller rank algebra inside rank d_big, acting on
     the first strands."""
-    t = {}
-    for w, c in elem.terms.items():
-        t[SignedPermutation(w.images + tuple(range(elem.d + 1, d_big + 1)))] = c
-    return HeckeElement(d_big, t)
+    return HeckeElement(d_big, {_embed(w, 0, d_big): c for w, c in elem.terms.items()})
 
 
 def cylinder_identity_holds(d, e):

@@ -30,6 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .exactlinalg import ExactMatrix, krylov_annihilators
+from .hecke import braid_relations_hold, central_element
 from .scalars import (
     LP_ONE,
     RF_ONE,
@@ -220,10 +221,16 @@ def rho_basis(n, d, w, bk):
 @functools.cache
 def rho(elem, n, bk=SYMBOLIC):
     """Matrix of a Hecke element acting on V_n^{(x) d} (d = elem.d); cached,
-    so each distinct factor of a bipartition element is built once.  At a
-    point each c_w rho_basis(w) of the integral twin is summed over Z times
-    L / (den(c_w) sigma(w)), L = lcm(den(c_w) sigma(w)) > 0: over Z rho is
-    that sum, L rho(elem), and over Q that sum divided once by L."""
+    so each distinct factor of a bipartition element is built once.
+
+    At a point the integral twin builds it over Z.  Its generator matrices
+    are s_i rho(T_i) with integer entries (_coeffs), so its rho_basis(w), a
+    product along a reduced word, is sigma(w) rho(T_w) with
+    sigma(w) = s_0^{l_0} s_1^{l_1}.  With c_w = a_w / b_w in lowest terms and
+    L = lcm(b_w sigma(w)) > 0, L rho(elem) is the sum over w of the integer
+    matrices sigma(w) rho(T_w) times the integers a_w L / (b_w sigma(w)):
+    over Z rho is that sum, and over Q that sum divided once by L.  A
+    nonzero multiple has the same image, which is all the ledger reads."""
     N = n**elem.d
     if bk.is_symbolic:
         terms = (rho_basis(n, elem.d, w, bk).scale(c) for w, c in elem.terms.items())
@@ -268,13 +275,8 @@ def r_block(a, b, n, bk=SYMBOLIC):
     The blocks are images of the Hecke algebra over ZZ[Q^{+-1}, q^{+-1}], so
     the symbolic backend builds them in that ring: every entry is a
     LaurentPoly2 and no product canonicalises.  verify_rk_equations compares
-    their products over Z: each block M as phi(Q^A q^B M), Q^A q^B clearing
-    its negative exponents and phi the evaluation at Q = Y^(W+1), q = Y,
-    Y = 2^k.  The range: W is at least every q-degree of a compared product.
-    The bound: 2^k exceeds, for each comparison, the sum of its two sides'
-    products of row norms.  phi is a ring map, one-to-one on polynomials of
-    that range and bound, so equal images mean equal products, exactly
-    (_kronecker_point).  At a point they are over Fraction as everywhere
+    their products exactly over Z at one Kronecker point (proof in
+    _kronecker_point).  At a point they are over Fraction as everywhere
     else."""
     if a == 1 and b == 1:
         return bk.laurent(generator_matrix(n, 2, 1, bk))
@@ -291,9 +293,8 @@ def r_block(a, b, n, bk=SYMBOLIC):
 def k_block(d, n, bk=SYMBOLIC):
     """K_{V^{(x) d}} by the cylinder rule
     K_{VW} = (K_V (x) 1) R_{W,V} (K_W (x) 1) R_{V,W} with V the first factor;
-    LaurentPoly2 entries in the symbolic backend, whose products
-    verify_rk_equations compares over Z at the point phi of r_block, in the
-    same range and bound, so just as exactly."""
+    LaurentPoly2 entries in the symbolic backend, compared as r_block's
+    (_kronecker_point)."""
     if d == 1:
         return bk.laurent(generator_matrix(n, 1, 0, bk))
     kv = embed_factors(k_block(1, n, bk), n, 0, d - 1)
@@ -368,13 +369,10 @@ def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):
     n >= 2, which serves as a negative control on the whole setup.
 
     Symbolically no Laurent product is formed for the three block equations:
-    R, K and K_{2e} are each mapped once to the integer matrix
-    phi(Q^A q^B M) at one Kronecker point (bk.kronecker, r_block).  W covers
-    the q-degree of every product compared and 2^k exceeds the sum of the
-    two sides' products of row norms, so phi is one-to-one on every difference
-    and the products' images, each side times its unit phi(Q^a q^b), are
-    equal exactly when the products are (_kronecker_point): a deterministic
-    decision with no float.  k_quadratic, on the n x n base K, stays over
+    R, K and K_{2e} are each mapped once to an integer matrix at one
+    Kronecker point (bk.kronecker), where the images, each side times its
+    unit, are equal exactly when the products are (proof in
+    _kronecker_point).  k_quadratic, on the n x n base K, stays over
     LaurentPoly2.  At a point the blocks are compared over Fraction as they
     are.
     """
@@ -417,30 +415,20 @@ def verify_k_against_center(n, d, bk=SYMBOLIC):
     """K_{V^{(x) d}} equals the action of the central element c_K; in the
     symbolic backend the Laurent block meets the rho matrix over the rational
     functions through their mixed equality (scalars)."""
-    from .hecke import central_element
-
     return k_block(d, n, bk) == rho(central_element(d), n, bk)
 
 
 def verify_rho_relations(n, d, bk=SYMBOLIC):
-    """All defining relations hold under rho on V_n^{(x) d}."""
-    one = bk.one
-    N = n**d
-    ident = ExactMatrix.identity(N, one)
+    """All defining relations hold under rho on V_n^{(x) d}: the quadratic
+    relation (T_i + x)(T_i - 1/x) = 0, x = Q for i = 0 and q otherwise, and
+    the braid relations (hecke.braid_relations_hold)."""
+    ident = ExactMatrix.identity(n**d, bk.one)
     g = [generator_matrix(n, d, i, bk) for i in range(d)]
-    Qv, Qi = bk.of(RF_Q), bk.of(RF_Q.inverse())
-    qv, qi = bk.of(RF_q), bk.of(RF_q.inverse())
-    ok = ((g[0] + ident.scale(Qv)) * (g[0] - ident.scale(Qi))).is_zero()
-    for i in range(1, d):
-        ok = ok and ((g[i] + ident.scale(qv)) * (g[i] - ident.scale(qi))).is_zero()
-    if d >= 2:
-        ok = ok and (g[0] * g[1] * g[0] * g[1]) == (g[1] * g[0] * g[1] * g[0])
-    for i in range(1, d - 1):
-        ok = ok and (g[i] * g[i + 1] * g[i]) == (g[i + 1] * g[i] * g[i + 1])
-    for i in range(d):
-        for j in range(i + 2, d):
-            ok = ok and (g[i] * g[j]) == (g[j] * g[i])
-    return ok
+
+    def quadratic(m, x):
+        return ((m + ident.scale(bk.of(x))) * (m - ident.scale(bk.of(x.inverse())))).is_zero()
+
+    return all(quadratic(m, RF_q if i else RF_Q) for i, m in enumerate(g)) and braid_relations_hold(g)
 
 
 # ---------------------------------------------------------------------------
@@ -689,28 +677,21 @@ def _powers(x, k):
 
 
 def jm_candidate_eigenvalues(i, s: Specialization):
-    """{value: label} for the possible eigenvalues of K_i: -Q q^{2j} and
-    (1/Q) q^{2j} with |j| < i."""
-    out = {}
-    q2 = _powers(s.valueq**2, i - 1)
+    """The possible eigenvalues of K_i: -Q q^{2j} and (1/Q) q^{2j} with
+    |j| < i, each a product of a cached power."""
     Qi = 1 / s.valueQ
-    for j, v in enumerate(q2, 1 - i):
-        out[-s.valueQ * v] = ("-", 1, 2 * j)
-        out[v * Qi] = ("+", -1, 2 * j)
-    return out
+    return [x for v in _powers(s.valueq**2, i - 1) for x in (-s.valueQ * v, v * Qi)]
 
 
 def central_candidate_eigenvalues(d, s: Specialization):
-    """Possible eigenvalues +-Q^i q^j of the central element's action, each
-    a product of two cached powers."""
-    out = {}
-    jb = 2 * d * d
-    qs = _powers(s.valueq, jb)
-    for i, x in enumerate(_powers(s.valueQ, d), -d):
-        for j, y in enumerate(qs, -jb):
+    """The possible eigenvalues +-Q^i q^j, |i| <= d and |j| <= 2d^2, of the
+    central element's action, each a product of two cached powers."""
+    qs = _powers(s.valueq, 2 * d * d)
+    out = []
+    for x in _powers(s.valueQ, d):
+        for y in qs:
             v = x * y
-            out[v] = ("+", i, j)
-            out[-v] = ("-", i, j)
+            out += (v, -v)
     return out
 
 

@@ -21,7 +21,9 @@ over the numerator (its minimum exponents and its content), the integer
 gcd(content, |c|) signed like c, and the monomial split; no polynomial gcd
 runs.  Every other denominator takes the general route: polynomial gcds over
 ZZ[Q][q] by a content / primitive-part PRS, which keeps intermediate
-coefficients small enough for everything this package does.
+coefficients small enough for everything this package does.  The gcd carries
+the gcd of the two integer contents, so by Gauss's lemma the quotients have
+joint content 1.
 
 Work whose entries stay in ZZ[Q^{+-1}, q^{+-1}] (the R- and K-matrix blocks,
 images of the Hecke algebra over that ring) runs on LaurentPoly2 directly:
@@ -292,12 +294,6 @@ class LaurentPoly2:
         if not self.terms:
             return (0, 0)
         return (min(a for a, _ in self.terms), min(b for _, b in self.terms))
-
-    def content(self):
-        c = 0
-        for v in self.terms.values():
-            c = _igcd(c, abs(v))
-        return c
 
     def leading_key(self):
         return max(self.terms)
@@ -586,10 +582,6 @@ def _canonicalize(num: LaurentPoly2, den: LaurentPoly2):
     if not g.is_one():
         num = poly_divexact(num, g)
         den = poly_divexact(den, g)
-    ic = _igcd(num.content(), den.content())
-    if ic > 1:
-        num = LaurentPoly2({k: c // ic for k, c in num.terms.items()})
-        den = LaurentPoly2({k: c // ic for k, c in den.terms.items()})
     if den.terms[den.leading_key()] < 0:
         num, den = -num, -den
     # distribute the monomial unit: nonnegative part to the numerator,

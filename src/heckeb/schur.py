@@ -27,23 +27,10 @@ compares the two.
 The Schur functor of a bipartition is the image of
 e'_{lam,mu} = f_1 ... f_k (hecke.bipartition_factors); its dimension matches
 the count of semistandard bitableaux.  e' need not be quasi-idempotent (for
-lam, mu = (2, 1), () it squares to 0), so only its image is read.  rho is
-an anti-homomorphism, so the image is the column space of
-rho(f_k) ... rho(f_1) (the diagram route), never expanding e' in the
-algebra: a basis matrix starts as rho(f_1), is replaced
-by the sparse product rho(f) * basis at each later factor, and is cut back to
-independent columns after each factor that is not a nonzero multiple of one
-T_w.  Its width is then the dimension of the image, which the ledger reads
-with no final elimination.  At a point the factors are integer matrices,
-L rho(f) with L > 0 from the integral backend, and the cut-back is
-fraction-free (exactlinalg.integer_echelon).
-Shapes of one (|lam|, |mu|) share their leading factors: product_images takes
-all the factor lists of the ledger or of the irreducibility report, holds the
-path of the previous list (a chain) and multiplies only past the common
-prefix, so the ten bipartitions of 3 have 52 non-identity factors but 30
-distinct prefix products.  rep.rho is cached, so each of the 15 distinct
-factor matrices is built once per process.  The schur command also expands
-e' (the element route) and compares the two images.
+lam, mu = (2, 1), () it squares to 0), so only its image is read.  The ledger
+reads it factor by factor and never expands e' (the diagram route:
+product_images); the schur command also expands e' (the element route) and
+compares the two images.
 """
 
 from __future__ import annotations
@@ -60,9 +47,6 @@ from .exactlinalg import (
     integer_echelon,
     intertwiner_dimension,
     matrix_algebra_dimension,
-    minimal_polynomial,
-    poly_derivative,
-    poly_gcd_monic,
     sandwich_primes,
     vstack,
 )
@@ -70,6 +54,7 @@ from .hecke import (
     HeckeElement,
     bipartition_element,
     bipartition_factors,
+    braid_relations_hold,
     central_element,
 )
 from .rep import (
@@ -77,7 +62,9 @@ from .rep import (
     BudgetExceeded,
     PermutationModule,
     SpecializedBackend,
+    central_candidate_eigenvalues,
     coideal_generators,
+    eigenvalue_multiplicities,
     embed_factors,
     generator_matrix,
     k_block,
@@ -88,7 +75,6 @@ from .rep import (
 )
 from .scalars import RF_Q, RF_q, Specialization
 from .weylcomb import (
-    bipartition_fits,
     bipartitions,
     block_flip,
     block_transposition,
@@ -297,13 +283,15 @@ def product_images(factor_lists, n, bk=SYMBOLIC):
     one T_w is invertible and keeps the columns independent, unless its
     coefficient vanishes at the point; after any other factor the basis is
     cut back, symbolically to the canonical basis of a Subspace.  At a point
-    the chain runs over Z, since scaling a factor or a column by a nonzero
-    rational keeps the image: each factor is rho(f, n, bk.integral) =
-    L rho(f), L > 0, and the cut-back is exactlinalg.integer_echelon.
+    the chain runs over Z: each factor is the integral twin's L rho(f),
+    L > 0, which has the same image (proof in rep.rho), and the cut-back is
+    exactlinalg.integer_echelon.
 
     The generator holds the path of the previous list as (factor, basis
     after it) pairs, None for the identity basis, and multiplies only past
-    the longest common prefix."""
+    the longest common prefix: the ten bipartitions of 3 have 52
+    non-identity factors but 30 distinct prefix products, and rep.rho is
+    cached, so each distinct factor matrix is built once per process."""
     if bk.is_symbolic:
         cut = lambda m: m.column_space().basis()
     else:
@@ -353,9 +341,7 @@ def schur_weyl_decompose(n, d, bk=SYMBOLIC):
             {
                 "shape": shape,
                 "dimL": basis.ncols,
-                "dimL_formula": semistandard_bitableaux_count(shape, n)
-                if bipartition_fits(shape, n)
-                else 0,
+                "dimL_formula": semistandard_bitableaux_count(shape, n),
                 "dimM": standard_bitableaux_count(shape),
             }
         )
@@ -396,7 +382,7 @@ def irreducibility_report(n, d, bk, shapes=None):
     centralizing coideal action: 1 on the diagonal and 0 off it certifies the
     pieces are pairwise non-isomorphic irreducibles."""
     if shapes is None:
-        shapes = [s for s in bipartitions(d) if bipartition_fits(s, n)]
+        shapes = [s for s in bipartitions(d) if semistandard_bitableaux_count(s, n)]
     coideal = list(coideal_generators(n, d, bk).values())
     restricted = {}
     bases = product_images([bipartition_factors(s) for s in shapes], n, bk)
@@ -415,16 +401,11 @@ def verify_double_centralizer(n, d, bk):
     the commutant of the Hecke action and the commutant of the coideal
     action, each computed from the generating matrices.
 
-    At a point all four dimensions come from one sandwich certificate
-    (exactlinalg.dual_pair_dimensions): the two actions commute, so each
-    algebra lies in the other's commutant, and a closure mod p bounds each
-    algebra from below while a Sylvester rank mod p bounds the commutant
-    from above; when the bounds meet, all four are exact.  Each half runs on
-    rows S cyclic for one action mod p (the Hecke side from the dominant
-    rows, one per W-orbit), so M -> M[S, :] is injective on the coideal
-    algebra mod p and phi -> phi[S, :] on the Schur algebra.  The primes are
-    the first below 2^30 where Q, q are units and [k]_{q^2} != 0 for k <= d.
-    Otherwise, and symbolically, each dimension is computed on its own."""
+    At a point all four dimensions come from one sandwich certificate (proof
+    in exactlinalg.dual_pair_dimensions), the Hecke side offered the dominant
+    rows, one per W-orbit, at the first primes below 2^30 where Q, q are
+    units and [k]_{q^2} != 0 for k <= d.  Otherwise, and symbolically, each
+    dimension is computed on its own."""
     hecke_gens = [generator_matrix(n, d, i, bk) for i in range(d)]
     # at n = 1 there is no coideal generator; the identity generates the same
     # unital algebra and has the same commutant
@@ -469,25 +450,17 @@ def e_hecke_generators(n, d, e, bk=SYMBOLIC):
 
 def verify_e_hecke(n, d, e, bk=SYMBOLIC):
     """The cabled generators agree with the inductive block R and K matrices,
-    and satisfy the braid pattern of type B."""
+    and satisfy the braid pattern of type B (hecke.braid_relations_hold)."""
     gens = e_hecke_generators(n, d, e, bk)
     ok = gens[0] == embed_factors(k_block(e, n, bk), n, 0, (d - 1) * e)
     for i in range(1, d):
         blk = embed_factors(r_block(e, e, n, bk), n, (i - 1) * e, (d - i - 1) * e)
         ok = ok and gens[i] == blk
-    if d >= 2:
-        a, b = gens[0], gens[1]
-        ok = ok and (a * b * a * b) == (b * a * b * a)
-    for i in range(1, d - 1):
-        a, b = gens[i], gens[i + 1]
-        ok = ok and (a * b * a) == (b * a * b)
-    return ok
+    return ok and braid_relations_hold(gens)
 
 
 def e_hecke_rank1_eigenvalue_count(n, e, s: Specialization):
-    """Number of distinct eigenvalues of the cabled K on V_n^{(x) e}."""
-    bk = SpecializedBackend(s)
-    m = rho(central_element(e), n, bk)
-    mp = minimal_polynomial(m)
-    g = poly_gcd_monic(mp, poly_derivative(mp))
-    return len(mp) - len(g)
+    """Number of distinct eigenvalues of the cabled K on V_n^{(x) e}: the
+    central candidates found in its minimal polynomial."""
+    m = rho(central_element(e), n, SpecializedBackend(s))
+    return len(eigenvalue_multiplicities(m, central_candidate_eigenvalues(e, s)))

@@ -153,16 +153,18 @@ def from_word(d, word):
     return w
 
 
-def all_elements(d):
-    """All 2^d d! elements with their Cayley-graph distances from the identity."""
+def parabolic_elements(d, gens):
+    """The parabolic subgroup of rank d generated by the s_i, i in gens, as
+    {w: l(w)}: breadth first from the identity, so each Cayley-graph distance
+    is a length.  gens = range(d) gives all 2^d d! elements."""
     start = SignedPermutation.identity(d)
     dist = {start: 0}
     frontier = [start]
-    gens = [SignedPermutation.generator(d, i) for i in range(d)]
+    sgens = [SignedPermutation.generator(d, i) for i in gens]
     while frontier:
         new = []
         for w in frontier:
-            for s in gens:
+            for s in sgens:
                 ws = w * s
                 if ws not in dist:
                     dist[ws] = dist[w] + 1
@@ -324,12 +326,6 @@ def ssyt_bounds(n):
     return r, r
 
 
-def bipartition_fits(shape, n):
-    lam, mu = shape
-    bp, bm = ssyt_bounds(n)
-    return len(lam) <= bp and len(mu) <= bm
-
-
 def standard_bitableaux_count(shape):
     lam, mu = shape
     d = sum(lam) + sum(mu)
@@ -337,6 +333,8 @@ def standard_bitableaux_count(shape):
 
 
 def semistandard_bitableaux_count(shape, n):
+    """0 exactly when the shape does not fit V_n: ssyt_count is 0 for a side
+    with more rows than its bound."""
     lam, mu = shape
     bp, bm = ssyt_bounds(n)
     return ssyt_count(lam, bp) * ssyt_count(mu, bm)

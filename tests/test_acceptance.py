@@ -9,6 +9,7 @@ from heckeb.cli import jm_spectra
 from heckeb.exactlinalg import minimal_polynomial, poly_is_squarefree
 from heckeb.hecke import (
     HeckeElement,
+    braid_relations_hold,
     central_element,
     cylinder_identity_holds,
     jucys_murphy_commute,
@@ -61,25 +62,14 @@ def report(number, label, ok):
     assert ok, "acceptance criterion %d (%s) failed" % (number, label)
 
 
-def abstract_relations_hold(d):
-    t = [HeckeElement.generator(d, i) for i in range(d)]
-    one = HeckeElement.one(d)
-    zero = HeckeElement.zero(d)
-    ok = (t[0] + one.scale(RF_Q)) * (t[0] - one.scale(RF_Q.inverse())) == zero
-    for i in range(1, d):
-        ok = ok and (t[i] + one.scale(RF_q)) * (t[i] - one.scale(RF_q.inverse())) == zero
-    if d >= 2:
-        ok = ok and t[0] * t[1] * t[0] * t[1] == t[1] * t[0] * t[1] * t[0]
-    for i in range(1, d - 1):
-        ok = ok and t[i] * t[i + 1] * t[i] == t[i + 1] * t[i] * t[i + 1]
-    for i in range(d):
-        for j in range(i + 2, d):
-            ok = ok and t[i] * t[j] == t[j] * t[i]
-    return ok
-
-
 def test_01_hecke_relations():
-    ok = all(abstract_relations_hold(d) for d in range(1, 5))
+    ok = True
+    for d in range(1, 5):
+        t = [HeckeElement.generator(d, i) for i in range(d)]
+        one = HeckeElement.one(d)
+        for g, x in zip(t, [RF_Q] + [RF_q] * (d - 1)):
+            ok = ok and (g + one.scale(x)) * (g - one.scale(x.inverse())) == HeckeElement.zero(d)
+        ok = ok and braid_relations_hold(t)
     for n in range(2, 6):
         for d in range(1, 4):
             ok = ok and verify_rho_relations(n, d, backend_for(n, d))

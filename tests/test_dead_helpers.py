@@ -36,7 +36,6 @@ REFERENCE = {
     "u_plus",
     "u_minus",
     "young_idempotent",
-    "all_elements",
     "from_word",
     "irreducibility_report",
     "e_hecke_rank1_eigenvalue_count",

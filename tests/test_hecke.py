@@ -12,6 +12,7 @@ from heckeb.hecke import (
     antisymmetrizer,
     bipartition_element,
     bipartition_factors,
+    braid_relations_hold,
     central_element,
     cylinder_identity_holds,
     embed_in_rank,
@@ -22,13 +23,14 @@ from heckeb.hecke import (
     u_plus,
     young_idempotent,
 )
-from heckeb.scalars import RF_ONE, RF_Q, RF_q
+from heckeb.rep import SpecializedBackend, rho
+from heckeb.scalars import RF_ONE, RF_Q, RF_q, default_specialization
 from heckeb.weylcomb import (
     SignedPermutation,
-    all_elements,
     bipartitions,
     column_reading_element,
     from_word,
+    parabolic_elements,
 )
 
 
@@ -51,18 +53,33 @@ class TestRelations:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_braid(self, d):
-        t = [gen(d, i) for i in range(d)]
-        assert t[0] * t[1] * t[0] * t[1] == t[1] * t[0] * t[1] * t[0]
-        for i in range(1, d - 1):
-            assert t[i] * t[i + 1] * t[i] == t[i + 1] * t[i] * t[i + 1]
-        for i in range(d):
-            for j in range(i + 2, d):
-                assert t[i] * t[j] == t[j] * t[i]
+        assert braid_relations_hold([gen(d, i) for i in range(d)])
+
+    # generator lists in rank 3 that break exactly one relation: T_1, T_2
+    # braid in three terms but not in four and do not commute, T_0, T_1
+    # braid in four terms but not in three, and 0 satisfies every relation
+    # it enters
+    BROKEN = {
+        "four-term": (1, 2, None),
+        "three-term-at-1": (None, 0, 1),
+        "three-term-at-2": (None, None, 0, 1),
+        "distant-0-2": (1, None, 2),
+        "distant-0-3": (1, None, None, 2),
+    }
+
+    @pytest.mark.parametrize("as_matrices", [False, True], ids=["hecke", "matrices"])
+    @pytest.mark.parametrize("name", sorted(BROKEN))
+    def test_braid_check_sees_each_relation(self, name, as_matrices):
+        t = [HeckeElement.zero(3) if i is None else gen(3, i) for i in self.BROKEN[name]]
+        if as_matrices:
+            bk = SpecializedBackend(default_specialization())
+            t = [rho(x, 2, bk) for x in t]
+        assert not braid_relations_hold(t)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_basis_products_stay_in_basis_span(self, d):
         # T_v T_w = T_{vw} whenever lengths add
-        elems = all_elements(d)
+        elems = parabolic_elements(d, range(d))
         for v in elems:
             for w in elems:
                 if v.length() + w.length() == (v * w).length():
@@ -84,7 +101,7 @@ class TestRelations:
     def test_dimension(self):
         # closure of products of the natural basis has the right support
         d = 2
-        assert len(all_elements(d)) == 2**d * factorial(d) == 8
+        assert len(parabolic_elements(d, range(d))) == 2**d * factorial(d) == 8
 
 
 class TestDistinguishedElements:
@@ -124,6 +141,38 @@ class TestDistinguishedElements:
 
 
 class TestSymmetrizers:
+    def test_young_sums_are_pinned(self):
+        qi = RF_q.inverse()
+        cases = [
+            (symmetrizer((2, 1), 0, 3), {(1, 2, 3): RF_ONE, (2, 1, 3): qi}),
+            (antisymmetrizer((2, 1), 0, 3), {(1, 2, 3): RF_ONE, (2, 1, 3): -RF_q}),
+            (symmetrizer((1, 2), 1, 4), {(1, 2, 3, 4): RF_ONE, (1, 2, 4, 3): qi}),
+            (
+                symmetrizer((3,), 0, 3),
+                {
+                    (1, 2, 3): RF_ONE,
+                    (2, 1, 3): qi,
+                    (1, 3, 2): qi,
+                    (2, 3, 1): qi * qi,
+                    (3, 1, 2): qi * qi,
+                    (3, 2, 1): qi * qi * qi,
+                },
+            ),
+            (
+                antisymmetrizer((3,), 0, 3),
+                {
+                    (1, 2, 3): RF_ONE,
+                    (2, 1, 3): -RF_q,
+                    (1, 3, 2): -RF_q,
+                    (2, 3, 1): RF_q * RF_q,
+                    (3, 1, 2): RF_q * RF_q,
+                    (3, 2, 1): -RF_q * RF_q * RF_q,
+                },
+            ),
+        ]
+        for elem, terms in cases:
+            assert {w.images: c for w, c in elem.terms.items()} == terms
+
     def test_symmetrizer_eigenproperty(self):
         d = 3
         x = symmetrizer((3,), 0, d)
@@ -151,6 +200,15 @@ class TestIdentities:
         t = shuffle_t(1, 1, 3)
         ((w, c),) = t.terms.items()
         assert w.images == (2, 1, 3)
+
+    def test_embed_keeps_signs(self):
+        # on strands 2, 3 of rank 4 a negative image moves away from 0, so the
+        # embedding is a group map
+        assert _embed(SignedPermutation((-2, 1)), 1, 4).images == (1, -3, 2, 4)
+        elems = parabolic_elements(2, range(2))
+        for v in elems:
+            for w in elems:
+                assert _embed(v * w, 1, 4) == _embed(v, 1, 4) * _embed(w, 1, 4)
 
     def test_embed_in_rank(self):
         small = jucys_murphy(2, 2)
@@ -196,5 +254,5 @@ class TestIdentities:
                 prod = prod * f
             assert bipartition_element(shape) == prod
             # T_{a,b} u_b^- T_{b,a} u_a^+ e_lam e_mu, multiplied out piece by piece
-            pieces = shuffle_t(a, b) * u_minus(d, b) * shuffle_t(b, a) * u_plus(d, a)
+            pieces = shuffle_t(a, b, d) * u_minus(d, b) * shuffle_t(b, a, d) * u_plus(d, a)
             assert prod == pieces * young_idempotent(lam, 0, d) * young_idempotent(mu, a, d)

@@ -1,9 +1,10 @@
 """Ring and field arithmetic over the two-parameter Laurent coefficients."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckeb.scalars import (
@@ -145,6 +146,11 @@ class TestRationalFunction:
         assert specialize(x + y, s) == vx + vy
 
     @given(laurent_polys(), monomials(), polys_two_terms())
+    @example(
+        LaurentPoly2.monomial(2, 0, 0),
+        LaurentPoly2.monomial(-6, 1, 0),
+        LaurentPoly2.monomial(2, 0, 0) + LaurentPoly2.monomial(4, 0, 1),
+    )
     @settings(max_examples=60, deadline=None)
     def test_monomial_denominator_route(self, num, den, p):
         # the right side has a denominator of two or more terms, so it takes
@@ -152,6 +158,11 @@ class TestRationalFunction:
         fast = RationalFunction(num, den)
         slow = RationalFunction(num * p, den * p)
         assert fast.num == slow.num and fast.den == slow.den
+        # both pairs have joint integer content 1 and a positive leading
+        # denominator coefficient
+        for x in (fast, slow):
+            assert gcd(*x.num.terms.values(), *x.den.terms.values()) == 1
+            assert x.den.terms[x.den.leading_key()] > 0
 
     @given(laurent_polys(), monomials(), polys_two_terms())
     @settings(max_examples=30, deadline=None)

@@ -1,6 +1,6 @@
 """Signed permutations, index combinatorics, partitions and tableaux."""
 
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from heckeb.weylcomb import (
     SignedPermutation,
-    all_elements,
-    bipartition_fits,
     bipartitions,
     block_flip,
     block_transposition,
@@ -21,6 +19,7 @@ from heckeb.weylcomb import (
     from_word,
     index_set,
     orbit_with_minimal_reps,
+    parabolic_elements,
     partitions,
     semistandard_bitableaux_count,
     shuffle_element,
@@ -88,11 +87,31 @@ class TestSignedPermutation:
         assert w.length() == neg + rest
 
     def test_group_order(self):
-        for d in (1, 2, 3):
-            elems = all_elements(d)
+        for d in (1, 2, 3, 4):
+            elems = parabolic_elements(d, range(d))
             assert len(elems) == 2**d * factorial(d)
-            longest = max(elems.values())
-            assert longest == d * d
+            assert max(elems.values()) == d * d
+            assert all(w.length() == l for w, l in elems.items())
+
+    @pytest.mark.parametrize("lam,offset", [((2, 1), 0), ((3,), 1), ((1, 2, 2), 0), ((2, 3), 1)])
+    def test_young_subgroup_order(self, lam, offset):
+        """The Young subgroup S_lam at a strand offset: prod p! elements, the
+        longest of length sum p(p - 1)/2, each BFS distance a length."""
+        d, gens, pos = sum(lam) + offset + 1, [], offset
+        for p in lam:
+            gens += range(pos + 1, pos + p)
+            pos += p
+        elems = parabolic_elements(d, gens)
+        assert len(elems) == prod(factorial(p) for p in lam)
+        assert max(elems.values()) == sum(p * (p - 1) // 2 for p in lam)
+        assert all(w.length() == l for w, l in elems.items())
+
+    def test_parabolic_with_the_flip(self):
+        # s_0, s_1 in rank 3 generate a copy of W(B_2): 8 elements, longest
+        # length 4
+        elems = parabolic_elements(3, [0, 1])
+        assert len(elems) == 8 and max(elems.values()) == 4
+        assert all(w.images[2] == 3 for w in elems)
 
 
 class TestIndexSets:
@@ -157,8 +176,11 @@ class TestPartitions:
         assert semistandard_bitableaux_count(((1,), (2,)), 5) == 9
 
     def test_bipartition_fits(self):
-        assert bipartition_fits(((2,), (1,)), 5)
-        assert not bipartition_fits(((1, 1, 1, 1), ()), 5)
+        # the count is 0 exactly when a side has more rows than its bound
+        assert semistandard_bitableaux_count(((2,), (1,)), 5)
+        assert semistandard_bitableaux_count(((1, 1, 1, 1), ()), 5) == 0
+        assert semistandard_bitableaux_count(((1, 1, 1), ()), 5)
+        assert semistandard_bitableaux_count(((), (1, 1, 1)), 5) == 0
 
 
 class TestSpecialElements:
