@@ -678,7 +678,7 @@ def _powers(x, k):
 
 def jm_candidate_eigenvalues(i, s: Specialization):
     """The possible eigenvalues of K_i: -Q q^{2j} and (1/Q) q^{2j} with
-    |j| < i, each a product of a cached power."""
+    |j| < i, each a cached power of q^2 times -Q or 1/Q."""
     Qi = 1 / s.valueQ
     return [x for v in _powers(s.valueq**2, i - 1) for x in (-s.valueQ * v, v * Qi)]
 

@@ -333,8 +333,9 @@ def standard_bitableaux_count(shape):
 
 
 def semistandard_bitableaux_count(shape, n):
-    """0 exactly when the shape does not fit V_n: ssyt_count is 0 for a side
-    with more rows than its bound."""
+    """Semistandard bitableaux of the shape in the bounds of V_n
+    (ssyt_bounds): 0 exactly when the shape does not fit, since ssyt_count is
+    0 for a side with more rows than its bound."""
     lam, mu = shape
     bp, bm = ssyt_bounds(n)
     return ssyt_count(lam, bp) * ssyt_count(mu, bm)
