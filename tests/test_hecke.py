@@ -55,7 +55,7 @@ class TestRelations:
     def test_braid(self, d):
         assert braid_relations_hold([gen(d, i) for i in range(d)])
 
-    # generator lists in rank 3 that break exactly one relation: T_1, T_2
+    # lists of elements of rank 3 that break exactly one relation: T_1, T_2
     # braid in three terms but not in four and do not commute, T_0, T_1
     # braid in four terms but not in three, and 0 satisfies every relation
     # it enters
