@@ -402,7 +402,7 @@ SUITES = {
             "rk_equations": verify_rk_equations(a.n, a.e, bk)["all"],
             "rk_negative_control_fails": not verify_rk_equations(
                 a.n, a.e, bk, sabotage_k=True
-            )["all"],
+            )["k_consistency"],
             "k_matches_central_element": verify_k_against_center(a.n, a.d, bk),
         },
         # V^{(x) d} for the central element, V^{(x) 2e} for the R and K blocks

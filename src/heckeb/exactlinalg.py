@@ -710,7 +710,7 @@ def _sylvester(gens_u, gens_w, rows=None):
     e = {}
     nrow = 0
     for gu, gw in zip(gens_u, gens_w):
-        gu_cols = gu.transpose().rows()
+        gu_cols = gu.columns()
         gw_rows = gw.rows()
         # (phi gu - gw phi)[i, j] = sum_c phi[i,c] gu[c,j] - sum_r gw[i,r] phi[r,j]
         for i, k in pos.items():
@@ -754,8 +754,9 @@ def _closure(grows, n, one, insert, reduce, rows=None):
     they generate.  Each product is vec'd (row-major) on rows S (all n by
     default; row i of M G reads only row i of M), its entries reduced (zeros
     dropped) and offered to insert(vec) -> grew; why rows S cyclic for a
-    commuting family lose no word: dual_pair_dimensions.  Yields each word that grew it, as (parent word, generator), the identity
-    (None, None) first: a caller that knows the dimension stops there."""
+    commuting family lose no word: dual_pair_dimensions.  Yields each word
+    that grew it, as (parent word, generator), the identity (None, None)
+    first: a caller that knows the dimension stops there."""
     ident = {k * n + i: one for k, i in enumerate(range(n) if rows is None else rows)}
     insert(ident)
     yield None, None

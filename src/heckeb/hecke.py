@@ -8,13 +8,14 @@ the braid relations of type B, and commutation for distant indices.  Elements
 are stored as {group element: rational function coefficient} over the natural
 basis {T_w}; products are computed by peeling reduced words and applying the
 one-generator multiplication rule
-    T_s T_w = T_{sw}                        if l(sw) > l(w),
-    T_s T_w = T_{sw} + (1/c - c) T_w        otherwise,
-with c = Q for s_0 and c = q for the other generators.
+    T_i T_w = T_{s_i w}                     if l(s_i w) > l(w),
+    T_i T_w = T_{s_i w} + (a + b) T_w       otherwise,
+with a, b = quadratic_roots(i), the two eigenvalues of T_i.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import prod
 
 from .scalars import RF_ONE, RF_Q, RF_q, RationalFunction
@@ -22,6 +23,7 @@ from .weylcomb import (
     SignedPermutation,
     column_reading_element,
     conjugate,
+    descends,
     parabolic_elements,
     shuffle_element,
 )
@@ -40,10 +42,6 @@ class HeckeElement:
         self.terms = t
 
     # -- constructors
-
-    @staticmethod
-    def zero(d):
-        return HeckeElement(d)
 
     @staticmethod
     def one(d):
@@ -144,15 +142,25 @@ def _bump(terms, w, c):
         terms.pop(w, None)
 
 
+@cache
+def quadratic_roots(i):
+    """The two eigenvalues (1/x, -x) of T_i, (T_i - 1/x)(T_i + x) = 0, with
+    x = Q for T_0 and x = q for every other generator: the one place a
+    generator's parameter is chosen."""
+    x = RF_q if i > 0 else RF_Q
+    return x.inverse(), -x
+
+
 def _gen_mul(d, i, terms):
-    """Multiply {w: c} on the left by T_{s_i}."""
+    """Multiply {w: c} on the left by T_i; s_i is a left descent of w when it
+    is a right descent of w^-1 (descends)."""
     s = SignedPermutation.generator(d, i)
-    shift = (RF_Q.inverse() - RF_Q) if i == 0 else (RF_q.inverse() - RF_q)
+    a, b = quadratic_roots(i)
+    shift = a + b
     out = {}
     for w, c in terms.items():
-        sw = s * w
-        _bump(out, sw, c)
-        if sw.length() < w.length():
+        _bump(out, s * w, c)
+        if descends(w.inverse_images(), i):
             _bump(out, w, shift * c)
     return out
 
@@ -202,19 +210,19 @@ def jucys_murphy_commute(d):
     return commute and all(ck * t == t * ck for t in gens)
 
 
-def _jm_shifts(d, i, c):
-    """The factors K_j + c for j = 1..i."""
-    return [jucys_murphy(d, j) + HeckeElement.one(d).scale(c) for j in range(1, i + 1)]
+def _jm_shifts(d, i, root):
+    """The factors K_j - root for j = 1..i."""
+    return [jucys_murphy(d, j) - HeckeElement.one(d).scale(root) for j in range(1, i + 1)]
 
 
 def u_plus(d, i):
     """prod_{j=1}^{i} (K_j + Q)."""
-    return prod(_jm_shifts(d, i, RF_Q), start=HeckeElement.one(d))
+    return prod(_jm_shifts(d, i, quadratic_roots(0)[1]), start=HeckeElement.one(d))
 
 
 def u_minus(d, i):
     """prod_{j=1}^{i} (K_j - 1/Q)."""
-    return prod(_jm_shifts(d, i, -RF_Q.inverse()), start=HeckeElement.one(d))
+    return prod(_jm_shifts(d, i, quadratic_roots(0)[0]), start=HeckeElement.one(d))
 
 
 def _embed(w, offset, d):
@@ -244,13 +252,13 @@ def _young_sum(lam, offset, d, c):
 def symmetrizer(lam, offset, d):
     """x = sum_w q^{-l(w)} T_w over the Young subgroup of lam (image lies in
     the 1/q eigenspace of each T_i in the subgroup)."""
-    return _young_sum(lam, offset, d, RF_q.inverse())
+    return _young_sum(lam, offset, d, quadratic_roots(1)[0])
 
 
 def antisymmetrizer(lam, offset, d):
     """y = sum_w (-q)^{l(w)} T_w over the Young subgroup of lam (image lies in
     the -q eigenspace of each T_i in the subgroup)."""
-    return _young_sum(lam, offset, d, -RF_q)
+    return _young_sum(lam, offset, d, quadratic_roots(1)[1])
 
 
 def _young_factors(lam, offset, d):
@@ -292,9 +300,10 @@ def bipartition_factors(shape):
     lam, mu = shape
     a, b = sum(lam), sum(mu)
     d = a + b
+    inv, neg = quadratic_roots(0)
     return [
-        shuffle_t(a, b, d), *_jm_shifts(d, b, -RF_Q.inverse()),
-        shuffle_t(b, a, d), *_jm_shifts(d, a, RF_Q),
+        shuffle_t(a, b, d), *_jm_shifts(d, b, inv),
+        shuffle_t(b, a, d), *_jm_shifts(d, a, neg),
         *_young_factors(lam, 0, d), *_young_factors(mu, a, d),
     ]
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .exactlinalg import ExactMatrix, krylov_annihilators
-from .hecke import braid_relations_hold, central_element
+from .hecke import braid_relations_hold, central_element, quadratic_roots
 from .scalars import (
     LP_ONE,
     RF_ONE,
@@ -155,11 +155,11 @@ def tensor_tuples(n, d):
 
 @functools.cache
 def _coeffs(bk, i):
-    """The entries (1, 1/x, 1/x - x) of rho(T_i), x = Q for i = 0 and q
-    otherwise.  Over Z (the integral twin) each is times s_i, the lcm of
-    their denominators: s_0 for T_0, s_1 for every other T_i."""
-    x = RF_Q if i == 0 else RF_q
-    c = (bk.one, bk.of(x.inverse()), bk.of(x.inverse() - x))
+    """The entries (1, a, a + b) of rho(T_i), with a, b = (1/x, -x) its roots
+    (hecke.quadratic_roots).  Over Z (the integral twin) each is times s_i,
+    the lcm of their denominators: s_0 for T_0, s_1 for every other T_i."""
+    a, b = quadratic_roots(i)
+    c = (bk.one, bk.of(a), bk.of(a + b))
     if isinstance(bk.one, int):
         s = lcm(c[1].denominator, c[2].denominator)
         c = tuple(int(v * s) for v in c)
@@ -365,20 +365,20 @@ def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):
     sabotage_k=True the base K-matrix is replaced by the identity and only the
     relations that involve K are checked (reflection, k_quadratic,
     k_consistency): the Yang-Baxter equation does not see K, and the honest
-    run already checks it.  The reflection-side consistency then fails for
-    n >= 2, which serves as a negative control on the whole setup.
+    run already checks it.  The consistency check then fails at every n, and
+    the CLI reads it as a negative control on the whole setup; k_quadratic
+    fails too, since the identity is no root of T_0's quadratic.
 
     Symbolically no Laurent product is formed for the three block equations:
     R, K and K_{2e} are each mapped once to an integer matrix at one
     Kronecker point (bk.kronecker), where the images, each side times its
     unit, are equal exactly when the products are (proof in
-    _kronecker_point).  k_quadratic, on the n x n base K, stays over
-    LaurentPoly2.  At a point the blocks are compared over Fraction as they
-    are.
+    _kronecker_point).  k_quadratic checks the n x n base K,
+    generator_matrix(n, 1, 0), over the backend's field (_quadratic_holds).
+    At a point the blocks are compared over Fraction as they are.
     """
     rb = r_block(e, e, n, bk)
-    one = rb.one
-    kb = ExactMatrix.identity(n**e, one) if sabotage_k else k_block(e, n, bk)
+    kb = ExactMatrix.identity(n**e, rb.one) if sabotage_k else k_block(e, n, bk)
     images, units = bk.kronecker({"R": rb, "K": kb, "K2": k_block(2 * e, n, bk)}, _RK_PAIRS)
     rz, kz = images["R"], images["K"]
 
@@ -397,11 +397,8 @@ def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):
     cyl = k1 * rz * k1 * rz
     results["reflection"] = holds("reflection", cyl, rz * k1 * rz * k1)
     # quadratic relation of the base K
-    Qv = bk.laurent(bk.of(RF_Q))
-    Qi = bk.laurent(bk.of(RF_Q.inverse()))
-    base = ExactMatrix.identity(n, one) if sabotage_k else k_block(1, n, bk)
-    ident = ExactMatrix.identity(base.nrows, one)
-    results["k_quadratic"] = ((base + ident.scale(Qv)) * (base - ident.scale(Qi))).is_zero()
+    base = ExactMatrix.identity(n, bk.one) if sabotage_k else generator_matrix(n, 1, 0, bk)
+    results["k_quadratic"] = _quadratic_holds(base, 0, bk)
     # consistency of the cabled K against the cylinder rule on e + e blocks:
     # with the honest base K the cabled operator equals the cylinder product;
     # with K sabotaged to Id it degenerates to R^2, which must differ from the
@@ -418,17 +415,20 @@ def verify_k_against_center(n, d, bk=SYMBOLIC):
     return k_block(d, n, bk) == rho(central_element(d), n, bk)
 
 
+def _quadratic_holds(m, i, bk):
+    """(m - a)(m - b) = 0 for the roots a, b of T_i (hecke.quadratic_roots),
+    over the backend's field."""
+    ident = ExactMatrix.identity(m.nrows, bk.one)
+    a, b = (ident.scale(bk.of(r)) for r in quadratic_roots(i))
+    return ((m - a) * (m - b)).is_zero()
+
+
 def verify_rho_relations(n, d, bk=SYMBOLIC):
-    """All defining relations hold under rho on V_n^{(x) d}: the quadratic
-    relation (T_i + x)(T_i - 1/x) = 0, x = Q for i = 0 and q otherwise, and
-    the braid relations (hecke.braid_relations_hold)."""
-    ident = ExactMatrix.identity(n**d, bk.one)
+    """All defining relations hold under rho on V_n^{(x) d}: each generator
+    matrix satisfies its quadratic relation (_quadratic_holds), and the
+    braid relations hold (hecke.braid_relations_hold)."""
     g = [generator_matrix(n, d, i, bk) for i in range(d)]
-
-    def quadratic(m, x):
-        return ((m + ident.scale(bk.of(x))) * (m - ident.scale(bk.of(x.inverse())))).is_zero()
-
-    return all(quadratic(m, RF_q if i else RF_Q) for i, m in enumerate(g)) and braid_relations_hold(g)
+    return all(_quadratic_holds(m, i, bk) for i, m in enumerate(g)) and braid_relations_hold(g)
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +457,6 @@ class PermutationModule:
             self._gens[i] = action_matrix_on(self.tuples, self.index, i, self.bk)
         return self._gens[i]
 
-    def ambient_vector(self, col):
-        """Column col as a vector of the ambient tensor space."""
-        _, index = tensor_tuples(self.n, self.d)
-        return {index[self.tuples[k]]: v for k, v in col.items()}
-
 
 def index_shift_matrix(module: PermutationModule, value_map, n_target):
     """The linear map sending each orbit vector v_b to v_{value_map(b)} in the
@@ -489,14 +484,14 @@ def barv_map(a, n_odd, bk=SYMBOLIC):
     nzeros = sum(1 for x in a if x == 0)
     tail = tuple(x + 1 for x in a[nzeros:])
     _, index = tensor_tuples(n_even, d)
-    # the seed vector: signed orbit of (1/2, ..., 1/2) on the zero block
+    # the seed vector: signed orbit of (1/2, ..., 1/2) on the zero block, each
+    # vector weighted by the character T_i -> 1/x of its minimal representative
     seed = {}
     if nzeros:
         reps = orbit_with_minimal_reps((1,) * nzeros)
         for b, w in reps.items():
-            l0, l1 = w.length_split()
-            coeff = bk.of(RF_Q ** (-l0) * RF_q ** (-l1))
-            seed[index[b + tail]] = coeff
+            weight = prod((quadratic_roots(i)[0] for i in w.reduced_word()), start=RF_ONE)
+            seed[index[b + tail]] = bk.of(weight)
     else:
         seed[index[tail]] = bk.one
     gens = [generator_matrix(n_even, d, i, bk) for i in range(d)]

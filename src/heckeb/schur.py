@@ -18,11 +18,10 @@ The Schur algebra is the centralizer of the Hecke action.  Its dimension is
 computed two independent ways: as a joint-commutant kernel, and orbit by orbit
 through Frobenius reciprocity (each permutation module is induced from a
 one-dimensional character of a parabolic, so Hom(V(a), V(b)) is a simultaneous
-eigenspace inside V(b)).  That eigenspace depends only on the parabolic of a
-and the orbit type of b (which entries are 0, which neighbours are equal), so
-the orbit route takes one rank per such pair: 56 at n 7, d 3 for its 20 x 20
-pairs of tuples.  The ledger takes the orbit route; the centralizer command
-compares the two.
+eigenspace inside V(b)).  That eigenspace depends only on the stabilizers of a
+and of b (weylcomb.stabilizer_parabolic), so the orbit route takes one rank
+per pair of stabilizers: 56 at n 7, d 3 for its 20 x 20 pairs of tuples.
+The ledger takes the orbit route; the centralizer command compares the two.
 
 The Schur functor of a bipartition is the image of
 e'_{lam,mu} = f_1 ... f_k (hecke.bipartition_factors); its dimension matches
@@ -56,6 +55,7 @@ from .hecke import (
     bipartition_factors,
     braid_relations_hold,
     central_element,
+    quadratic_roots,
 )
 from .rep import (
     SYMBOLIC,
@@ -73,7 +73,7 @@ from .rep import (
     rho_basis,
     tensor_tuples,
 )
-from .scalars import RF_Q, RF_q, Specialization
+from .scalars import Specialization
 from .weylcomb import (
     bipartitions,
     block_flip,
@@ -172,16 +172,15 @@ def _kind_signs(kind):
 
 def _pm_relation_ops(kind, n, d, bk):
     """The relation operators whose images are divided out (equivalently whose
-    kernels are intersected) for a signed power."""
+    kernels are intersected) for a signed power: T_i minus its class in the
+    module table, the root 1/x (hecke.quadratic_roots) on a plus side and -x
+    on a minus side."""
     k_pos, r_pos = _kind_signs(kind)
-    one = bk.one
-    ident = ExactMatrix.identity(n**d, one)
-    k_shift = bk.of(RF_Q.inverse()) if k_pos else -bk.of(RF_Q)
-    r_shift = bk.of(RF_q.inverse()) if r_pos else -bk.of(RF_q)
-    ops = [generator_matrix(n, d, 0, bk) - ident.scale(k_shift)]
-    for i in range(1, d):
-        ops.append(generator_matrix(n, d, i, bk) - ident.scale(r_shift))
-    return ops
+    ident = ExactMatrix.identity(n**d, bk.one)
+    return [
+        generator_matrix(n, d, i, bk) - ident.scale(bk.of(quadratic_roots(i)[0 if pos else 1]))
+        for i, pos in enumerate([k_pos] + [r_pos] * (d - 1))
+    ]
 
 
 def pm_power_dimension(kind, n, d, bk=SYMBOLIC, flavour="quotient"):
@@ -219,43 +218,37 @@ def schur_algebra_dimension_commutant(n, d, bk=SYMBOLIC):
     return commutant_dimension(gens)
 
 
-def _orbit_type(a):
-    """Which entries of a dominant tuple are 0 and which neighbours are equal."""
-    return tuple(x == 0 for x in a), tuple(x == y for x, y in zip(a, a[1:]))
-
-
 def schur_algebra_dimension_orbit(n, d, bk=SYMBOLIC):
     """The same dimension orbit by orbit: sum over pairs of dominant tuples of
     dim Hom(V(a), V(b)), each Hom being the simultaneous eigenspace of the
-    parabolic character of a inside the permutation module of b.
+    parabolic character T_i -> 1/x (hecke.quadratic_roots) of a inside the
+    permutation module of b.
 
-    That eigenspace depends only on the parabolic J of a and the _orbit_type
-    of b, so it is taken once per (J, type) and counted with the number of
-    pairs on that key.  This is exact: two dominant tuples of one type differ
-    by an odd, strictly increasing relabelling of the values (0 to 0, positive
-    to positive), which preserves the sorted order of the orbit's tuples and
-    the relations x == 0, x < 0, x == y and x > y, the only ones
-    rep.action_matrix_on reads; so both permutation modules have the same
-    generator matrices."""
-    parabolics = Counter()
-    types = Counter()
+    That eigenspace depends only on the stabilizers J of a and J' of b
+    (weylcomb.stabilizer_parabolic), so it is taken once per (J, J') and
+    counted with the number of pairs on that key.  This is exact.  J' tells
+    which neighbours of b are equal (i >= 1 in J') and, as the zeros of a
+    dominant tuple form a prefix, which entries are 0: those up to the end
+    of the run 0, 1, 2, ... in J'.  So two dominant tuples of one (n, d) with
+    one stabilizer differ by an odd, strictly increasing relabelling of the
+    values (0 to 0, positive to positive), which preserves the sorted order
+    of the orbit's tuples and the relations x == 0, x < 0, x == y and x > y,
+    the only ones rep.action_matrix_on reads; so both permutation modules
+    have the same generator matrices."""
+    stabilizers = Counter()
     reps = {}
     for a in dominant_tuples(n, d):
-        parabolics[stabilizer_parabolic(a)] += 1
-        t = _orbit_type(a)
-        types[t] += 1
-        reps.setdefault(t, a)
-    one = bk.one
-    qi = bk.of(RF_q.inverse())
-    Qi = bk.of(RF_Q.inverse())
+        J = stabilizer_parabolic(a)
+        stabilizers[J] += 1
+        reps.setdefault(J, a)
+    chars = [bk.of(quadratic_roots(i)[0]) for i in range(d)]
     total = 0
-    for t, count_b in types.items():
-        pm = PermutationModule(n, reps[t], bk)
-        ident = ExactMatrix.identity(pm.dim, one)
-        for J, count_a in parabolics.items():
+    for Jb, count_b in stabilizers.items():
+        pm = PermutationModule(n, reps[Jb], bk)
+        ident = ExactMatrix.identity(pm.dim, bk.one)
+        for J, count_a in stabilizers.items():
             if J:
-                mats = [pm.generator(i) - ident.scale(Qi if i == 0 else qi) for i in J]
-                hom = vstack(mats).nullity()
+                hom = vstack([pm.generator(i) - ident.scale(chars[i]) for i in J]).nullity()
             else:
                 hom = pm.dim
             total += count_a * count_b * hom

@@ -64,14 +64,15 @@ class SignedPermutation:
         """(v * w)(i) = v(w(i))."""
         return SignedPermutation(tuple(self(other.images[k]) for k in range(other.rank)))
 
-    def inverse(self):
+    def inverse_images(self):
+        """The images (w^-1(1), ..., w^-1(d)), with no SignedPermutation built."""
         img = [0] * self.rank
         for i, v in enumerate(self.images, start=1):
-            if v > 0:
-                img[v - 1] = i
-            else:
-                img[-v - 1] = -i
-        return SignedPermutation(img)
+            img[abs(v) - 1] = i if v > 0 else -i
+        return img
+
+    def inverse(self):
+        return SignedPermutation(self.inverse_images())
 
     def act(self, a):
         """Left action on index tuples: position |w(i)| receives sign(w(i)) * a_i."""
@@ -107,30 +108,23 @@ class SignedPermutation:
         return l0 + l1
 
     def reduced_word(self):
-        """A reduced word (i_1, ..., i_l) with w = s_{i_1} * ... * s_{i_l}."""
-        if self._word is not None:
-            return self._word
-        d = self.rank
-        img = list(self.images)
-        rev = []
-        ln = SignedPermutation(img).length()
-        while ln:
-            for i in range(d):
-                if i == 0:
-                    desc = img[0] < 0
+        """A reduced word (i_1, ..., i_l) with w = s_{i_1} * ... * s_{i_l}:
+        the first right descent s_i (descends) is peeled off the images, w ->
+        w s_i, until none is left, which happens only at the identity."""
+        if self._word is None:
+            img, rev, i = list(self.images), [], 0
+            while i < len(img):
+                if not descends(img, i):
+                    i += 1
+                    continue
+                if i:
+                    img[i - 1], img[i] = img[i], img[i - 1]
                 else:
-                    desc = img[i - 1] > img[i]
-                if desc:
-                    if i == 0:
-                        img[0] = -img[0]
-                    else:
-                        img[i - 1], img[i] = img[i], img[i - 1]
-                    rev.append(i)
-                    ln -= 1
-                    break
-            else:
-                raise AssertionError("no descent on a non-identity element")
-        self._word = tuple(reversed(rev))
+                    img[0] = -img[0]
+                rev.append(i)
+                # peeling s_i changes the descents at i - 1, i and i + 1 only
+                i = max(i - 1, 0)
+            self._word = tuple(reversed(rev))
         return self._word
 
     def __eq__(self, other):
@@ -144,6 +138,13 @@ class SignedPermutation:
 
     def __str__(self):
         return "[" + " ".join(str(v) for v in self.images) + "]"
+
+
+def descends(img, i):
+    """Whether s_i is a right descent, l(w s_i) < l(w), of the element with
+    images img = (w(1), ..., w(d)): w(i) > w(i + 1), reading w(0) = 0.  On
+    the images of w^-1 it tells a left descent, l(s_i w) < l(w)."""
+    return (img[i - 1] if i > 0 else 0) > img[i]
 
 
 def from_word(d, word):
@@ -228,14 +229,10 @@ def orbit_with_minimal_reps(a):
 
 
 def stabilizer_parabolic(a):
-    """Generator indices of the standard parabolic stabilizing a dominant tuple."""
-    out = []
-    if a and a[0] == 0:
-        out.append(0)
-    for i in range(1, len(a)):
-        if a[i - 1] == a[i]:
-            out.append(i)
-    return tuple(out)
+    """The indices i of the generators s_i that fix the index tuple a; for a
+    dominant a they generate its stabilizer, a standard parabolic."""
+    d = len(a)
+    return tuple(i for i in range(d) if SignedPermutation.generator(d, i).act(a) == a)
 
 
 def dominant_tuples(n, d):

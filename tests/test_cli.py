@@ -436,6 +436,23 @@ class TestErrors:
         assert main(argv + ["--backend", "Q=2,q=1/8192"]) == 2
         assert "invalid specialization" in capsys.readouterr().err
 
+    def test_rk_negative_control_reads_the_consistency_check(self, capsys, monkeypatch):
+        """A sabotaged K whose cylinder consistency held would fail the run,
+        although its own quadratic relation still fails."""
+        honest = cli.verify_rk_equations
+
+        def consistent(*args, sabotage_k=False):
+            res = honest(*args, sabotage_k=sabotage_k)
+            if sabotage_k:
+                assert not res["k_quadratic"]
+                res["k_consistency"] = True
+            return res
+
+        monkeypatch.setattr(cli, "verify_rk_equations", consistent)
+        code, out = run(capsys, ["verify", "--suite", "rk-equations", "--n", "2", "--d", "1", "--e", "1"])
+        assert code == 1
+        assert "rk_negative_control_fails: FAIL" in out
+
     def test_unclassified_eigenvalue_is_a_fail(self, capsys, monkeypatch):
         def unclassified(*args):
             raise UnclassifiedEigenvalue("a factor outside the candidate set")

@@ -1,4 +1,4 @@
-"""Every module-level function of heckeb is used somewhere.
+"""Every module-level function and every method of heckeb is used somewhere.
 
 A private helper (a leading underscore, not a dunder) is no API: when nothing
 in the package refers to it outside its own definition, it is dead code.  A
@@ -6,7 +6,9 @@ public function is dead when nothing in the package or its tests refers to
 it.  A public function that only the tests call is a reference implementation
 or test set-up, and must be named in REFERENCE; the package reads none of
 those.  A read made inside a REFERENCE function is no package read, so a
-function only they read is test-only too.
+function only they read is test-only too.  The same holds for methods, by
+name: one that no package code outside its own body reads is dead, or
+test-only and named in REFERENCE.
 """
 
 import ast
@@ -17,11 +19,12 @@ import heckeb
 SRC = Path(heckeb.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 
-# the public functions only the tests call: reference implementations the
-# tests compare against (minimal_polynomial over Fraction, the oracle of the
-# spectra over Z, with its polynomial arithmetic), the two acceptance claims
-# no CLI row runs yet (08 and 12) and the helpers only they read, and
-# acceptance-test set-up
+# the public functions and methods only the tests call: reference
+# implementations the tests compare against (minimal_polynomial over
+# Fraction, the oracle of the spectra over Z, with its polynomial arithmetic
+# and Subspace.contains), the two acceptance claims no CLI row runs yet (08
+# and 12) and the helpers only they read (Subspace.coordinates),
+# acceptance-test set-up, and ExactMatrix.transpose
 REFERENCE = {
     "minimal_polynomial",
     "poly_trim",
@@ -44,7 +47,15 @@ REFERENCE = {
     "dominant_representative",
     "composition_to_index",
     "shift_center",
+    "transpose",
+    "contains",
+    "coordinates",
 }
+
+# methods called by a name the scan cannot see: argparse calls _Parser.error,
+# and exactlinalg._term_count (as does perfbench's tracer) reads term_count
+# through getattr by its name as a string
+CALLED_FROM_OUTSIDE = {"error", "term_count"}
 
 
 def _referenced(node):
@@ -72,6 +83,29 @@ def _functions(statements, keep):
         (module, stmt)
         for module, stmt, _ in statements
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and keep(stmt.name)
+    ]
+
+
+def _units(directory):
+    """_statements with each top-level class split into the statements of its
+    body, so that each method is a unit of its own."""
+    return [
+        (module, sub, set(_referenced(sub)))
+        for module, stmt, _ in _statements(directory)
+        for sub in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])
+    ]
+
+
+def _methods(statements):
+    """The methods of the top-level classes that are no dunder, with their
+    module."""
+    return [
+        (module, fn)
+        for module, stmt, _ in statements
+        if isinstance(stmt, ast.ClassDef)
+        for fn in stmt.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
     ]
 
 
@@ -110,7 +144,7 @@ def test_no_dead_public_functions():
 def test_test_only_functions_are_named():
     statements = _statements(SRC)
     public = _functions(statements, lambda name: not name.startswith("_"))
-    assert REFERENCE <= {fn.name for _, fn in public}
+    assert REFERENCE <= {fn.name for _, fn in public + _methods(statements)}
     test_only = {entry.split()[-1] for entry in _dead(public, _package(statements))}
     assert test_only - REFERENCE == set()
 
@@ -118,7 +152,17 @@ def test_test_only_functions_are_named():
 def test_package_reads_no_reference_function():
     reads = [
         "%s:%d %s" % (module, stmt.lineno, name)
-        for module, stmt, names in _package(_statements(SRC))
+        for module, stmt, names in _package(_units(SRC))
         for name in sorted(names & REFERENCE)
     ]
     assert reads == []
+
+
+def test_methods_are_read_or_named():
+    methods = _methods(_statements(SRC))
+    assert any(fn.name == "reduced_word" for _, fn in methods)  # the scan sees the classes
+    unread = {entry.split()[-1] for entry in _dead(methods, _package(_units(SRC)))}
+    unread -= CALLED_FROM_OUTSIDE
+    tests = set().union(*(names for _, _, names in _statements(TESTS)))
+    assert unread - tests == set()  # dead
+    assert unread - REFERENCE == set()  # test-only, but not named

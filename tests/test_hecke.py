@@ -17,6 +17,7 @@ from heckeb.hecke import (
     cylinder_identity_holds,
     embed_in_rank,
     jucys_murphy,
+    quadratic_roots,
     shuffle_t,
     symmetrizer,
     u_minus,
@@ -46,10 +47,17 @@ class TestRelations:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_quadratic(self, d):
         t0 = gen(d, 0)
-        assert (t0 + ident(d).scale(RF_Q)) * (t0 - ident(d).scale(RF_Q.inverse())) == HeckeElement.zero(d)
+        assert (t0 + ident(d).scale(RF_Q)) * (t0 - ident(d).scale(RF_Q.inverse())) == HeckeElement(d)
         for i in range(1, d):
             ti = gen(d, i)
-            assert (ti + ident(d).scale(RF_q)) * (ti - ident(d).scale(RF_q.inverse())) == HeckeElement.zero(d)
+            assert (ti + ident(d).scale(RF_q)) * (ti - ident(d).scale(RF_q.inverse())) == HeckeElement(d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_quadratic_roots(self, d):
+        for i in range(d):
+            t = gen(d, i)
+            a, b = (ident(d).scale(r) for r in quadratic_roots(i))
+            assert (t - a) * (t - b) == HeckeElement(d)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_braid(self, d):
@@ -70,7 +78,7 @@ class TestRelations:
     @pytest.mark.parametrize("as_matrices", [False, True], ids=["hecke", "matrices"])
     @pytest.mark.parametrize("name", sorted(BROKEN))
     def test_braid_check_sees_each_relation(self, name, as_matrices):
-        t = [HeckeElement.zero(3) if i is None else gen(3, i) for i in self.BROKEN[name]]
+        t = [HeckeElement(3) if i is None else gen(3, i) for i in self.BROKEN[name]]
         if as_matrices:
             bk = SpecializedBackend(default_specialization())
             t = [rho(x, 2, bk) for x in t]
@@ -137,7 +145,7 @@ class TestDistinguishedElements:
         prod = (jucys_murphy(d, 1) + ident(d).scale(RF_Q)) * (
             jucys_murphy(d, 1) - ident(d).scale(RF_Q.inverse())
         )
-        assert prod == HeckeElement.zero(d)
+        assert prod == HeckeElement(d)
 
 
 class TestSymmetrizers:
@@ -225,7 +233,7 @@ class TestIdentities:
         # idempotent: only their images are read
         for e in (young_idempotent((2, 1), 0, 3), bipartition_element(((2, 1), ()))):
             assert e
-            assert e * e == HeckeElement.zero(3)
+            assert e * e == HeckeElement(3)
 
     @pytest.mark.parametrize("shape", bipartitions(3), ids=lambda s: "%s|%s" % s)
     def test_dipper_james_twist_makes_it_quasi_idempotent(self, shape):

@@ -44,6 +44,7 @@ from heckeb.weylcomb import (
     dominant_tuples,
     parabolic_elements,
     semistandard_bitableaux_count,
+    stabilizer_parabolic,
 )
 
 SPEC = SpecializedBackend(default_specialization())
@@ -63,6 +64,26 @@ class TestSignedPowers:
     @pytest.mark.parametrize("kind", PM_KINDS)
     def test_kernel_dimension(self, kind, n, d):
         assert pm_power_dimension(kind, n, d, SYMBOLIC, "kernel") == expected_pm_dimension(kind, n, d)
+
+    # the class of T_0 and of the other T_i in the schur module table, at Q, q
+    TABLE = {
+        "s_plus": (lambda Q: 1 / Q, lambda q: 1 / q),
+        "s_minus": (lambda Q: -Q, lambda q: 1 / q),
+        "wedge_plus": (lambda Q: 1 / Q, lambda q: -q),
+        "wedge_minus": (lambda Q: -Q, lambda q: -q),
+    }
+
+    @pytest.mark.parametrize("kind", PM_KINDS)
+    def test_relations_subtract_the_table_root(self, kind):
+        n, d = 2, 3
+        Q, q = SPEC.spec.valueQ, SPEC.spec.valueq
+        k_class, r_class = self.TABLE[kind]
+        ident = ExactMatrix.identity(n**d, SPEC.one)
+        ops = schur._pm_relation_ops(kind, n, d, SPEC)
+        assert ops == [
+            generator_matrix(n, d, i, SPEC) - ident.scale(r_class(q) if i else k_class(Q))
+            for i in range(d)
+        ]
 
     def test_tensor_pm_dimensions(self):
         # the two halves are joint eigenspace sums, not complements
@@ -376,13 +397,15 @@ class TestSchurAlgebra:
 
     def test_one_module_per_orbit_type(self):
         """Every dominant tuple has the permutation module matrices of the
-        first tuple of its _orbit_type, over n 1-7 (so across n too)."""
+        first tuple of its rank and stabilizer, over n 1-7 (so across n too).
+        The key needs d: the stabilizer (0,) is that of (0,) at d 1 (a module
+        of dimension 1) and of (0, 2) at d 2 (dimension 4)."""
         reps = {}
         for n in range(1, 8):
             for d in (1, 2, 3):
                 for a in dominant_tuples(n, d):
                     pm = PermutationModule(n, a, SPEC)
-                    rep = reps.setdefault(schur._orbit_type(a), pm)
+                    rep = reps.setdefault((d, stabilizer_parabolic(a)), pm)
                     assert pm.dim == rep.dim
                     for i in range(d):
                         assert pm.generator(i) == rep.generator(i), (a, rep.dominant, i)
@@ -396,8 +419,8 @@ class TestSchurAlgebra:
                 assert schur_algebra_dimension_orbit(n, d, SYMBOLIC) == expected
 
     def test_one_rank_per_parabolic_and_orbit_type(self, monkeypatch):
-        """At n 7, d 3 the 20 dominant tuples have 8 orbit types and 7
-        nonempty parabolics: 56 ranks, not one per pair of tuples (380)."""
+        """At n 7, d 3 the 20 dominant tuples have 8 stabilizers, 7 of them
+        nonempty: 56 ranks, not one per pair of tuples (380)."""
         ranks = []
         rank = ExactMatrix.rank
         monkeypatch.setattr(ExactMatrix, "rank", lambda m: ranks.append(m) or rank(m))

@@ -14,6 +14,7 @@ from heckeb.weylcomb import (
     column_reading_element,
     composition_to_index,
     conjugate,
+    descends,
     dominant_representative,
     dominant_tuples,
     from_word,
@@ -79,6 +80,19 @@ class TestSignedPermutation:
         assert power(s[0] * s[1], 4) == e
         assert power(s[1] * s[2], 3) == e
         assert s[0] * s[2] == s[2] * s[0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_descent_test_agrees_with_length(self, d):
+        """s_i is a right descent of w when l(w s_i) < l(w), read off w's
+        images, and a left descent when l(s_i w) < l(w), read off w^-1's; the
+        reduced word peeled by that test spells w."""
+        for w in parabolic_elements(d, range(d)):
+            for i in range(d):
+                s = SignedPermutation.generator(d, i)
+                assert descends(w.images, i) == ((w * s).length() < w.length())
+                assert descends(w.inverse_images(), i) == ((s * w).length() < w.length())
+            assert from_word(d, w.reduced_word()) == w
+            assert len(w.reduced_word()) == w.length()
 
     def test_length_split(self):
         w = SignedPermutation((-2, 1, 3))
