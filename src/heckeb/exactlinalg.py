@@ -8,29 +8,31 @@ for rationals; each matrix carries its multiplicative unit so code never has
 to guess the field.  An int unit means Z inside Q: every elimination over such
 a matrix runs over Q, never in floating point.
 
-Subspaces are kept in reduced column echelon form, which is a canonical
+A Subspace is kept in reduced column echelon form, which is a canonical
 representative: two subspaces are equal iff their stored bases are equal.
-Elimination is plain sparse Gaussian elimination with a sparsity-aware pivot
-choice; over the rational function field the canonicalizing scalar arithmetic
-keeps expression swell in check.  A rank only eliminates forward.
+Only canonical bases build one: `column_space`, the element and diagram
+routes of `schur`, and the `minimal_polynomial` oracle.  A rank eliminates
+forward only, by plain sparse Gaussian elimination with a sparsity-aware
+pivot choice (`_row_echelon`, `_eliminate_mod` mod p); over the rational
+function field the canonicalizing scalar arithmetic keeps expression swell
+in check.
 
-Over Q (Fraction or int entries) a rank and a column space run on Python ints
-(`integer_echelon`): a span does not change when a vector is scaled by a
-nonzero rational, so each vector is cleared of denominators, reduced
-fraction-free (Bareiss 1968) and divided by its content.  A column space
-builds its canonical Subspace over Fraction from the independent integer
-vectors that remain.
-
-Spectra run over Z too: `krylov_annihilators` yields the integer
-annihilator of each Krylov chain of L m, reduced the same way, and the
-coordinates in the powers of L m go along.  `minimal_polynomial`, the lcm of
-those annihilators taken over Fraction with the polynomial helpers, is kept
-as the independent oracle that the tests read; no CLI command reaches it.
+A vector offered to a forward echelon basis is reduced by one pair,
+`_reduce` and `_insert`, over Z, mod p and over a field alike.  Over Q
+(Fraction or int entries) it runs on Python ints: a span does not change
+when a vector is scaled by a nonzero rational, so each vector is cleared of
+denominators, reduced fraction-free (Bareiss 1968) and divided by its
+content.  So a rank and a column space run over Z (`integer_echelon`), and
+so do spectra: `krylov_annihilators` yields the integer annihilator of each
+Krylov chain of L m, with the coordinates in the powers of L m along.
+`minimal_polynomial`, the lcm of those annihilators taken over Fraction, is
+kept as the independent oracle that the tests read; no CLI command reaches
+it.
 
 `intertwiner_dimension` is the nullity of one Sylvester system, so over Q it
 is an integer rank as above.  `matrix_algebra_dimension` grows the closure of
-span(I) under the generators in a Subspace over the entry field; the same
-closure (`_closure`) grows it mod p for the sandwich below.
+span(I) under the generators (`_closure`): over Z at a point, over the
+function field symbolically, and mod p for the sandwich below.
 
 A dual pair of commuting families takes all four of its dimensions from one
 sandwich certificate mod a prime, exact at any height, and the exact routes
@@ -377,41 +379,63 @@ class Subspace:
 def integer_echelon(vectors):
     """Independent primitive integer vectors with the span of the given
     integer vectors {index: int}, one per pivot (its minimal index), sorted
-    by pivot.
-
-    Forward fraction-free elimination: while the pivot of v is taken by a
-    basis vector w, v <- a v - b w, with a, b the pivot entries of w and v
-    divided by their gcd.  A vector that survives is divided by its content
-    and joins the basis."""
+    by pivot: each is reduced fraction-free by `_insert`."""
     basis = {}
     for vec in vectors:
-        vec = _reduce_forward(basis, {k: v for k, v in vec.items() if v})
-        if vec:
-            basis[min(vec)] = _primitive(vec)
+        _insert(basis, {k: v for k, v in vec.items() if v})
     return [basis[p] for p in sorted(basis)]
 
 
-def _reduce_forward(basis, vec):
-    """The integer vector vec (a dict of nonzero ints, consumed) reduced
-    fraction-free against the basis {pivot: vector with nothing before it}
-    until its pivot is free: {} when it lies in the span."""
-    while vec:
-        p = min(vec)
-        w = basis.get(p)
-        if w is None:
-            break
-        a, b = w[p], vec[p]
-        g = gcd(a, b)
-        a, b = a // g, b // g
+def _reduce(basis, vec, p=0):
+    """vec (a dict of nonzero entries, consumed) reduced forward against the
+    echelon basis {pivot: vector with nothing before it} until its pivot is
+    free: {} when it lies in the span.  Over Z, mod p (p > 0) and over a
+    field alike, the step is v <- a v - b w, with a, b the pivot entries of
+    w and v divided by their gcd (Bareiss 1968); mod p and over a field
+    every lead is 1, so a = 1 and no gcd is taken.  Mod p each entry is
+    reduced mod p."""
+    while vec and (k := min(vec)) in basis:
+        w = basis[k]
+        a, b = w[k], vec[k]
         if a != 1:
-            vec = {k: a * v for k, v in vec.items()}
-        for k, v in w.items():
-            x = vec.get(k, 0) - b * v
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                vec = {i: a * v for i, v in vec.items()}
+        for i, v in w.items():
+            x = vec.get(i)
+            x = -b * v if x is None else x - b * v
+            if p:
+                x %= p
             if x:
-                vec[k] = x
+                vec[i] = x
             else:
-                del vec[k]
+                del vec[i]
     return vec
+
+
+def _insert(basis, vec, p=0):
+    """Add vec (nonzero entries; left as it is) to the echelon basis of
+    `_reduce`, in the normal form of `_primitive`; True if it grew."""
+    vec = _reduce(basis, dict(vec), p)
+    if vec:
+        basis[min(vec)] = _primitive(vec, p)
+    return bool(vec)
+
+
+def _primitive(vec, p=0):
+    """A vector of nonzero entries made primitive over Z (divided by the gcd
+    of its entries), or divided by its lead mod p and over a field."""
+    lead = vec[min(vec)]
+    if isinstance(lead, int) and not p:
+        g = gcd(*vec.values())
+        return {k: v // g for k, v in vec.items()} if g > 1 else vec
+    if lead == 1:
+        return vec
+    if p:
+        inv = pow(lead, -1, p)
+        return {k: v * inv % p for k, v in vec.items()}
+    return {k: v / lead for k, v in vec.items()}
 
 
 def _over_z(vectors):
@@ -580,7 +604,7 @@ def krylov_annihilators(m: ExactMatrix):
     e_j not yet in the span of the earlier chains, so the lcm of the c is the
     minimal polynomial of M.
 
-    Over Z and forward only, by `_reduce_forward`: each chain vector v is M
+    Over Z and forward only, by `_reduce`: each chain vector v is M
     times the last one kept, and carries its integer coordinates c_k in the
     powers of M at the indices n + k, past the n entries of v (n x n is the
     size of m).  So v <- a v - b w reduces the coordinates with v, and a
@@ -594,11 +618,11 @@ def krylov_annihilators(m: ExactMatrix):
     for j in range(n):
         if len(seen) == n:
             return
-        if not _reduce_forward(seen, {j: 1}):
+        if not _reduce(seen, {j: 1}):
             continue
         chain = {}
         vec = {j: 1, n: 1}
-        while min(vec := _reduce_forward(chain, vec)) < n:
+        while min(vec := _reduce(chain, vec)) < n:
             vec = chain[min(vec)] = _primitive(vec)
             out = {}
             for c, x in vec.items():
@@ -613,10 +637,8 @@ def krylov_annihilators(m: ExactMatrix):
         # the earlier chains span an M-invariant W: once a chain vector lies
         # in W plus the ones before it, so do all later ones
         for v in chain.values():
-            v = _reduce_forward(seen, {k: x for k, x in v.items() if k < n})
-            if not v:
+            if not _insert(seen, {k: x for k, x in v.items() if k < n}):
                 break
-            seen[min(v)] = _primitive(v)
 
 
 # ---------------------------------------------------------------------------
@@ -683,16 +705,6 @@ def _eliminate_mod(rows, ncols, p):
     return pivots
 
 
-def _sub_multiple_mod(dst, f, src, p):
-    """dst -= f * src mod p for sparse vectors of residues, in place."""
-    for k, v in src.items():
-        w = (dst.get(k, 0) - f * v) % p
-        if w:
-            dst[k] = w
-        else:
-            dst.pop(k, None)
-
-
 # ---------------------------------------------------------------------------
 # dimensions of intertwiner spaces and matrix algebras
 
@@ -741,24 +753,26 @@ def commutant_dimension(gens):
 
 def matrix_algebra_dimension(gens):
     """Dimension of the unital algebra generated by the given matrices: the
-    words `_closure` finds, grown in a Subspace over the entry field."""
-    n = gens[0].nrows
-    span = Subspace(n * n, (), gens[0].one)
-    words = _closure([g.rows() for g in gens], n, gens[0].one, span.insert, lambda x: x)
-    return sum(1 for _ in words)
+    words `_closure` finds.  Over Q it runs over Z on `_integer_matrix`
+    generators (the same unital algebra), as the sandwich does mod p; over
+    any other field forward only, over that field."""
+    if isinstance(gens[0].one, (Fraction, int)):
+        gens = [_integer_matrix(g) for g in gens]
+    return sum(1 for _ in _closure([g.rows() for g in gens], gens[0].nrows, gens[0].one, {}))
 
 
-def _closure(grows, n, one, insert, reduce, rows=None):
+def _closure(grows, n, one, basis, p=0, rows=None):
     """The closure of span(I) under right multiplication by n x n matrices,
     given by their rows: it holds every word, so it is the unital algebra
     they generate.  Each product is vec'd (row-major) on rows S (all n by
-    default; row i of M G reads only row i of M), its entries reduced (zeros
-    dropped) and offered to insert(vec) -> grew; why rows S cyclic for a
-    commuting family lose no word: dual_pair_dimensions.  Yields each word
-    that grew it, as (parent word, generator), the identity (None, None)
-    first: a caller that knows the dimension stops there."""
+    default; row i of M G reads only row i of M) and offered to
+    `_insert(basis, vec, p)`, which grows the caller's basis over Z, mod p
+    (p > 0) or over a field; why rows S cyclic for a commuting family lose
+    no word: dual_pair_dimensions.  Yields each word that grew it, as
+    (parent word, generator), the identity (None, None) first: a caller
+    that knows the dimension stops there."""
     ident = {k * n + i: one for k, i in enumerate(range(n) if rows is None else rows)}
-    insert(ident)
+    _insert(basis, ident, p)
     yield None, None
     vecs = [ident]
     frontier = [0]
@@ -766,48 +780,25 @@ def _closure(grows, n, one, insert, reduce, rows=None):
         new = []
         for i in frontier:
             for gi, grow in enumerate(grows):
-                prod = {k: r for k, x in _times(vecs[i], grow, n).items() if (r := reduce(x))}
-                if insert(prod):
+                prod = _times(vecs[i], grow, n, p)
+                if _insert(basis, prod, p):
                     yield i, gi
                     vecs.append(prod)
                     new.append(len(vecs) - 1)
         frontier = new
 
 
-def _times(vec, grows, n):
-    """vec(M G) from vec(M) of an n x n M and the rows of G.  A sum that is
-    still zero takes the next product as it is: over RationalFunction, 0 + x
-    canonicalises x."""
+def _times(vec, grows, n, p=0):
+    """vec(M G) from vec(M) of an n x n M and the rows of G, reduced mod p
+    when p > 0, zeros dropped.  A sum that is still zero takes the next
+    product as it is: over RationalFunction, 0 + x canonicalises x."""
     out = {}
     for idx, a in vec.items():
         base = idx - idx % n
         for c, b in grows[idx % n].items():
             v = out.get(base + c)
             out[base + c] = v + a * b if v else a * b
-    return out
-
-
-def _primitive(vec):
-    """An integer vector divided by the gcd of its entries, zeros dropped."""
-    vec = {k: v for k, v in vec.items() if v}
-    g = gcd(*vec.values())
-    return {k: v // g for k, v in vec.items()} if g > 1 else vec
-
-
-def _insert_mod(basis, vec, p):
-    """Add vec to the echelon basis {pivot index: vector with a unit there and
-    nothing before it} mod p, reducing forward only; True if it grew.  vec
-    itself is left as it is."""
-    vec = dict(vec)
-    while vec:
-        q = min(vec)
-        b = basis.get(q)
-        if b is None:
-            inv = pow(vec[q], -1, p)
-            basis[q] = {k: v * inv % p for k, v in vec.items()}
-            return True
-        _sub_multiple_mod(vec, vec[q], b, p)
-    return False
+    return {k: r for k, x in out.items() if (r := x % p if p else x)}
 
 
 def _integer_matrix(g):
@@ -822,9 +813,9 @@ def _cyclic_rows(grows, n, offered, p):
     offered, then each unit row not in the span joins, and its words grow it."""
     basis, rows = {}, []
     for j in chain(offered, range(n)):
-        if len(basis) < n and _insert_mod(basis, {j: 1}, p):
+        if len(basis) < n and _insert(basis, {j: 1}, p):
             rows.append(j)
-            list(_closure(grows, n, 1, lambda v: _insert_mod(basis, v, p), lambda x: x % p, [j]))
+            list(_closure(grows, n, 1, basis, p, [j]))
     return rows
 
 
@@ -877,8 +868,7 @@ def dual_pair_dimensions(gens_a, gens_b, primes, rows=()):
             s = _sylvester(other, other, S if set(S) <= set(offered) else None)
             red = [{i: v % p for i, v in col.items() if v % p} for col in s.columns()]
             u = s.ncols - len(_eliminate_mod(red, s.nrows, p))
-            basis = {}
-            words = _closure(grows, n, 1, lambda v: _insert_mod(basis, v, p), lambda x: x % p, S)
+            words = _closure(grows, n, 1, {}, p, S)
             if sum(1 for _ in islice(words, u)) != u:
                 break
             dims.append(u)

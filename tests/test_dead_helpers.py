@@ -6,9 +6,10 @@ public function is dead when nothing in the package or its tests refers to
 it.  A public function that only the tests call is a reference implementation
 or test set-up, and must be named in REFERENCE; the package reads none of
 those.  A read made inside a REFERENCE function is no package read, so a
-function only they read is test-only too.  The same holds for methods, by
-name: one that no package code outside its own body reads is dead, or
-test-only and named in REFERENCE.
+function only they read is test-only too.  The same holds for methods, read
+as attributes (x.name, HeckeElement.one alike): one that no package code
+outside its own body reads is dead, or test-only and named in REFERENCE.  A
+bare name of the same spelling, such as a local variable, is no read of it.
 """
 
 import ast
@@ -67,11 +68,16 @@ def _referenced(node):
             yield sub.attr
 
 
-def _statements(directory):
+def _attributes(node):
+    """The names a syntax tree reads as attributes: the reads of a method."""
+    return (sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def _statements(directory, reads=_referenced):
     """(module, statement, the names it reads) for each top-level statement of
     the Python files in directory."""
     return [
-        (path.name, stmt, set(_referenced(stmt)))
+        (path.name, stmt, set(reads(stmt)))
         for path in sorted(directory.glob("*.py"))
         for stmt in ast.parse(path.read_text(), filename=str(path)).body
     ]
@@ -86,11 +92,11 @@ def _functions(statements, keep):
     ]
 
 
-def _units(directory):
+def _units(directory, reads=_referenced):
     """_statements with each top-level class split into the statements of its
     body, so that each method is a unit of its own."""
     return [
-        (module, sub, set(_referenced(sub)))
+        (module, sub, set(reads(sub)))
         for module, stmt, _ in _statements(directory)
         for sub in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])
     ]
@@ -161,8 +167,8 @@ def test_package_reads_no_reference_function():
 def test_methods_are_read_or_named():
     methods = _methods(_statements(SRC))
     assert any(fn.name == "reduced_word" for _, fn in methods)  # the scan sees the classes
-    unread = {entry.split()[-1] for entry in _dead(methods, _package(_units(SRC)))}
+    unread = {entry.split()[-1] for entry in _dead(methods, _package(_units(SRC, _attributes)))}
     unread -= CALLED_FROM_OUTSIDE
-    tests = set().union(*(names for _, _, names in _statements(TESTS)))
+    tests = set().union(*(names for _, _, names in _statements(TESTS, _attributes)))
     assert unread - tests == set()  # dead
     assert unread - REFERENCE == set()  # test-only, but not named

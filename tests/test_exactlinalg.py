@@ -6,11 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heckeb import exactlinalg, schur
-from heckeb.cli import main, parse_backend
+from heckeb.cli import UsageError, main, parse_backend
 from heckeb.exactlinalg import (
     ExactMatrix,
     ShapeMismatch,
@@ -35,6 +35,7 @@ from heckeb.exactlinalg import (
     integer_echelon,
 )
 from heckeb.rep import SYMBOLIC, coideal_generators, generator_matrix, tensor_tuples
+from heckeb.scalars import RF_ONE, RF_Q, RF_q
 from heckeb.weylcomb import dominant_tuples
 from heckeb.schur import verify_double_centralizer
 
@@ -480,6 +481,26 @@ def nullity_mod(s, p):
     return s.ncols - len(exactlinalg._eliminate_mod(red, s.nrows, p))
 
 
+@st.composite
+def random_points(draw):
+    """A point of small height, and whether the first prime of `_PRIMES` is
+    planted in the numerator or denominator of Q, or so that q = 1 mod it."""
+    small = st.integers(1, 9)
+    c, e, a, b = (draw(small) for _ in range(4))
+    c, a = c * draw(st.sampled_from([1, -1])), a * draw(st.sampled_from([1, -1]))
+    planted = draw(st.sampled_from([None, "Q", "1/Q", "q=1"]))
+    if planted == "Q":
+        c *= _PRIMES[0]
+    elif planted == "1/Q":
+        e *= _PRIMES[0]
+    elif planted == "q=1":
+        a = a * _PRIMES[0] + b
+    try:
+        return parse_backend("Q=%d/%d,q=%d/%d" % (c, e, a, b)), planted
+    except UsageError:
+        assume(False)
+
+
 class TestDualPairDimensions:
     @given(polynomial_pairs())
     @settings(max_examples=80, deadline=None)
@@ -613,14 +634,15 @@ class TestDualPairDimensions:
         argv = ["verify", "--suite", "double-centralizer", "--n", "3", "--d", "3"]
         assert main(argv + ["--backend", point]) == 0
 
-    def test_unlucky_at_every_prime_takes_the_exact_route(self, monkeypatch):
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 3)])
+    def test_unlucky_at_every_prime_takes_the_exact_route(self, monkeypatch, n, d):
         # q = 1 mod each prime of `_PRIMES`, which the walk is patched to
         # give: the bounds meet at neither, so each dimension is taken
-        # exactly, and the pair still closes
+        # exactly (the algebras over Z), and the pair still closes
         point = "Q=3,q=%d" % (3 * _PRIMES[0] * _PRIMES[1] + 1)
         bk = parse_backend(point)
-        hecke = [generator_matrix(2, 2, i, bk) for i in range(2)]
-        coideal = list(coideal_generators(2, 2, bk).values())
+        hecke = [generator_matrix(n, d, i, bk) for i in range(d)]
+        coideal = list(coideal_generators(n, d, bk).values())
         assert dual_pair_dimensions(coideal, hecke, _PRIMES) is None
         monkeypatch.setattr(schur, "sandwich_primes", lambda lucky: _PRIMES)
         calls = []
@@ -628,9 +650,42 @@ class TestDualPairDimensions:
         monkeypatch.setattr(
             schur, "matrix_algebra_dimension", lambda g: calls.append(1) or exact(g)
         )
-        argv = ["verify", "--suite", "double-centralizer", "--n", "2", "--d", "2"]
+        argv = ["verify", "--suite", "double-centralizer", "--n", str(n), "--d", str(d)]
         assert main(argv + ["--backend", point]) == 0
         assert len(calls) == 2
+
+    @given(random_points(), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_random_point(self, point, n, d):
+        """At a random point the walk takes only primes lucky for it (Q and
+        q units, q^2k != 1 for k <= d), and the sandwich's four dimensions,
+        when it closes, are the per-quantity route's, as is the report."""
+        bk, planted = point
+        (c, e), (a, b) = (x.as_integer_ratio() for x in (bk.spec.valueQ, bk.spec.valueq))
+        walked, certified = [], []
+        walk, certify = schur.sandwich_primes, schur.dual_pair_dimensions
+
+        def spy_walk(lucky):
+            walked.append(walk(lucky))
+            return walked[-1]
+
+        def spy_certify(gens_a, gens_b, primes, rows):
+            certified.append((gens_a, gens_b, certify(gens_a, gens_b, primes, rows)))
+            return certified[-1][2]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schur, "sandwich_primes", spy_walk)
+            mp.setattr(schur, "dual_pair_dimensions", spy_certify)
+            report = verify_double_centralizer(n, d, bk)
+        ((primes,), ((gens_a, gens_b, dims),)) = walked, certified
+        assert len(primes) == 2 and not (planted and _PRIMES[0] in primes)
+        for p in primes:
+            assert c * e * a * b % p
+            assert all(pow(a, 2 * k, p) != pow(b, 2 * k, p) for k in range(1, d + 1))
+        exact = per_quantity(gens_a, gens_b)
+        assert dims is None or dims == exact
+        keys = ("coideal_algebra_dim", "commutant_of_coideal", "hecke_algebra_dim", "schur_dim")
+        assert tuple(report[k] for k in keys) == exact
 
     @pytest.mark.parametrize("n,d", [(2, 2), (4, 3)])
     def test_the_walk_passes_the_unlucky_primes(self, monkeypatch, n, d):
@@ -681,12 +736,12 @@ class TestDualPairDimensions:
         hecke = [generator_matrix(n, d, i, bk) for i in range(d)]
         coideal = list(coideal_generators(n, d, bk).values())
         rows = dominant_rows(n, d)
-        insert = exactlinalg._insert_mod
+        insert = exactlinalg._insert
         counts = []
         for stop in (True, False):
             calls = []
             monkeypatch.setattr(
-                exactlinalg, "_insert_mod", lambda b, v, p: calls.append(p) or insert(b, v, p)
+                exactlinalg, "_insert", lambda b, v, p=0: calls.append(p) or insert(b, v, p)
             )
             if not stop:
                 monkeypatch.setattr(exactlinalg, "islice", lambda words, u: words)
@@ -697,21 +752,31 @@ class TestDualPairDimensions:
 
 
 @st.composite
-def residue_vectors(draw):
-    """Sparse vectors mod a prime of `_PRIMES`, each drawn afresh or planted as
-    a combination of two earlier ones, zeros dropped."""
-    p = draw(st.sampled_from(_PRIMES))
-    ncols = draw(st.integers(1, 7))
-    residues = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+def ring_vectors(draw, ring):
+    """Sparse vectors mod a prime of `_PRIMES` (p = 0 on the other rings),
+    over Z or over K = Q(Q, q), each drawn afresh or planted as a
+    combination of two earlier ones, zeros dropped.  Over K they are fewer
+    and shorter: a forward insert that pivots by index swells there."""
+    p = draw(st.sampled_from(_PRIMES)) if ring == "mod p" else 0
+    if ring == "mod p":
+        entries = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    elif ring == "Z":
+        entries = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-(2**61), 2**61))
+    else:
+        entries = st.sampled_from(
+            [0, 0, RF_ONE, -RF_ONE, RF_Q, RF_q, RF_Q - RF_q, RF_ONE / (RF_Q + RF_q)]
+        )
+    small = ring == "K"
+    ncols = draw(st.integers(1, 4 if small else 7))
     vecs = []
-    for _ in range(draw(st.integers(1, 9))):
+    for _ in range(draw(st.integers(1, 5 if small else 9))):
         if vecs and draw(st.booleans()):
             a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
-            x, y = draw(residues), draw(residues)
-            vec = {k: (x * a.get(k, 0) + y * b.get(k, 0)) % p for k in range(ncols)}
+            x, y = draw(entries), draw(entries)
+            vec = {k: x * a.get(k, 0) + y * b.get(k, 0) for k in range(ncols)}
         else:
-            vec = {k: draw(residues) for k in range(ncols)}
-        vecs.append({k: v for k, v in vec.items() if v})
+            vec = {k: draw(entries) for k in range(ncols)}
+        vecs.append({k: r for k, v in vec.items() if (r := v % p if p else v)})
     return p, ncols, vecs
 
 
@@ -757,14 +822,43 @@ class TestCyclicRows:
 
 
 class TestInsertMod:
-    @given(residue_vectors())
+    """`_insert` on each ring: its grew flags are the rank increments of an
+    independent elimination (`_eliminate_mod` mod p, `_row_echelon` over
+    Fraction for Z and over K), and its basis is in echelon form, primitive
+    over Z and with unit leads mod p and over K."""
+
+    @staticmethod
+    def check(case, one=ONE):
+        p, ncols, vecs = case
+        before = [dict(v) for v in vecs]
+        basis = {}
+        grew = [exactlinalg._insert(basis, v, p) for v in vecs]
+        assert vecs == before  # each vector is left as it is
+        if p:
+            ranks = [len(exactlinalg._eliminate_mod([dict(v) for v in vecs[:k]], ncols, p))
+                     for k in range(len(vecs) + 1)]
+        else:
+            ranks = [len(ExactMatrix.from_columns(ncols, vecs[:k], one)._row_echelon())
+                     for k in range(len(vecs) + 1)]
+        assert grew == [b > a for a, b in zip(ranks, ranks[1:])]
+        assert all(min(b) == q for q, b in basis.items())
+        if p or one is RF_ONE:
+            assert all(b[q] == 1 for q, b in basis.items())
+        else:
+            assert all(type(x) is int for b in basis.values() for x in b.values())
+            assert all(math.gcd(*b.values()) == 1 for b in basis.values())
+
+    @given(ring_vectors("mod p"))
     @settings(max_examples=150, deadline=None)
     def test_grew_flags_are_rank_increments(self, case):
-        p, ncols, vecs = case
-        basis = {}
-        grew = [exactlinalg._insert_mod(basis, dict(v), p) for v in vecs]
-        ranks = [len(exactlinalg._eliminate_mod([dict(v) for v in vecs[:k]], ncols, p))
-                 for k in range(len(vecs) + 1)]
-        assert grew == [b > a for a, b in zip(ranks, ranks[1:])]
-        # the basis is in echelon form with unit leads
-        assert all(min(b) == q and b[q] == 1 for q, b in basis.items())
+        self.check(case)
+
+    @given(ring_vectors("Z"))
+    @settings(max_examples=150, deadline=None)
+    def test_grew_flags_over_the_integers(self, case):
+        self.check(case)
+
+    @given(ring_vectors("K"))
+    @settings(max_examples=80, deadline=None)
+    def test_grew_flags_over_the_function_field(self, case):
+        self.check(case, RF_ONE)
