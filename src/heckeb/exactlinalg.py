@@ -12,10 +12,10 @@ A Subspace is kept in reduced column echelon form, which is a canonical
 representative: two subspaces are equal iff their stored bases are equal.
 Only canonical bases build one: `column_space`, the element and diagram
 routes of `schur`, and the `minimal_polynomial` oracle.  A rank eliminates
-forward only, by plain sparse Gaussian elimination with a sparsity-aware
-pivot choice (`_row_echelon`, `_eliminate_mod` mod p); over the rational
-function field the canonicalizing scalar arithmetic keeps expression swell
-in check.
+forward only.  Over the rational function field and mod p it is one pivoted
+sparse elimination, `_eliminate`, whose pivot is chosen for sparsity and, over
+the function field, for entries of few terms; the canonicalizing scalar
+arithmetic keeps expression swell in check.
 
 A vector offered to a forward echelon basis is reduced by one pair,
 `_reduce` and `_insert`, over Z, mod p and over a field alike.  Over Q
@@ -219,42 +219,16 @@ class ExactMatrix:
 
     # -- elimination
 
-    def _row_echelon(self):
-        """Sparse forward elimination; returns the pivots [(row, col)].  Each
-        pivot column is cleared from the rows still live only: enough for a
-        rank."""
-        one = _field_one(self.one)
-        rows = self.rows()
-        live = [i for i in range(self.nrows) if rows[i]]
-        pivots = []
-        while live:
-            # pivot: sparsest row, then simplest entry in it
-            bi = min(range(len(live)), key=lambda k: len(rows[live[k]]))
-            i = live.pop(bi)
-            row = rows[i]
-            pc = min(row, key=lambda c: (_term_count(row[c]), c))
-            pv = row[pc]
-            if not (pv == one):
-                inv = one / pv
-                row = {c: inv * v for c, v in row.items()}
-            for j in list(live):
-                f = rows[j].get(pc)
-                if f:
-                    _sub_multiple(rows[j], f, row)
-                    if not rows[j]:
-                        live.remove(j)
-            pivots.append((i, pc))
-        return pivots
-
     def rank(self):
         """Forward elimination only: over Q the rows go through
         `integer_echelon`, or the columns when there are fewer of them
         (rank(A) = rank(A^T), and a tall Sylvester system reduces faster
-        by its columns); over any other field `_row_echelon`."""
+        by its columns); over any other field the rows go through
+        `_eliminate`, which takes longer on the columns of a tall system."""
         if isinstance(self.one, (Fraction, int)):
             vectors = self.columns() if self.ncols < self.nrows else self.rows()
             return len(integer_echelon(_over_z(vectors)))
-        return len(self._row_echelon())
+        return len(_eliminate(self.rows(), self.ncols))
 
     def nullity(self):
         """dim of {x : A x = 0}, counted by rank without building a basis."""
@@ -446,6 +420,57 @@ def _over_z(vectors):
         den = lcm(*{v.denominator for v in vec.values()})
         out.append({k: v.numerator * (den // v.denominator) for k, v in vec.items()})
     return out
+
+
+def _eliminate(rows, ncols, p=0):
+    """Forward elimination of sparse rows {col: nonzero entry}, which it
+    consumes: mod p for p > 0 (residues), else over the field of the
+    entries, where an int stands for a rational (a Fraction, never a float).
+
+    Returns the pivots [(col, row)] in the order chosen, each row scaled to a
+    unit pivot; a pivot row holds no earlier pivot column.  Each pivot column
+    is cleared from the rows still live only: enough for a rank.  The pivot
+    is the sparsest live row, in it the entry of fewest terms (every residue
+    has one), then the column shared by the fewest live rows.
+    """
+    if not p:
+        rows = [{c: Fraction(v) if type(v) is int else v for c, v in r.items()} for r in rows]
+    col_rows = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c in row:
+            col_rows[c].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    done = set()
+    pivots = []
+    while heap:
+        size, i = heapq.heappop(heap)
+        row = rows[i]
+        if i in done or size != len(row) or not row:
+            continue  # a stale heap entry, or a row eliminated to zero
+        done.add(i)
+        pc = min(row, key=lambda c: (_term_count(row[c]), len(col_rows[c]), c))
+        if row[pc] != 1:
+            inv = pow(row[pc], -1, p) if p else 1 / row[pc]
+            rows[i] = row = {c: v * inv % p if p else v * inv for c, v in row.items()}
+        for c in row:
+            col_rows[c].discard(i)
+        for j in list(col_rows[pc]):
+            dst = rows[j]
+            f = dst[pc]
+            for c, v in row.items():
+                w = dst.get(c)
+                if w is None:
+                    dst[c] = -f * v % p if p else -f * v
+                    col_rows[c].add(j)
+                elif w := (w - f * v) % p if p else w - f * v:
+                    dst[c] = w
+                else:
+                    del dst[c]
+                    col_rows[c].discard(j)
+            heapq.heappush(heap, (len(dst), j))
+        pivots.append((pc, row))
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +667,7 @@ def krylov_annihilators(m: ExactMatrix):
 
 
 # ---------------------------------------------------------------------------
-# elimination mod p
+# the primes of the sandwich
 
 def _is_prime(m):
     """Miller-Rabin at the bases 2, 7 and 61, which decide every odd m > 61
@@ -656,53 +681,6 @@ def sandwich_primes(lucky):
     """The first two primes below 2^30, walking down, at which lucky(p): at
     each a residue is one digit of a Python int."""
     return tuple(islice((m for m in range(2**30 - 1, 61, -2) if _is_prime(m) and lucky(m)), 2))
-
-
-def _eliminate_mod(rows, ncols, p):
-    """Forward elimination mod p of sparse rows {col: nonzero residue}, in place.
-
-    Returns the pivots [(col, row)] in the order chosen, each row scaled to a
-    unit pivot; a pivot row holds no earlier pivot column.  The pivot is the
-    sparsest live row, and in it the column shared by the fewest live rows.
-    """
-    col_rows = [set() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for c in row:
-            col_rows[c].add(i)
-    heap = [(len(row), i) for i, row in enumerate(rows) if row]
-    heapq.heapify(heap)
-    done = set()
-    pivots = []
-    while heap:
-        size, i = heapq.heappop(heap)
-        row = rows[i]
-        if i in done or size != len(row) or not row:
-            continue  # a stale heap entry, or a row eliminated to zero
-        done.add(i)
-        pc = min(row, key=lambda c: (len(col_rows[c]), c))
-        inv = pow(row[pc], -1, p)
-        if inv != 1:
-            rows[i] = row = {c: v * inv % p for c, v in row.items()}
-        for c in row:
-            col_rows[c].discard(i)
-        for j in list(col_rows[pc]):
-            dst = rows[j]
-            f = dst[pc]
-            for c, v in row.items():
-                w = dst.get(c)
-                if w is None:
-                    dst[c] = -f * v % p
-                    col_rows[c].add(j)
-                else:
-                    w = (w - f * v) % p
-                    if w:
-                        dst[c] = w
-                    else:
-                        del dst[c]
-                        col_rows[c].discard(j)
-            heapq.heappush(heap, (len(dst), j))
-        pivots.append((pc, row))
-    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +845,7 @@ def dual_pair_dimensions(gens_a, gens_b, primes, rows=()):
             # its rank is taken on its columns (the transpose eliminates faster)
             s = _sylvester(other, other, S if set(S) <= set(offered) else None)
             red = [{i: v % p for i, v in col.items() if v % p} for col in s.columns()]
-            u = s.ncols - len(_eliminate_mod(red, s.nrows, p))
+            u = s.ncols - len(_eliminate(red, s.nrows, p))
             words = _closure(grows, n, 1, {}, p, S)
             if sum(1 for _ in islice(words, u)) != u:
                 break

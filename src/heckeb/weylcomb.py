@@ -34,6 +34,15 @@ class SignedPermutation:
         self.images = images
         self._word = None
 
+    @classmethod
+    def _trusted(cls, images):
+        """From images known to be a signed permutation (a product or an
+        inverse of ones), with no check."""
+        w = object.__new__(cls)
+        w.images = tuple(images)
+        w._word = None
+        return w
+
     @staticmethod
     def identity(d):
         return SignedPermutation(range(1, d + 1))
@@ -62,7 +71,7 @@ class SignedPermutation:
 
     def __mul__(self, other):
         """(v * w)(i) = v(w(i))."""
-        return SignedPermutation(tuple(self(other.images[k]) for k in range(other.rank)))
+        return SignedPermutation._trusted(self(x) for x in other.images)
 
     def inverse_images(self):
         """The images (w^-1(1), ..., w^-1(d)), with no SignedPermutation built."""
@@ -72,7 +81,7 @@ class SignedPermutation:
         return img
 
     def inverse(self):
-        return SignedPermutation(self.inverse_images())
+        return SignedPermutation._trusted(self.inverse_images())
 
     def act(self, a):
         """Left action on index tuples: position |w(i)| receives sign(w(i)) * a_i."""

@@ -136,7 +136,7 @@ def test_no_dead_private_helpers():
         statements,
         lambda name: name.startswith("_") and not (name.startswith("__") and name.endswith("__")),
     )
-    assert any(fn.name == "_eliminate_mod" for _, fn in helpers)  # the scan sees heckeb
+    assert any(fn.name == "_eliminate" for _, fn in helpers)  # the scan sees heckeb
     assert _dead(helpers, statements) == []
 
 

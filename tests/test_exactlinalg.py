@@ -30,6 +30,7 @@ from heckeb.exactlinalg import (
     poly_monic,
     poly_mul,
     vstack,
+    _eliminate,
     _integer_matrix,
     _sylvester,
     integer_echelon,
@@ -42,6 +43,12 @@ from heckeb.schur import verify_double_centralizer
 ONE = Fraction(1)
 # the primes the sandwich tries at a point where no prime is unlucky
 _PRIMES = exactlinalg.sandwich_primes(lambda p: True)
+
+
+def elimination_rank(m):
+    """The rank of m by `_eliminate` on its rows: the oracle of the other
+    ranks."""
+    return len(_eliminate(m.rows(), m.ncols))
 
 
 def dense(rows):
@@ -158,8 +165,7 @@ class TestIntegerEchelon:
     @settings(max_examples=100, deadline=None)
     def test_against_fraction_elimination(self, vecs):
         out = integer_echelon(vecs)
-        m = ExactMatrix.from_columns(6, [{k: Fraction(x) for k, x in v.items()} for v in vecs])
-        assert len(out) == len(m._row_echelon())
+        assert len(out) == len(_eliminate([{k: x for k, x in v.items() if x} for v in vecs], 6))
         assert Subspace(6, out) == Subspace(6, vecs)
         pivots = [min(v) for v in out]
         assert pivots == sorted(set(pivots))
@@ -173,13 +179,13 @@ class TestIntegerEchelon:
         p = 2**61 - 1
         m = ExactMatrix(2, 2, {(0, 0): p, (0, 1): p + 1, (1, 0): p - 1, (1, 1): p}, 1)
         assert m.rank() == 2
-        assert len(m._row_echelon()) == 2 and m.nullity() == 0
+        assert elimination_rank(m) == 2 and m.nullity() == 0
         space = m.column_space()
         assert space.dim == 2 and no_float(space.basis())
         assert space == Subspace(2, [{0: 1}, {1: 1}], 1)
         singular = ExactMatrix(2, 2, {(0, 0): p, (0, 1): p * 3, (1, 0): 2, (1, 1): 6}, 1)
         assert singular.rank() == 1
-        assert len(singular._row_echelon()) == 1
+        assert elimination_rank(singular) == 1
         assert no_float(singular.column_space().basis())
 
 
@@ -358,7 +364,7 @@ class TestCertifiedRank:
     @given(planted_matrices())
     @settings(max_examples=60, deadline=None)
     def test_matches_fraction_elimination(self, m):
-        expected = len(m._row_echelon())
+        expected = elimination_rank(m)
         assert m.rank() == expected
         assert _integer_matrix(m).rank() == expected
 
@@ -367,7 +373,7 @@ class TestCertifiedRank:
     def test_rank_with_mixed_denominators(self, m):
         """Large heights: the rank over Z, on the Fraction matrix and on its
         integer multiple."""
-        expected = len(m._row_echelon())
+        expected = elimination_rank(m)
         assert m.rank() == _integer_matrix(m).rank() == expected
 
     @pytest.mark.parametrize("shape", [(9, 3), (3, 9), (4, 4)])
@@ -382,7 +388,7 @@ class TestCertifiedRank:
         monkeypatch.setattr(
             exactlinalg, "integer_echelon", lambda vs: seen.append(len(vs)) or echelon(vs)
         )
-        assert m.rank() == m.transpose().rank() == len(m._row_echelon()) == 2
+        assert m.rank() == m.transpose().rank() == elimination_rank(m) == 2
         assert seen == [min(shape), min(shape)]
 
     def test_primes_are_prime(self):
@@ -404,7 +410,7 @@ class TestCertifiedRank:
         # the kernel is spanned by (2^400, 1)
         big = 2**400
         m = dense([[1, -big], [2, -2 * big]])
-        assert m.rank() == len(m._row_echelon()) == 1
+        assert m.rank() == elimination_rank(m) == 1
         # a Sylvester system whose kernel holds the same vector
         assert intertwiner_dimension([dense([[0, big], [0, 0]])], [dense([[0, 1], [0, 0]])]) == 2
 
@@ -416,7 +422,7 @@ class TestCertifiedRank:
         coideal = list(coideal_generators(n, 2, bk).values())
         for gens in (hecke, coideal):
             s = _sylvester(gens, gens)
-            assert commutant_dimension(gens) == s.ncols - len(s._row_echelon())
+            assert commutant_dimension(gens) == s.ncols - elimination_rank(s)
         # the per-quantity route against the sandwich, at d = 2 and 3
         for d in (2, 3):
             hecke = [generator_matrix(n, d, i, bk) for i in range(d)]
@@ -478,7 +484,7 @@ ACCEPTED = [
 
 def nullity_mod(s, p):
     red = [{i: v % p for i, v in col.items() if v % p} for col in s.columns()]
-    return s.ncols - len(exactlinalg._eliminate_mod(red, s.nrows, p))
+    return s.ncols - len(_eliminate(red, s.nrows, p))
 
 
 @st.composite
@@ -553,7 +559,7 @@ class TestDualPairDimensions:
         """n 3, d 3 closes at the first prime, and bounds the Schur algebra
         on its 4 dominant rows: no N^2-unknown Hecke system is built."""
         built, primes = [], []
-        sylvester, eliminate = exactlinalg._sylvester, exactlinalg._eliminate_mod
+        sylvester, eliminate = exactlinalg._sylvester, exactlinalg._eliminate
 
         def spy_sylvester(gens_u, gens_w, rows=None):
             built.append(rows)
@@ -564,7 +570,7 @@ class TestDualPairDimensions:
 
         monkeypatch.setattr(exactlinalg, "_sylvester", spy_sylvester)
         monkeypatch.setattr(
-            exactlinalg, "_eliminate_mod", lambda r, c, p: primes.append(p) or eliminate(r, c, p)
+            exactlinalg, "_eliminate", lambda r, c, p: primes.append(p) or eliminate(r, c, p)
         )
         monkeypatch.setattr(schur, "matrix_algebra_dimension", refuse)
         monkeypatch.setattr(schur, "commutant_dimension", refuse)
@@ -754,14 +760,17 @@ class TestDualPairDimensions:
 @st.composite
 def ring_vectors(draw, ring):
     """Sparse vectors mod a prime of `_PRIMES` (p = 0 on the other rings),
-    over Z or over K = Q(Q, q), each drawn afresh or planted as a
-    combination of two earlier ones, zeros dropped.  Over K they are fewer
-    and shorter: a forward insert that pivots by index swells there."""
+    over Z, over Q (Fraction entries) or over K = Q(Q, q), each drawn afresh
+    or planted as a combination of two earlier ones, zeros dropped.  Over K
+    they are fewer and shorter: a forward insert that pivots by index swells
+    there."""
     p = draw(st.sampled_from(_PRIMES)) if ring == "mod p" else 0
     if ring == "mod p":
         entries = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
     elif ring == "Z":
         entries = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-(2**61), 2**61))
+    elif ring == "Q":
+        entries = fractions
     else:
         entries = st.sampled_from(
             [0, 0, RF_ONE, -RF_ONE, RF_Q, RF_q, RF_Q - RF_q, RF_ONE / (RF_Q + RF_q)]
@@ -808,24 +817,26 @@ class TestCyclicRows:
         kept = [r for r in dict.fromkeys(offered) if r in rows]
         assert rows[: len(kept)] == kept
         vecs = [{s: 1} for s in rows]
-        while True:
+        for _ in range(n + 1):  # the span grows in each round but the last
             more = vecs + [
                 {j: x for j in range(n) if (x := sum(v.get(k, 0) * g[k].get(j, 0) for k in v) % p)}
                 for v in vecs
                 for g in grows
             ]
-            rank = len(exactlinalg._eliminate_mod([dict(v) for v in more], n, p))
-            if rank == len(exactlinalg._eliminate_mod([dict(v) for v in vecs], n, p)):
+            rank = len(_eliminate([dict(v) for v in more], n, p))
+            if rank == len(_eliminate([dict(v) for v in vecs], n, p)):
                 break
             vecs = more
+        else:
+            raise AssertionError("the span grew in more than n rounds")
         assert rank == n
 
 
 class TestInsertMod:
     """`_insert` on each ring: its grew flags are the rank increments of an
-    independent elimination (`_eliminate_mod` mod p, `_row_echelon` over
-    Fraction for Z and over K), and its basis is in echelon form, primitive
-    over Z and with unit leads mod p and over K."""
+    independent elimination (`_eliminate`, mod p, over Q for Z and over K),
+    and its basis is in echelon form, primitive over Z and with unit leads
+    mod p and over K."""
 
     @staticmethod
     def check(case, one=ONE):
@@ -834,12 +845,8 @@ class TestInsertMod:
         basis = {}
         grew = [exactlinalg._insert(basis, v, p) for v in vecs]
         assert vecs == before  # each vector is left as it is
-        if p:
-            ranks = [len(exactlinalg._eliminate_mod([dict(v) for v in vecs[:k]], ncols, p))
-                     for k in range(len(vecs) + 1)]
-        else:
-            ranks = [len(ExactMatrix.from_columns(ncols, vecs[:k], one)._row_echelon())
-                     for k in range(len(vecs) + 1)]
+        ranks = [len(_eliminate([dict(v) for v in vecs[:k]], ncols, p))
+                 for k in range(len(vecs) + 1)]
         assert grew == [b > a for a, b in zip(ranks, ranks[1:])]
         assert all(min(b) == q for q, b in basis.items())
         if p or one is RF_ONE:
@@ -862,3 +869,45 @@ class TestInsertMod:
     @settings(max_examples=80, deadline=None)
     def test_grew_flags_over_the_function_field(self, case):
         self.check(case, RF_ONE)
+
+
+class TestEliminate:
+    """`_eliminate` on each ring: each pivot row has a unit pivot entry and
+    holds no earlier pivot column, mod p every entry is a residue, and the
+    pivots count the rank that `_insert` finds."""
+
+    @staticmethod
+    def check(case):
+        p, ncols, vecs = case
+        basis = {}
+        rank = sum(exactlinalg._insert(basis, v, p) for v in vecs)
+        pivots = _eliminate([dict(v) for v in vecs], ncols, p)
+        assert len(pivots) == rank
+        for k, (pc, row) in enumerate(pivots):
+            assert row[pc] == 1
+            assert all(c not in row for c, _ in pivots[:k])
+            assert all(0 < x < p for x in row.values()) if p else all(row.values())
+        return pivots
+
+    @given(ring_vectors("mod p"))
+    @settings(max_examples=150, deadline=None)
+    def test_pivot_rows_mod_p(self, case):
+        self.check(case)
+
+    @given(ring_vectors("Q"))
+    @settings(max_examples=100, deadline=None)
+    def test_pivot_rows_over_the_rationals(self, case):
+        self.check(case)
+
+    @given(ring_vectors("K"))
+    @settings(max_examples=60, deadline=None)
+    def test_pivot_rows_over_the_function_field(self, case):
+        self.check(case)
+
+    @given(ring_vectors("Z"))
+    @settings(max_examples=100, deadline=None)
+    def test_int_rows_eliminate_over_the_rationals(self, case):
+        """At p = 0 an int stands for a rational: every entry of the pivot
+        rows is a Fraction, never a float, as 1 / 3 of two ints would be."""
+        pivots = self.check(case)
+        assert all(type(x) is Fraction for _, row in pivots for x in row.values())

@@ -94,6 +94,22 @@ class TestSignedPermutation:
             assert from_word(d, w.reduced_word()) == w
             assert len(w.reduced_word()) == w.length()
 
+    def test_products_and_inverses_need_no_check(self):
+        """Products and inverses skip the check of the images: over all of
+        W(B_3) they equal the checked signed permutations of the same images,
+        and images from anywhere else are still checked."""
+        for bad in [(1, 1), (1, -1), (0, 1), (2, 3)]:
+            with pytest.raises(ValueError):
+                SignedPermutation(bad)
+        group = list(parabolic_elements(3, range(3)))
+        for v in group:
+            inv = v.inverse()
+            assert inv == SignedPermutation(inv.images) and v * inv == SignedPermutation.identity(3)
+            for w in group:
+                vw = v * w
+                assert vw == SignedPermutation(v(w(i)) for i in range(1, 4))
+                assert vw.length() == SignedPermutation(vw.images).length()
+
     def test_length_split(self):
         w = SignedPermutation((-2, 1, 3))
         neg, rest = w.length_split()
