@@ -30,9 +30,11 @@ kept as the independent oracle that the tests read; no CLI command reaches
 it.
 
 `intertwiner_dimension` is the nullity of one Sylvester system, so over Q it
-is an integer rank as above.  `matrix_algebra_dimension` grows the closure of
-span(I) under the generators (`_closure`): over Z at a point, over the
-function field symbolically, and mod p for the sandwich below.
+is an integer rank as above; its unknowns are only those on the blocks that
+the diagonal generators leave (`_sylvester`): the coideal's weight blocks.
+`matrix_algebra_dimension` grows the closure of span(I) under the
+generators (`_closure`): over Z at a point, over the function field
+symbolically, and mod p for the sandwich below.
 
 A dual pair of commuting families takes all four of its dimensions from one
 sandwich certificate mod a prime, exact at any height, and the exact routes
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, count, islice
 from math import gcd, lcm
 
 
@@ -443,13 +445,15 @@ def _eliminate(rows, ncols, p=0):
     heapq.heapify(heap)
     done = set()
     pivots = []
+    fewest = lambda c: (len(col_rows[c]), c)  # every residue has one term
+    key = fewest if p else lambda c: (_term_count(row[c]),) + fewest(c)
     while heap:
         size, i = heapq.heappop(heap)
         row = rows[i]
         if i in done or size != len(row) or not row:
             continue  # a stale heap entry, or a row eliminated to zero
         done.add(i)
-        pc = min(row, key=lambda c: (_term_count(row[c]), len(col_rows[c]), c))
+        pc = min(row, key=key)
         if row[pc] != 1:
             inv = pow(row[pc], -1, p) if p else 1 / row[pc]
             rows[i] = row = {c: v * inv % p if p else v * inv for c, v in row.items()}
@@ -688,34 +692,46 @@ def sandwich_primes(lucky):
 
 
 def _sylvester(gens_u, gens_w, rows=None):
-    """The system phi g_u = g_w phi over all generator pairs, for a w x u phi
-    vec'd row-major on rows S (all w by default): coordinate k * u + c holds
-    phi[S[k], c], and row i's equations join when row i of g_w stays in S.
-    Why its nullity bounds dim Comm(g_w) for S cyclic: dual_pair_dimensions."""
+    """The system phi g_u = g_w phi over the generator pairs, for a w x u phi
+    on rows S (all w by default), unknowns phi[i, c] numbered row-major; row
+    i's equations join when row i of g_w stays in S (why: dual_pair_dimensions).
+    A pair diagonal on both sides says phi[i, c] (g_u[c, c] - g_w[i, i]) = 0:
+    over any field and mod any p, phi[i, c] = 0 unless g_w[i, i] = g_u[c, c]
+    for each such pair, where those equations hold.  So the unknowns are that
+    support's, those pairs give no equations, and terms off it are dropped."""
     u = gens_u[0].nrows
-    w = gens_w[0].nrows
-    pos = {i: k for k, i in enumerate(range(w) if rows is None else rows)}
+    S = dict.fromkeys(range(gens_w[0].nrows) if rows is None else rows)
     one = gens_u[0].one
     zero = one - one
-    e = {}
-    nrow = 0
-    for gu, gw in zip(gens_u, gens_w):
-        gu_cols = gu.columns()
-        gw_rows = gw.rows()
+    pairs = list(zip(gens_u, gens_w))
+    diagonal = [pair for pair in pairs if all(r == c for g in pair for r, c in g.entries)]
+
+    def entries(side, x):  # entry (x, x) of g_u (side 0) or g_w (side 1) in each such pair
+        return tuple(pair[side].entries.get((x, x), zero) for pair in diagonal)
+
+    blocks = {}
+    for c in range(u):
+        blocks.setdefault(entries(0, c), []).append(c)
+    coordinate = count()  # row i's unknowns {c: coordinate}, numbered row-major
+    pos = {i: {c: next(coordinate) for c in blocks.get(entries(1, i), ())} for i in S}
+    e, nrow = {}, 0
+    for gu, gw in (pair for pair in pairs if pair not in diagonal):
+        gu_rows, gw_rows = gu.rows(), gw.rows()
         # (phi gu - gw phi)[i, j] = sum_c phi[i,c] gu[c,j] - sum_r gw[i,r] phi[r,j]
-        for i, k in pos.items():
-            if not gw_rows[i].keys() <= pos.keys():
+        for i in S:
+            if not gw_rows[i].keys() <= S.keys():
                 continue
-            for j in range(u):
-                acc = {}
-                for c, v in gu_cols[j].items():
-                    acc[k * u + c] = acc.get(k * u + c, zero) + v
-                for r, v in gw_rows[i].items():
-                    acc[pos[r] * u + j] = acc.get(pos[r] * u + j, zero) - v
-                row = {(nrow, key): v for key, v in acc.items() if v}
+            terms = [(j, k, v) for c, k in pos[i].items() for j, v in gu_rows[c].items()]
+            terms += [(j, k, -v) for r, v in gw_rows[i].items() for j, k in pos[r].items()]
+            eqs = {}  # j: {coordinate: coefficient}
+            for j, k, v in terms:
+                eq = eqs.setdefault(j, {})
+                eq[k] = eq.get(k, zero) + v
+            for j in sorted(eqs):
+                row = {(nrow, k): v for k, v in eqs[j].items() if v}
                 e.update(row)
                 nrow += bool(row)
-    return ExactMatrix(nrow, len(pos) * u, e, one)
+    return ExactMatrix(nrow, sum(map(len, pos.values())), e, one)
 
 
 def intertwiner_dimension(gens_u, gens_w):

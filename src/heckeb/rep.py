@@ -29,7 +29,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .exactlinalg import ExactMatrix, krylov_annihilators
+from .exactlinalg import ExactMatrix, _integer_matrix, krylov_annihilators
 from .hecke import braid_relations_hold, central_element, quadratic_roots
 from .scalars import (
     LP_ONE,
@@ -648,15 +648,13 @@ def coideal_generators(n, d, bk=SYMBOLIC):
 
 
 def verify_coideal_commutation(n, d, bk=SYMBOLIC):
-    """Every coideal generator commutes with every rho(T_i)."""
-    gens = coideal_generators(n, d, bk)
-    heckes = [generator_matrix(n, d, i, bk) for i in range(d)]
-    bad = []
-    for name, g in gens.items():
-        for i, h in enumerate(heckes):
-            if not (g * h == h * g):
-                bad.append((name, i))
-    return bad
+    """The (name, i) of each coideal generator that fails to commute with
+    rho(T_i); at a point over Z, on `_integer_matrix` multiples, which commute
+    exactly when the matrices do."""
+    over = (lambda g: g) if bk.is_symbolic else _integer_matrix
+    gens = {name: over(g) for name, g in coideal_generators(n, d, bk).items()}
+    heckes = [over(generator_matrix(n, d, i, bk)) for i in range(d)]
+    return [(name, i) for name, g in gens.items() for i, h in enumerate(heckes) if g * h != h * g]
 
 
 # ---------------------------------------------------------------------------

@@ -557,13 +557,16 @@ class TestDualPairDimensions:
     @pytest.mark.parametrize("point", POINTS + ["Q=%d,q=3" % (2**1024 - 1)])
     def test_hecke_bound_on_the_dominant_rows(self, monkeypatch, point):
         """n 3, d 3 closes at the first prime, and bounds the Schur algebra
-        on its 4 dominant rows: no N^2-unknown Hecke system is built."""
-        built, primes = [], []
+        on its 4 dominant rows: no N^2-unknown Hecke system is built, and the
+        coideal's system has only the unknowns on its weight blocks."""
+        built, widths, primes = [], [], []
         sylvester, eliminate = exactlinalg._sylvester, exactlinalg._eliminate
 
         def spy_sylvester(gens_u, gens_w, rows=None):
             built.append(rows)
-            return sylvester(gens_u, gens_w, rows)
+            s = sylvester(gens_u, gens_w, rows)
+            widths.append(s.ncols)
+            return s
 
         def refuse(gens):
             raise AssertionError("the sandwich did not close")
@@ -581,6 +584,9 @@ class TestDualPairDimensions:
         # the Schur algebra's bound on the dominant rows, then the coideal's
         # commutant on all 27 rows
         assert built == [dominant, None]
+        # 27 unknowns on each dominant row; 245 of the 729 on the coideal's
+        # 4 weight blocks
+        assert widths == [4 * 27, 245]
         assert primes == [_PRIMES[0]] * 2
 
     def test_cyclic_matrix_closes(self):
@@ -755,6 +761,111 @@ class TestDualPairDimensions:
         (stopped, offered), (full, offered_full) = counts
         assert stopped == full == per_quantity(coideal, hecke)
         assert offered < offered_full
+
+
+
+# ---------------------------------------------------------------------------
+# the Sylvester system on the support that the diagonal generators leave
+
+
+def kronecker_system(gens_u, gens_w):
+    """The full Sylvester system, built apart from `_sylvester`, from
+    Kronecker products: vec(phi g_u - g_w phi) = (I (x) g_u^T - g_w (x) I)
+    vec(phi) for a w x u phi vec'd row-major, stacked over the pairs with
+    the zero rows dropped."""
+    entries, nrows = {}, 0
+    for gu, gw in zip(gens_u, gens_w):
+        iu, iw = (ExactMatrix.identity(g.nrows, g.one) for g in (gu, gw))
+        block = iw.kron(gu.transpose()) - gw.kron(iu)
+        live = {r: k for k, r in enumerate(sorted({r for r, _ in block.entries}), nrows)}
+        entries.update({(live[r], c): v for (r, c), v in block.entries.items()})
+        nrows += len(live)
+    return ExactMatrix(nrows, gens_w[0].nrows * gens_u[0].nrows, entries, gens_u[0].one)
+
+
+def field_nullity(m):
+    """The nullity over the field of the entries (Q for ints), by
+    `_eliminate` on the columns."""
+    return m.ncols - len(_eliminate(m.columns(), m.nrows))
+
+
+def coideal_family(n, d, bk):
+    """The coideal generators as the double centralizer takes them: the
+    identity at n = 1, where there are none."""
+    return list(coideal_generators(n, d, bk).values()) or [ExactMatrix.identity(n**d, bk.one)]
+
+
+# every (n, d) the double-centralizer caps accept symbolically
+SYMBOLIC_ACCEPTED = [
+    (n, d)
+    for n in range(1, 33)
+    for d in range(1, schur.ALGEBRA_MAX_RANK + 1)
+    if n**d <= schur.SYMBOLIC_BUDGET
+    and n ** (2 * d) <= schur.SYLVESTER_MAX_WIDTH[True]
+    and (n == 1 or d <= schur.DOUBLE_CENTRALIZER_MAX_RANK[True])
+]
+
+
+class TestSylvesterSupport:
+    def test_a_diagonal_generator_keeps_its_blocks(self):
+        """diag(1, 2) commutes with the diagonal matrices only: its system
+        keeps phi[0, 0] and phi[1, 1] and no equation, so its nullity is 2,
+        where all four unknowns without their equations would read 4."""
+        d = dense([[1, 0], [0, 2]])
+        s = _sylvester([d], [d])
+        assert (s.nrows, s.ncols) == (0, 2)
+        assert commutant_dimension([d]) == field_nullity(kronecker_system([d], [d])) == 2
+        ints = [_integer_matrix(d)]
+        assert nullity_mod(_sylvester(ints, ints), _PRIMES[0]) == 2
+        assert commutant_dimension([ExactMatrix(2, 2, {(0, 0): RF_Q, (1, 1): RF_q}, RF_ONE)]) == 2
+
+    @pytest.mark.parametrize(
+        "gens,expected",
+        [
+            # X commutes with diag(1, 2) and E_01: a scalar
+            ([[[1, 0], [0, 2]], [[0, 1], [0, 0]]], 1),
+            # block diagonal for diag(1, 1, 2), then Comm(E_01) in the 2 x 2 block
+            ([[[1, 0, 0], [0, 1, 0], [0, 0, 2]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]]], 3),
+            # E_02 joins the blocks: only its terms on the support stay
+            ([[[1, 0, 0], [0, 1, 0], [0, 0, 2]], [[0, 0, 1], [0, 0, 0], [0, 0, 0]]], 3),
+            # two diagonal generators: the joint eigenspaces {0}, {1, 2}, {3}
+            ([[[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+              [[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]]], 6),
+        ],
+    )
+    def test_mixed_generators_against_the_full_system(self, gens, expected):
+        gens = [dense(g) for g in gens]
+        full = kronecker_system(gens, gens)
+        assert commutant_dimension(gens) == field_nullity(full) == expected
+        ints = [_integer_matrix(g) for g in gens]
+        assert nullity_mod(_sylvester(ints, ints), _PRIMES[0]) == expected
+
+    def test_row_set_takes_the_support_on_its_rows(self):
+        # diag(1, 2, 2) on rows {1, 2}: phi[1, 1], phi[1, 2], phi[2, 1],
+        # phi[2, 2]; and between sizes, phi[i, c] with equal eigenvalues
+        d = dense([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+        assert _sylvester([d], [d], [1, 2]).ncols == 4
+        assert _sylvester([dense([[1, 0], [0, 2]])], [d]).ncols == 3
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_coideal_against_the_full_system_at_a_point(self, point):
+        """At every (n, d) the caps accept, the coideal's system on the
+        support has the nullity of the full system, mod p (on the integer
+        generators, as the sandwich takes them) and over Q."""
+        bk = parse_backend(point)
+        p = _PRIMES[0]
+        for n, d in ACCEPTED:
+            gens = coideal_family(n, d, bk)
+            ints = [_integer_matrix(g) for g in gens]
+            full = kronecker_system(ints, ints)
+            assert nullity_mod(_sylvester(ints, ints), p) == nullity_mod(full, p), (n, d)
+            assert field_nullity(_sylvester(gens, gens)) == field_nullity(full), (n, d)
+
+    def test_coideal_against_the_full_system_symbolically(self):
+        for n, d in SYMBOLIC_ACCEPTED:
+            gens = coideal_family(n, d, SYMBOLIC)
+            full = kronecker_system(gens, gens)
+            assert _sylvester(gens, gens).nullity() == full.nullity(), (n, d)
 
 
 @st.composite

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heckeb.cli import semisimple
+from heckeb import rep
+from heckeb.cli import parse_backend, semisimple
 from heckeb.exactlinalg import ExactMatrix, minimal_polynomial, poly_divmod, poly_is_squarefree, poly_mul
 from heckeb.hecke import HeckeElement, central_element, jucys_murphy, u_minus, u_plus
 from heckeb.rep import (
@@ -367,6 +368,22 @@ class TestCoideal:
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (3, 3)])
     def test_generators_commute_with_hecke(self, n, d):
         assert verify_coideal_commutation(n, d, SYMBOLIC) == []
+
+    @pytest.mark.parametrize("point", ["Q=2,q=3", "Q=3,q=7"])
+    def test_a_generator_that_fails_to_commute_is_reported(self, monkeypatch, point):
+        """At a point the products are taken over Z, and report each
+        (name, i) that the products over Q do."""
+        bk = parse_backend(point)
+        gens = dict(coideal_generators(3, 3, bk))
+        g = gens["e_1/2"]
+        gens["e_1/2"] = g + ExactMatrix(27, 27, {(0, 1): Fraction(1, 3)}, g.one)
+        monkeypatch.setattr(rep, "coideal_generators", lambda n, d, bk: gens)
+        heckes = [generator_matrix(3, 3, i, bk) for i in range(3)]
+        expected = [
+            (name, i) for name, g in gens.items() for i, h in enumerate(heckes) if g * h != h * g
+        ]
+        assert expected and {name for name, _ in expected} == {"e_1/2"}
+        assert verify_coideal_commutation(3, 3, bk) == expected
 
     def test_generator_names(self):
         names = set(coideal_generators(3, 2, SYMBOLIC))
