@@ -763,7 +763,6 @@ class TestDualPairDimensions:
         assert offered < offered_full
 
 
-
 # ---------------------------------------------------------------------------
 # the Sylvester system on the support that the diagonal generators leave
 
