@@ -21,8 +21,9 @@ A vector offered to a forward echelon basis is reduced by one pair,
 `_reduce` and `_insert`, over Z, mod p and over a field alike.  Over Q
 (Fraction or int entries) it runs on Python ints: a span does not change
 when a vector is scaled by a nonzero rational, so each vector is cleared of
-denominators, reduced fraction-free (Bareiss 1968) and divided by its
-content.  So a rank and a column space run over Z (`integer_echelon`), and
+denominators, reduced on integers by steps v <- a v - b w (a and b divided
+by their gcd; no step divides by an earlier pivot, so entries can grow) and
+divided by its content.  So a rank and a column space run over Z (`integer_echelon`), and
 so do spectra: `krylov_annihilators` yields the integer annihilator of each
 Krylov chain of L m, with the coordinates in the powers of L m along.
 `minimal_polynomial`, the lcm of those annihilators taken over Fraction, is
@@ -367,8 +368,9 @@ def _reduce(basis, vec, p=0):
     echelon basis {pivot: vector with nothing before it} until its pivot is
     free: {} when it lies in the span.  Over Z, mod p (p > 0) and over a
     field alike, the step is v <- a v - b w, with a, b the pivot entries of
-    w and v divided by their gcd (Bareiss 1968); mod p and over a field
-    every lead is 1, so a = 1 and no gcd is taken.  Mod p each entry is
+    w and v divided by their gcd.  No step divides by an earlier pivot, so
+    over Z the entries can grow; mod p and over a field every lead is 1,
+    so a = 1 and no gcd is taken.  Mod p each entry is
     reduced mod p."""
     while vec and (k := min(vec)) in basis:
         w = basis[k]

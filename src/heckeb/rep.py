@@ -1,7 +1,8 @@
 """
 Tensor space actions: the Hecke algebra on V_n^{(x) d}, the inductive R- and
-K-matrices, permutation modules, index-shift intertwiners, and the quantum
-group / coideal operators that commute with everything.
+K-matrices, permutation modules, index-shift intertwiners, and the coideal
+generators that commute with everything, built on the tensor tuples from the
+coproducts of the quantum group's E, F and H, as the Hecke generators are.
 
 Conventions.  The Hecke algebra acts on the right of V_n^{(x) d}; matrices act
 on the left of coordinate columns, so rho(x y) = rho(y) rho(x).  The generator
@@ -39,7 +40,13 @@ from .scalars import (
     Specialization,
     specialize,
 )
-from .weylcomb import SignedPermutation, index_set, orbit_with_minimal_reps, shift_outward
+from .weylcomb import (
+    SignedPermutation,
+    fmt_index,
+    index_set,
+    orbit_with_minimal_reps,
+    shift_outward,
+)
 
 
 class UnclassifiedEigenvalue(ArithmeticError):
@@ -524,126 +531,68 @@ def verify_permutation_intertwiners(n_odd, d, bk=SYMBOLIC):
 # quantum group and coideal operators
 
 
-def _qg_elementary(n, kind, di, bk):
-    """Elementary operators on V_n; di is a doubled index.
-
-    kind "D": diagonal q^{delta}; "E": v_k -> v_{k-1} when the doubled gap
-    matches; "F": v_k -> v_{k+1}; "H": the Cartan ratio D_{j'} D_{j'+1}^{-1}.
-    """
-    ds = index_set(n)
-    pos = {v: k for k, v in enumerate(ds)}
-    one = bk.one
-    qv = bk.of(RF_q)
-    qi = bk.of(RF_q.inverse())
-    e = {}
-    if kind == "D":
-        for v in ds:
-            e[(pos[v], pos[v])] = qv if v == di else one
-    elif kind == "E":
-        for v in ds:
-            if v - 1 == di and (v - 2) in pos:
-                e[(pos[v - 2], pos[v])] = one
-    elif kind == "F":
-        for v in ds:
-            if v + 1 == di and (v + 2) in pos:
-                e[(pos[v + 2], pos[v])] = one
-    elif kind == "H":
-        for v in ds:
-            if v == di - 1:
-                e[(pos[v], pos[v])] = qv
-            elif v == di + 1:
-                e[(pos[v], pos[v])] = qi
-            else:
-                e[(pos[v], pos[v])] = one
-    else:
-        raise ValueError("unknown elementary kind %r" % (kind,))
-    return ExactMatrix(n, n, e, one)
-
-
-def _diag_inverse(m):
-    e = {}
-    for (r, c), v in m.entries.items():
-        if r != c:
-            raise ValueError("not diagonal")
-        e[(r, c)] = m.one / v
-    return ExactMatrix(m.nrows, m.ncols, e, m.one)
-
-
-def qg_iterated(n, d, kind, di, bk=SYMBOLIC):
-    """The d-fold comultiplied action of an elementary operator on V^{(x) d}:
-    D and H spread as pure tensor powers, E picks up H^{-1} on the right,
-    F picks up H on the left."""
-    base = _qg_elementary(n, kind, di, bk)
-    if d == 1:
-        return base
-    ident = ExactMatrix.identity(n, bk.one)
-    if kind in ("D", "H"):
-        out = base
-        for _ in range(d - 1):
-            out = out.kron(base)
-        return out
-    h = _qg_elementary(n, "H", di, bk)
-    hinv = _diag_inverse(h)
-    total = ExactMatrix.zeros(n**d, n**d, bk.one)
-    for k in range(1, d + 1):
-        factors = []
-        for pos in range(1, d + 1):
-            if pos < k:
-                factors.append(ident if kind == "E" else h)
-            elif pos == k:
-                factors.append(base)
-            else:
-                factors.append(hinv if kind == "E" else ident)
-        term = factors[0]
-        for f in factors[1:]:
-            term = term.kron(f)
-        total = total + term
-    return total
+def _coproducts(n, d, j, bk):
+    """The d-fold coproducts (E, F, H, H^-1) on V_n^{(x) d} at the node j, a
+    doubled index between the basis indices j - 1 and j + 1, built on the
+    tensor tuples.  H puts q on each letter j - 1 and 1/q on each letter
+    j + 1.  By Delta E = E (x) H^-1 + 1 (x) E, E turns one letter j + 1 into
+    j - 1 and H^-1 acts on the letters after it; by Delta F = F (x) 1 + H (x) F,
+    F turns one letter j - 1 into j + 1 and H acts on the letters before it."""
+    tups, index = tensor_tuples(n, d)
+    q = bk.of(RF_q)
+    power = {k: q**k for k in range(-d, d + 1)}
+    e, f, h, hinv = {}, {}, {}, {}
+    for col, a in enumerate(tups):
+        ws = [(x == j - 1) - (x == j + 1) for x in a]  # H is q^w on a letter
+        total, before = sum(ws), 0
+        h[(col, col)], hinv[(col, col)] = power[total], power[-total]
+        for k, x in enumerate(a):
+            if x == j + 1:
+                e[(index[a[:k] + (j - 1,) + a[k + 1 :]], col)] = power[before + ws[k] - total]
+            elif x == j - 1:
+                f[(index[a[:k] + (j + 1,) + a[k + 1 :]], col)] = power[before]
+            before += ws[k]
+    N = len(tups)
+    return tuple(ExactMatrix(N, N, m, bk.one) for m in (e, f, h, hinv))
 
 
 @functools.cache
 def coideal_generators(n, d, bk=SYMBOLIC):
     """The coideal generators on V_n^{(x) d}, as {name: matrix} (cached: no caller changes it).
 
-    For every positive index i the Cartan products d_i act; away from the
-    middle of the diagram the pairs e_i, f_i take the generic twisted form.
+    For every positive index i the Cartan product d_i is q to the number of
+    letters equal to +-i; away from the middle of the diagram the pairs
+    e_i, f_i take the generic twisted form of the coproducts (_coproducts).
     At the middle, the parity of n decides the shape: for odd n the pair at
     i = 1/2 carries the extra Q-twist, for even n the single generator t with
     the (Q - 1/Q)/(q - 1/q) constant term appears.
     """
-    ds = index_set(n)
-    ds1 = index_set(n - 1) if n > 1 else ()
+    tups, _ = tensor_tuples(n, d)
+    q = bk.of(RF_q)
     out = {}
-    from .weylcomb import fmt_index
-
-    def it(kind, di):
-        return qg_iterated(n, d, kind, di, bk)
-
-    for di in ds:
+    for di in index_set(n):
         if di > 0:
-            out["d_" + fmt_index(di)] = it("D", di) * it("D", -di)
+            diag = {(c, c): q ** (a.count(di) + a.count(-di)) for c, a in enumerate(tups)}
+            out["d_" + fmt_index(di)] = ExactMatrix(len(tups), len(tups), diag, bk.one)
     cQ = bk.of(RF_Q)
     cQi = bk.of(RF_Q.inverse())
-    for di in ds1:
+    for di in index_set(n - 1) if n > 1 else ():
         if di < 0:
             continue
+        e, f, _, hinv = _coproducts(n, d, di, bk)
         if di == 0:
             # middle node exists only for even n
             const = bk.of((RF_Q - RF_Q.inverse()) / (RF_q - RF_q.inverse()))
-            hinv = _diag_inverse(it("H", 0))
-            t = it("E", 0) + it("F", 0).scale(bk.of(RF_q)) * hinv + hinv.scale(const)
-            out["t"] = t
-        elif di == 1 and n % 2 == 1:
+            out["t"] = e + f.scale(q) * hinv + hinv.scale(const)
+            continue
+        em, fm, _, hminv = _coproducts(n, d, -di, bk)
+        if di == 1 and n % 2 == 1:
             # middle pair for odd n carries the Q-twist
-            hi = _diag_inverse(it("H", 1))
-            hmi = _diag_inverse(it("H", -1))
-            out["e_1/2"] = it("E", 1) + (it("F", -1) * hi).scale(cQi)
-            out["f_1/2"] = it("E", -1) + (hmi * it("F", 1)).scale(cQ)
+            out["e_1/2"] = e + (fm * hinv).scale(cQi)
+            out["f_1/2"] = em + (hminv * f).scale(cQ)
         else:
-            hi = _diag_inverse(it("H", di))
-            hmi = _diag_inverse(it("H", -di))
-            out["e_" + fmt_index(di)] = it("E", di) + it("F", -di) * hi
-            out["f_" + fmt_index(di)] = it("E", -di) + hmi * it("F", di)
+            out["e_" + fmt_index(di)] = e + fm * hinv
+            out["f_" + fmt_index(di)] = em + hminv * f
     return out
 
 

@@ -19,6 +19,7 @@ from heckeb.rep import (
     barv_map,
     central_candidate_eigenvalues,
     _RK_PAIRS,
+    _coproducts,
     _kronecker_point,
     coideal_generators,
     eigenvalue_multiplicities,
@@ -35,9 +36,9 @@ from heckeb.rep import (
     verify_rho_relations,
     verify_rk_equations,
 )
-from heckeb.scalars import LP_ONE, LaurentPoly2, Specialization, default_specialization, specialize
+from heckeb.scalars import LP_ONE, RF_q, LaurentPoly2, Specialization, default_specialization, specialize
 from heckeb.schur import restrict_to_subspace
-from heckeb.weylcomb import parabolic_elements, shift_center, shift_outward
+from heckeb.weylcomb import index_set, parabolic_elements, shift_center, shift_outward
 
 SPEC = SpecializedBackend(default_specialization())
 
@@ -316,7 +317,7 @@ class TestGeneratorsSymbolicAgainstSpecialized:
         return ExactMatrix(m.nrows, m.ncols, e, bk.one)
 
     @pytest.mark.parametrize("bk", BENCH_POINTS, ids=repr)
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_generators(self, bk, n, d):
         for i in range(d):
@@ -362,6 +363,38 @@ class TestPermutationModules:
         assert phi.rank() == pm.dim
         for i in range(pm.d):
             assert phi * pm.generator(i) == generator_matrix(n + 1, pm.d, i, SYMBOLIC) * phi
+
+
+class TestCoproducts:
+    """The tensor-tuple coproducts against the Hopf definition, one factor at
+    a time: Delta E = E (x) H^-1 + 1 (x) E, Delta F = F (x) 1 + H (x) F, and
+    H, H^-1 as tensor powers, from the elementary operators on V_n."""
+
+    @staticmethod
+    def elementary(n, j, bk):
+        pos = {v: k for k, v in enumerate(index_set(n))}
+        q = bk.of(RF_q)
+        e = ExactMatrix(n, n, {(pos[j - 1], pos[j + 1]): bk.one}, bk.one)
+        f = ExactMatrix(n, n, {(pos[j + 1], pos[j - 1]): bk.one}, bk.one)
+        h = {(k, k): q if v == j - 1 else 1 / q if v == j + 1 else bk.one for v, k in pos.items()}
+        hinv = {k: 1 / v for k, v in h.items()}
+        return e, f, ExactMatrix(n, n, h, bk.one), ExactMatrix(n, n, hinv, bk.one)
+
+    @pytest.mark.parametrize("bk", [SYMBOLIC] + BENCH_POINTS[:2], ids=repr)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_hopf_definition(self, bk, n):
+        for j in index_set(n - 1):
+            e1, f1, h1, hinv1 = self.elementary(n, j, bk)
+            assert _coproducts(n, 1, j, bk) == (e1, f1, h1, hinv1)
+            for d in (2, 3):
+                e, f, h, hinv = _coproducts(n, d - 1, j, bk)
+                one = ExactMatrix.identity(n ** (d - 1), bk.one)
+                assert _coproducts(n, d, j, bk) == (
+                    e.kron(hinv1) + one.kron(e1),
+                    f.kron(ExactMatrix.identity(n, bk.one)) + h.kron(f1),
+                    h.kron(h1),
+                    hinv.kron(hinv1),
+                )
 
 
 class TestCoideal:
