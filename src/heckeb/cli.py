@@ -379,6 +379,17 @@ def specialized_only(name):
     return lambda a, bk: "%s requires a specialized backend" % name if bk.is_symbolic else None
 
 
+def rk_checks(a, bk):
+    """One pass over the R/K blocks, whose negative control stands beside
+    their equations, then the cabled K against the central element."""
+    res = verify_rk_equations(a.n, a.e, bk)
+    return {
+        "rk_equations": res["all"],
+        "rk_negative_control_fails": not res["negative_control"],
+        "k_matches_central_element": verify_k_against_center(a.n, a.d, bk),
+    }
+
+
 SUITES = {
     # the braid and commutation checks take O(d^2) products, which n^d = 1 at
     # n = 1 does not bound
@@ -398,13 +409,7 @@ SUITES = {
         caps=spectra_caps,
     ),
     "rk-equations": Row(
-        lambda a, bk: {
-            "rk_equations": verify_rk_equations(a.n, a.e, bk)["all"],
-            "rk_negative_control_fails": not verify_rk_equations(
-                a.n, a.e, bk, sabotage_k=True
-            )["k_consistency"],
-            "k_matches_central_element": verify_k_against_center(a.n, a.d, bk),
-        },
+        rk_checks,
         # V^{(x) d} for the central element, V^{(x) 2e} for the R and K blocks
         spaces=lambda a: [(a.n, a.d), (a.n, 2 * a.e)],
         rank=lambda a: (max(a.d, 2 * a.e),),

@@ -140,9 +140,6 @@ class ExactMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
-
     # -- arithmetic
 
     def __add__(self, other):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 from math import prod
 
-from .scalars import RF_ONE, RF_Q, RF_q, RationalFunction
+from .scalars import RF_ONE, RF_Q, RF_q
 from .weylcomb import (
     SignedPermutation,
     column_reading_element,
@@ -99,8 +99,6 @@ class HeckeElement:
     # -- multiplication
 
     def __mul__(self, other):
-        if isinstance(other, (RationalFunction, int)):
-            return self.scale(RF_ONE * other)
         if self.d != other.d:
             raise ValueError("rank mismatch")
         out = {}
@@ -111,8 +109,6 @@ class HeckeElement:
             for u, v in part.items():
                 _bump(out, u, c * v)
         return HeckeElement(self.d, out)
-
-    __rmul__ = __mul__
 
     # -- serialization
 

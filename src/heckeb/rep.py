@@ -357,26 +357,26 @@ def _kronecker_point(blocks, pairs):
 
 
 # the two products of the blocks R, K and K2 = K_{2e} that each equation of
-# verify_rk_equations compares, as lists of factors (embeddings aside)
+# verify_rk_equations compares, as lists of factors (embeddings aside); the
+# last is the negative control, the cylinder product with K := Id against K2
 _RK_PAIRS = {
     "yang_baxter": ("RRR", "RRR"),
     "reflection": ("KRKR", "RKRK"),
     "k_consistency": ("KRKR", ("K2",)),
+    "negative_control": ("RR", ("K2",)),
 }
 
 
-def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):
+def verify_rk_equations(n, e=1, bk=SYMBOLIC):
     """Braid (Yang-Baxter) and reflection equations for the block R and K.
 
-    With e > 1 the block versions on V^{(x) e} cables are checked.  With
-    sabotage_k=True the base K-matrix is replaced by the identity and only the
-    relations that involve K are checked (reflection, k_quadratic,
-    k_consistency): the Yang-Baxter equation does not see K, and the honest
-    run already checks it.  The consistency check then fails at every n, and
-    the CLI reads it as a negative control on the whole setup; k_quadratic
-    fails too, since the identity is no root of T_0's quadratic.
+    With e > 1 the block versions on V^{(x) e} cables are checked.  Beside
+    `all` stands negative_control, which is not part of it: whether R R, the
+    cylinder product k1 R k1 R with K replaced by the identity, equals K_{2e}.
+    It must not, or k_consistency could not tell K from the identity, and
+    the CLI then fails the run.
 
-    Symbolically no Laurent product is formed for the three block equations:
+    Symbolically no Laurent product is formed for the four block comparisons:
     R, K and K_{2e} are each mapped once to an integer matrix at one
     Kronecker point (bk.kronecker), where the images, each side times its
     unit, are equal exactly when the products are (proof in
@@ -384,42 +384,38 @@ def verify_rk_equations(n, e=1, bk=SYMBOLIC, sabotage_k=False):
     generator_matrix(n, 1, 0), over the backend's field (_quadratic_holds).
     At a point the blocks are compared over Fraction as they are.
     """
-    rb = r_block(e, e, n, bk)
-    kb = ExactMatrix.identity(n**e, rb.one) if sabotage_k else k_block(e, n, bk)
-    images, units = bk.kronecker({"R": rb, "K": kb, "K2": k_block(2 * e, n, bk)}, _RK_PAIRS)
+    blocks = {"R": r_block(e, e, n, bk), "K": k_block(e, n, bk), "K2": k_block(2 * e, n, bk)}
+    images, units = bk.kronecker(blocks, _RK_PAIRS)
     rz, kz = images["R"], images["K"]
 
     def holds(name, lhs, rhs):
         ul, ur = units[name]
         return (lhs if ul == 1 else lhs.scale(ul)) == (rhs if ur == 1 else rhs.scale(ur))
 
-    results = {}
-    if not sabotage_k:
-        # braid relation on three e-blocks
-        r1 = embed_factors(rz, n, 0, e)
-        r2 = embed_factors(rz, n, e, 0)
-        results["yang_baxter"] = holds("yang_baxter", r1 * r2 * r1, r2 * r1 * r2)
+    # braid relation on three e-blocks
+    r1 = embed_factors(rz, n, 0, e)
+    r2 = embed_factors(rz, n, e, 0)
     # reflection equation on two e-blocks
     k1 = embed_factors(kz, n, 0, e)
     cyl = k1 * rz * k1 * rz
-    results["reflection"] = holds("reflection", cyl, rz * k1 * rz * k1)
-    # quadratic relation of the base K
-    base = ExactMatrix.identity(n, bk.one) if sabotage_k else generator_matrix(n, 1, 0, bk)
-    results["k_quadratic"] = _quadratic_holds(base, 0, bk)
-    # consistency of the cabled K against the cylinder rule on e + e blocks:
-    # with the honest base K the cabled operator equals the cylinder product;
-    # with K sabotaged to Id it degenerates to R^2, which must differ from the
-    # honest doubled K
-    results["k_consistency"] = holds("k_consistency", cyl, images["K2"])
-    results["all"] = all(v for k, v in results.items() if k != "all")
+    results = {
+        "yang_baxter": holds("yang_baxter", r1 * r2 * r1, r2 * r1 * r2),
+        "reflection": holds("reflection", cyl, rz * k1 * rz * k1),
+        # quadratic relation of the base K
+        "k_quadratic": _quadratic_holds(generator_matrix(n, 1, 0, bk), 0, bk),
+        # the cabled K against the cylinder rule on e + e blocks
+        "k_consistency": holds("k_consistency", cyl, images["K2"]),
+    }
+    results["all"] = all(results.values())
+    results["negative_control"] = holds("negative_control", rz * rz, images["K2"])
     return results
 
 
 def verify_k_against_center(n, d, bk=SYMBOLIC):
-    """K_{V^{(x) d}} equals the action of the central element c_K; in the
-    symbolic backend the Laurent block meets the rho matrix over the rational
-    functions through their mixed equality (scalars)."""
-    return k_block(d, n, bk) == rho(central_element(d), n, bk)
+    """K_{V^{(x) d}} equals the action of the central element c_K, compared
+    over the blocks' ring: symbolically the rho matrix is taken to its
+    Laurent entries first (bk.laurent)."""
+    return k_block(d, n, bk) == bk.laurent(rho(central_element(d), n, bk))
 
 
 def _quadratic_holds(m, i, bk):

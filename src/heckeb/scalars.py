@@ -30,12 +30,10 @@ images of the Hecke algebra over that ring) runs on LaurentPoly2 directly:
 RationalFunction.laurent() gives the equal Laurent polynomial when the
 denominator is a unit monomial Q^a q^b and raises ArithmeticError otherwise.
 A LaurentPoly2 is canonical too (no zero coefficient is stored), so its
-structural equality is also mathematical.  Across the two types, equality
-goes through RationalFunction: LaurentPoly2.__eq__ leaves any type but int to
-it, and it coerces, so L == R and R == L agree.  An int equals the constant
-of either type.  Hashes agree with that equality: a constant LaurentPoly2
-hashes as its int, and a RationalFunction with a unit-monomial denominator
-hashes as its Laurent polynomial, so {RF_ONE, LP_ONE, 1} has one element.
+structural equality is also mathematical.  An int equals the constant it
+names in either type, and a constant hashes as its int.  A LaurentPoly2
+never equals a RationalFunction: a matrix over one ring is taken to the
+other (rep's bk.laurent) before the two are compared.
 """
 
 from __future__ import annotations
@@ -338,21 +336,8 @@ class LaurentPoly2:
             return LaurentPoly2()
         return LaurentPoly2({k: c * v for k, v in self.terms.items()})
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = LaurentPoly2.from_int(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
-        # an int is the constant it names; any other type decides through its
-        # own __eq__ (RationalFunction coerces), so L == R and R == L agree
+        # an int is the constant it names
         if isinstance(other, LaurentPoly2):
             return self.terms == other.terms
         if isinstance(other, int):
@@ -534,13 +519,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # equal to a LaurentPoly2 exactly when the denominator is a unit
-        # monomial: then hash as that Laurent polynomial
+        # a constant hashes as its int, through its numerator's hash
         if self._hash is None:
-            if _unit_monomial(self.den) is None:
-                self._hash = hash((self.num, self.den))
-            else:
-                self._hash = hash(self.laurent())
+            self._hash = hash(self.num) if self.den.is_one() else hash((self.num, self.den))
         return self._hash
 
     def __str__(self):
@@ -562,8 +543,6 @@ def _coerce(x):
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, int):
-        return RationalFunction(x)
-    if isinstance(x, LaurentPoly2):
         return RationalFunction(x)
     return NotImplemented
 

@@ -443,8 +443,9 @@ def e_hecke_generators(n, d, e, bk=SYMBOLIC):
 
 def verify_e_hecke(n, d, e, bk=SYMBOLIC):
     """The cabled generators agree with the inductive block R and K matrices,
-    and satisfy the braid pattern of type B (hecke.braid_relations_hold)."""
-    gens = e_hecke_generators(n, d, e, bk)
+    and satisfy the braid pattern of type B (hecke.braid_relations_hold);
+    symbolically both over the blocks' ring (bk.laurent)."""
+    gens = [bk.laurent(g) for g in e_hecke_generators(n, d, e, bk)]
     ok = gens[0] == embed_factors(k_block(e, n, bk), n, 0, (d - 1) * e)
     for i in range(1, d):
         blk = embed_factors(r_block(e, e, n, bk), n, (i - 1) * e, (d - i - 1) * e)

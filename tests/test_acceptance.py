@@ -6,7 +6,7 @@ that exceed the symbolic budget run at the default exact rational point.
 """
 
 from heckeb.cli import jm_spectra
-from heckeb.exactlinalg import minimal_polynomial, poly_is_squarefree
+from heckeb.exactlinalg import ExactMatrix, minimal_polynomial, poly_is_squarefree
 from heckeb.hecke import (
     HeckeElement,
     braid_relations_hold,
@@ -18,6 +18,7 @@ from heckeb.rep import (
     SYMBOLIC,
     PermutationModule,
     SpecializedBackend,
+    _quadratic_holds,
     barv_map,
     generator_matrix,
     index_shift_matrix,
@@ -28,7 +29,7 @@ from heckeb.rep import (
     verify_rho_relations,
     verify_rk_equations,
 )
-from heckeb.scalars import RF_Q, RF_q, default_specialization
+from heckeb.scalars import RF_ONE, RF_Q, RF_q, default_specialization
 from heckeb.schur import (
     PM_KINDS,
     SYMBOLIC_BUDGET,
@@ -97,9 +98,11 @@ def test_04_braid_and_reflection():
     ok = True
     for n in (2, 3):
         for e in (1, 2):
-            ok = ok and verify_rk_equations(n, e, SYMBOLIC)["all"]
-    control = verify_rk_equations(3, 2, SYMBOLIC, sabotage_k=True)
-    ok = ok and not control["k_quadratic"] and not control["k_consistency"]
+            res = verify_rk_equations(n, e, SYMBOLIC)
+            # the negative control: with K := Id the cylinder product R R
+            # differs from K_{2e}, and Id is no root of T_0's quadratic
+            ok = ok and res["all"] and not res["negative_control"]
+    ok = ok and not _quadratic_holds(ExactMatrix.identity(3, RF_ONE), 0, SYMBOLIC)
     report(4, "Yang-Baxter and reflection equations", ok)
 
 
@@ -112,7 +115,7 @@ def test_05_cylinder_identity():
         for d in range(1, 4):
             bk = backend_for(n, d)
             ok = ok and verify_k_against_center(n, d, bk)
-            ok = ok and k_block(d, n, bk) == rho(central_element(d), n, bk)
+            ok = ok and k_block(d, n, bk) == bk.laurent(rho(central_element(d), n, bk))
     report(5, "cylinder identity and cabled K", ok)
 
 

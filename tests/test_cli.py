@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeb import cli
+from heckeb import cli, rep
 from heckeb.cli import main, parse_backend, parse_shape, UsageError
 from heckeb.rep import SYMBOLIC, UnclassifiedEigenvalue, coideal_generators
 from heckeb.schur import schur_algebra_dimension_commutant, schur_algebra_dimension_orbit
@@ -436,22 +436,44 @@ class TestErrors:
         assert main(argv + ["--backend", "Q=2,q=1/8192"]) == 2
         assert "invalid specialization" in capsys.readouterr().err
 
-    def test_rk_negative_control_reads_the_consistency_check(self, capsys, monkeypatch):
-        """A sabotaged K whose cylinder consistency held would fail the run,
-        although its own quadratic relation still fails."""
+    def test_rk_negative_control_fails_the_run_when_it_holds(self, capsys, monkeypatch):
+        """A negative control that held would fail the run, although every
+        R/K equation holds."""
         honest = cli.verify_rk_equations
 
-        def consistent(*args, sabotage_k=False):
-            res = honest(*args, sabotage_k=sabotage_k)
-            if sabotage_k:
-                assert not res["k_quadratic"]
-                res["k_consistency"] = True
+        def held(*args):
+            res = honest(*args)
+            assert res["all"] and not res["negative_control"]
+            res["negative_control"] = True
             return res
 
-        monkeypatch.setattr(cli, "verify_rk_equations", consistent)
+        monkeypatch.setattr(cli, "verify_rk_equations", held)
         code, out = run(capsys, ["verify", "--suite", "rk-equations", "--n", "2", "--d", "1", "--e", "1"])
         assert code == 1
         assert "rk_negative_control_fails: FAIL" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "rk-equations", "--n", "3", "--d", "2", "--e", "2"],
+            ["verify", "--suite", "all", "--n", "2", "--d", "2", "--e", "1"],
+        ],
+        ids=["rk-equations", "all"],
+    )
+    def test_rk_row_takes_one_kronecker_point(self, capsys, monkeypatch, argv):
+        """The rk row decides its equations and its negative control in one
+        pass, at one Kronecker point."""
+        calls = []
+        point = rep._kronecker_point
+
+        def counted(*args):
+            calls.append(args)
+            return point(*args)
+
+        monkeypatch.setattr(rep, "_kronecker_point", counted)
+        code, _ = run(capsys, argv)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_unclassified_eigenvalue_is_a_fail(self, capsys, monkeypatch):
         def unclassified(*args):

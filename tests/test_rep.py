@@ -21,6 +21,7 @@ from heckeb.rep import (
     _RK_PAIRS,
     _coproducts,
     _kronecker_point,
+    _quadratic_holds,
     coideal_generators,
     eigenvalue_multiplicities,
     embed_factors,
@@ -36,7 +37,7 @@ from heckeb.rep import (
     verify_rho_relations,
     verify_rk_equations,
 )
-from heckeb.scalars import LP_ONE, RF_q, LaurentPoly2, Specialization, default_specialization, specialize
+from heckeb.scalars import LP_ONE, RF_ONE, RF_q, LaurentPoly2, Specialization, default_specialization, specialize
 from heckeb.schur import restrict_to_subspace
 from heckeb.weylcomb import index_set, parabolic_elements, shift_center, shift_outward
 
@@ -93,14 +94,16 @@ class TestRKEquations:
         res = verify_rk_equations(n, 2, SYMBOLIC)
         assert res["all"], res
 
-    def test_negative_control(self):
-        res = verify_rk_equations(3, 2, SYMBOLIC, sabotage_k=True)
-        # the sabotaged run checks only the relations that involve K
-        assert "yang_baxter" not in res
-        assert {"reflection", "k_quadratic", "k_consistency", "all"} <= set(res)
-        assert not res["k_quadratic"]
-        assert not res["k_consistency"]
-        assert not res["all"]
+    @pytest.mark.parametrize("n,e", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_negative_control(self, n, e):
+        """The control stands beside `all` and is left out of it: the
+        cylinder product with K := Id, which is R R, never equals K_{2e}."""
+        res = verify_rk_equations(n, e, SYMBOLIC)
+        equations = {"yang_baxter", "reflection", "k_quadratic", "k_consistency"}
+        assert set(res) == equations | {"all", "negative_control"}
+        assert res["all"] and not res["negative_control"]
+        # nor is the identity a root of T_0's quadratic
+        assert not _quadratic_holds(ExactMatrix.identity(n, RF_ONE), 0, SYMBOLIC)
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (3, 3), (4, 2)])
     def test_k_block_is_central_element(self, n, d):
@@ -140,10 +143,7 @@ class TestBlocksSymbolicAgainstSpecialized:
     @pytest.mark.parametrize("bk", BENCH_POINTS, ids=repr)
     @pytest.mark.parametrize("n,e", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_rk_results(self, bk, n, e):
-        for sabotage in (False, True):
-            assert verify_rk_equations(n, e, bk, sabotage) == verify_rk_equations(
-                n, e, SYMBOLIC, sabotage
-            )
+        assert verify_rk_equations(n, e, bk) == verify_rk_equations(n, e, SYMBOLIC)
 
 
 def _laurent_product(factors):
@@ -283,18 +283,17 @@ class TestKroneckerDecision:
         assert units["eq"] == (1, 1 << 2 * k)
         assert self.decide(blocks, [("a", 0, 0)] * 2, [("one", 0, 0)])
         assert not self.decide(blocks, [("a", 0, 0)] * 2, [("two", 0, 0)])
-        # the negative control: K = Id shifts the cylinder product less than K_{2e}
-        blocks = {"R": r_block(2, 2, 3), "K": ExactMatrix.identity(9, LP_ONE), "K2": k_block(4, 3)}
+        # the negative control: R R is shifted less than K_{2e}
+        blocks = {"R": r_block(2, 2, 3), "K": k_block(2, 3), "K2": k_block(4, 3)}
         _, _, _, comp = _kronecker_point(blocks, _RK_PAIRS)
-        assert comp["k_consistency"][0] != (0, 0)
+        assert comp["negative_control"][0] != (0, 0)
 
     @pytest.mark.parametrize("n,e", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)])
-    @pytest.mark.parametrize("sabotage", [False, True], ids=["honest", "sabotaged"])
-    def test_point_covers_every_difference(self, n, e, sabotage):
+    def test_point_covers_every_difference(self, n, e):
         """The point verify_rk_equations takes covers both sides of each
-        equation, formed here over LaurentPoly2 as the check forms them."""
-        rb, k2 = r_block(e, e, n), k_block(2 * e, n)
-        kb = ExactMatrix.identity(n**e, LP_ONE) if sabotage else k_block(e, n)
+        comparison, the negative control R R against K_{2e} included, formed
+        here over LaurentPoly2 as the check forms them."""
+        rb, kb, k2 = r_block(e, e, n), k_block(e, n), k_block(2 * e, n)
         point = _kronecker_point({"R": rb, "K": kb, "K2": k2}, _RK_PAIRS)
         r1, r2 = embed_factors(rb, n, 0, e), embed_factors(rb, n, e, 0)
         k1 = embed_factors(kb, n, 0, e)
@@ -302,7 +301,9 @@ class TestKroneckerDecision:
             "yang_baxter": (r1 * r2 * r1, r2 * r1 * r2),
             "reflection": (k1 * rb * k1 * rb, rb * k1 * rb * k1),
             "k_consistency": (k1 * rb * k1 * rb, k2),
+            "negative_control": (rb * rb, k2),
         }
+        assert set(products) == set(_RK_PAIRS)
         for name, sides in products.items():
             self.assert_covers(point, name, _RK_PAIRS[name], sides)
 

@@ -190,38 +190,28 @@ def has_negative_exponent(p):
 
 
 class TestRingBoundary:
-    """RationalFunction.laurent() and equality / hashing across LaurentPoly2
-    and RationalFunction."""
+    """RationalFunction.laurent(), and equality / hashing of either type
+    against int."""
 
     @given(laurent_polys().filter(has_negative_exponent))
     @settings(max_examples=60, deadline=None)
     def test_laurent_round_trip(self, p):
         assert RationalFunction(p).laurent() == p
 
-    @given(laurent_polys())
-    @settings(max_examples=60, deadline=None)
-    def test_mixed_equality_and_hash(self, p):
-        r = RationalFunction(p)
-        assert p == r
-        assert r == p
-        assert hash(p) == hash(r)
-        assert p != RationalFunction(p + LaurentPoly2.from_int(1))
-        assert RationalFunction(p + LaurentPoly2.from_int(1)) != p
-
     @given(laurent_polys(), st.integers(-10**30, 10**30))
     @settings(max_examples=80, deadline=None)
     def test_constants_equal_and_hash_as_their_int(self, p, c):
-        assert len({RF_ONE, LP_ONE, 1}) == 1
+        assert len({RF_ONE, 1}) == len({LP_ONE, 1}) == 1
         lp, rf = LaurentPoly2.from_int(c), RationalFunction(c)
-        assert lp == c == rf and c == lp and rf == lp
+        assert lp == c == rf and c == lp and c == rf
         assert hash(lp) == hash(c) == hash(rf)
-        assert len({lp, rf, c}) == 1
-        # any value: equal ones hash alike across the three types
-        values = [p, RationalFunction(p), c, lp, rf]
-        for x in values:
-            for y in values:
-                if x == y:
-                    assert y == x and hash(x) == hash(y)
+        assert len({lp, c}) == len({rf, c}) == 1
+        # any value: equal ones hash alike, each type against int
+        for values in ([p, c, lp], [RationalFunction(p), c, rf]):
+            for x in values:
+                for y in values:
+                    if x == y:
+                        assert y == x and hash(x) == hash(y)
         assert (p == c) == (RationalFunction(p) == c) == (c == p)
 
     def test_laurent_rejects_a_proper_denominator(self):
